@@ -30,8 +30,9 @@
 //! callers opt into the streaming path explicitly.
 //!
 //! Input validation (dimension, finiteness) is the transport layer's job:
-//! the `fl` crate's streaming server quarantines malformed payloads before
-//! they reach [`StreamingAggregator::push`], which only `debug_assert`s.
+//! callers quarantine malformed payloads (the `fl` crate's
+//! `round::server_accepts`) before they reach
+//! [`StreamingAggregator::ingest`], which only `debug_assert`s.
 
 use crate::{AggError, Aggregation, DefenseKind, Selection};
 use fabflip_tensor::vecops;

@@ -12,7 +12,7 @@
 //!
 //! The million-client n-sweep (DESIGN.md §4e) times every aggregation
 //! rule as the cohort grows at fixed `d`: the mean family streams through
-//! a [`StreamingServer`] (per-rule seconds plus the actual O(shards·d)
+//! a [`StreamingAggregator`] (per-rule seconds plus the actual O(shards·d)
 //! resident aggregation state), FedAvg additionally at the f16/i8 wire
 //! codecs, and the quadratic selection family runs the blocked O(B·n)-
 //! resident kernels.
@@ -33,11 +33,11 @@
 use fabflip::{ZkaConfig, ZkaG, ZkaR};
 use fabflip_agg::{
     Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median, MultiKrum, NormBound,
-    StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
+    StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
-use fabflip_fl::{simulate, Codec, FlConfig, StreamingServer, TaskKind};
+use fabflip_fl::{simulate, Codec, FlConfig, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
@@ -364,13 +364,13 @@ fn streaming_gate(d: usize) -> bool {
         .aggregate(&updates, &vec![1.0; n])
         .expect("batch fedavg");
     let run = || {
-        let mut srv =
-            StreamingServer::new(DefenseKind::FedAvg, d, StreamingConfig::default(), None)
-                .expect("streaming server");
+        let mut agg =
+            StreamingAggregator::new(DefenseKind::FedAvg, d, StreamingConfig::default(), None)
+                .expect("streaming aggregator");
         for u in &updates {
-            srv.submit_f32(u, 1.0);
+            agg.ingest(u, 1.0);
         }
-        srv.finalize().expect("streaming finalize").model
+        agg.finalize().expect("streaming finalize").model
     };
     let (a, b) = (run(), run());
     let bitwise = a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
@@ -389,7 +389,7 @@ fn streaming_gate(d: usize) -> bool {
 
 /// The §4e n-sweep: per-rule seconds and resident aggregation bytes as
 /// the cohort grows at fixed `d`. The mean family streams (resident
-/// O(shards·d), measured from the live server); the quadratic selection
+/// O(shards·d), measured from the live aggregator); the quadratic selection
 /// family runs the blocked kernels over a materialized cohort (resident
 /// O(B·n + B²), analytic, excluding the inherent n·d input).
 fn bench_n_sweep(smoke: bool) -> Vec<Value> {
@@ -420,6 +420,7 @@ fn bench_n_sweep(smoke: bool) -> Vec<Value> {
     ];
     let reference = vec![0.1f32; D];
     let mut buf = vec![0.0f32; D];
+    let mut decoded = vec![0.0f32; D];
     // The mean family's server state is O(shards·d): residency must be
     // byte-identical at every n, or streaming has silently re-grown with
     // the cohort.
@@ -430,18 +431,19 @@ fn bench_n_sweep(smoke: bool) -> Vec<Value> {
             let mut resident = 0usize;
             let t = time_best(reps, || {
                 let r = matches!(kind, DefenseKind::NormBound { .. }).then(|| reference.clone());
-                let mut srv = StreamingServer::new(kind, D, scfg, r).expect("streaming server");
+                let mut agg =
+                    StreamingAggregator::new(kind, D, scfg, r).expect("streaming aggregator");
                 for i in 0..n {
                     gen_update(&mut buf, i);
                     if codec.is_f32() {
-                        srv.submit_f32(&buf, 1.0);
+                        agg.ingest(&buf, 1.0);
                     } else {
-                        let enc = quant::encode(codec, &buf);
-                        srv.submit(&enc, 1.0);
+                        quant::decode_into(&quant::encode(codec, &buf), &mut decoded);
+                        agg.ingest(&decoded, 1.0);
                     }
                 }
-                resident = srv.resident_bytes();
-                let _ = srv.finalize().expect("streaming finalize");
+                resident = agg.resident_bytes();
+                let _ = agg.finalize().expect("streaming finalize");
             });
             if !matches!(kind, DefenseKind::TrMean { .. } | DefenseKind::Median) {
                 let expect = *mean_resident.get_or_insert(resident);

@@ -9,7 +9,7 @@
 //!   `fabflip_tensor::vecops::l2_norm_delta`), and extern package names
 //!   normalize to crate directories ([`CRATE_ALIASES`]:
 //!   `fabflip_agg` → `aggregation`) — this is what lets a hot entry in
-//!   `fl` prove edges down through `aggregation` into `tensor`;
+//!   `aggregation` prove edges down into `tensor`;
 //! * the expanded path then resolves by fully-qualified-name suffix
 //!   (exact match first — `start == 0` in the suffix loop — then
 //!   retrying with leading segments dropped, so a partially-qualified
@@ -98,12 +98,11 @@ pub const HOT_ENTRIES: &[&str] = &[
     // Aggregation score/coordinate kernels.
     "aggregation::krum::krum_scores_into",
     "aggregation::bulyan::bulyan_coordinate_chunk",
-    // Streaming ingest: one call per submitted update (§4e). The fl-side
-    // server entry is the root; `StreamingAggregator::ingest` is NOT
-    // listed — it must be proven hot *through* the cross-crate chain
-    // `submit → submit_validated → ingest`, which is exactly the edge a
-    // per-crate graph would miss.
-    "fl::stream::StreamingServer::submit",
+    // Streaming ingest: one call per submitted update (§4e). The tensor
+    // kernels it calls (`vecops::l2_norm_delta`) are NOT listed — they
+    // must be proven hot *through* the cross-crate edge from this entry,
+    // which is exactly the edge a per-crate graph would miss.
+    "aggregation::streaming::StreamingAggregator::ingest",
     // Layer forward/backward over im2col + GEMM.
     "nn::conv::Conv2d::forward",
     "nn::conv::Conv2d::backward",
@@ -475,7 +474,7 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
                 // the shell would drag `fs`/`net` helpers of the core
                 // into the hot set along false routes. Core functions
                 // the shell calls stay audited through their own
-                // entries (`fl::stream`, `tensor::quant`, …).
+                // entries (`aggregation::streaming`, `tensor::quant`, …).
                 if nodes[v].file.starts_with(BLESSED_SERVE_DIR) {
                     continue;
                 }
@@ -811,7 +810,7 @@ mod tests {
                  #[cfg(test)]\nmod tests { fn t() { let v = Vec::new(); matmul_into(&mut v); } }\n",
             ),
             (
-                "compat/rayon/src/lib.rs",
+                "compat/serde/src/lib.rs",
                 "pub fn join() -> Vec<u8> { Vec::new() }\n",
             ),
         ]);

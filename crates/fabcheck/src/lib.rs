@@ -265,6 +265,9 @@ pub fn run(opts: &Options) -> i32 {
     };
     let baseline = match ratchet::load(&baseline_path) {
         Ok(b) => b,
+        // `--bless` is how an unreadable (e.g. old-schema) baseline gets
+        // replaced, and it never compares against the old counts.
+        Err(_) if opts.bless => ratchet::Baseline::default(),
         Err(e) => {
             eprintln!("fabcheck: {e}");
             return 2;

@@ -15,20 +15,20 @@ pub type Counts = BTreeMap<String, BTreeMap<String, u64>>;
 /// drift alongside the per-rule deltas.
 pub type UnsafeAudit = BTreeMap<String, (u64, u64)>;
 
-/// Baseline file schema version written by `--bless`. v1 was a bare
-/// `rule → file → count` map; v2 wrapped it as
-/// `{"schema_version": 2, "counts": {…}}`; v3 adds a `"rules"` roster
-/// array naming the counted rules the baseline was blessed under, so a
-/// reviewer (and the CI delta summary) can tell "rule added since the
-/// bless" apart from "rule was clean at bless time" without replaying
-/// history; v4 adds the `"unsafe_audit"` coverage map
-/// (`file → {"claimed", "total"}`) snapshotting how much of the unsafe
-/// surface carried machine-parsed claims when the baseline was blessed.
-/// All four versions parse; `--bless` always writes v4.
+/// Baseline file schema version, the only one `--bless` writes and the
+/// only one `load` reads: `{"schema_version": 4, "rules": […],
+/// "counts": {…}, "unsafe_audit": {…}}`. The `"rules"` roster names the
+/// counted rules the baseline was blessed under, so a reviewer (and the
+/// CI delta summary) can tell "rule added since the bless" apart from
+/// "rule was clean at bless time" without replaying history; the
+/// `"unsafe_audit"` coverage map (`file → {"claimed", "total"}`)
+/// snapshots how much of the unsafe surface carried machine-parsed
+/// claims when the baseline was blessed. Any other version is rejected
+/// with a message naming it; `--bless` replaces such a file.
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// A parsed baseline: the ratcheted counts plus the unsafe-audit
-/// coverage snapshot pinned at bless time (empty for pre-v4 baselines).
+/// coverage snapshot pinned at bless time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
     /// Committed counted-rule tallies the ratchet compares against.
@@ -76,68 +76,51 @@ fn as_u64(v: &serde_json::Value, what: &str) -> Result<u64, String> {
 fn parse(text: &str) -> Result<Baseline, String> {
     let value: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
     let top = value.as_map().ok_or("expected a top-level object")?;
-    // v2+ wrap the rule map under "counts"; a baseline without a
-    // "schema_version" key is the v1 bare map (migration read path).
+    let field = |name: &str| top.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let ver = field("schema_version")
+        .ok_or_else(|| {
+            "no \"schema_version\" (a v1 bare-map baseline, no longer read); \
+             re-bless with `fabcheck --bless`"
+                .to_string()
+        })
+        .and_then(|v| as_u64(v, "schema_version"))?;
+    if ver > SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {ver} is newer than this fabcheck (v{SCHEMA_VERSION}); \
+             update the tool or re-bless"
+        ));
+    }
+    if ver < SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {ver} is no longer read (this fabcheck reads only \
+             v{SCHEMA_VERSION}); re-bless with `fabcheck --bless`"
+        ));
+    }
+    // The roster is advisory (counts carry explicit zeros for every
+    // counted rule), but a malformed one is still a malformed baseline.
+    match field("rules") {
+        Some(serde_json::Value::Seq(entries)) if entries.iter().all(|e| e.as_str().is_some()) => {}
+        Some(_) => return Err("rules: expected an array of rule names".into()),
+        None => return Err("baseline is missing the \"rules\" roster".into()),
+    }
+    let audit = field("unsafe_audit")
+        .ok_or("baseline is missing the \"unsafe_audit\" coverage map")?
+        .as_map()
+        .ok_or("unsafe_audit: expected an object of file coverage")?;
     let mut unsafe_audit = UnsafeAudit::new();
-    let rules_value = match top.iter().find(|(k, _)| k == "schema_version") {
-        Some((_, ver)) => {
-            let ver = as_u64(ver, "schema_version")?;
-            if ver > SCHEMA_VERSION {
-                return Err(format!(
-                    "schema_version {ver} is newer than this fabcheck (v{SCHEMA_VERSION}); \
-                     update the tool or re-bless"
-                ));
-            }
-            // The v3 roster is advisory (counts carry explicit zeros for
-            // every counted rule), but a malformed one is still a
-            // malformed baseline; v2 has no roster.
-            match top.iter().find(|(k, _)| k == "rules") {
-                Some((_, serde_json::Value::Seq(entries)))
-                    if entries.iter().all(|e| e.as_str().is_some()) => {}
-                Some(_) => {
-                    return Err("rules: expected an array of rule names".into());
-                }
-                None if ver >= 3 => {
-                    return Err("schema v3 baseline is missing the \"rules\" roster".into());
-                }
-                None => {}
-            }
-            // v4 pins the unsafe-site coverage map; earlier schemas
-            // migrate with an empty one (next bless fills it in).
-            match top.iter().find(|(k, _)| k == "unsafe_audit") {
-                Some((_, audit)) => {
-                    let files = audit
-                        .as_map()
-                        .ok_or("unsafe_audit: expected an object of file coverage")?;
-                    for (file, cell) in files {
-                        let cell = cell.as_map().ok_or_else(|| {
-                            format!("unsafe_audit/{file:?}: expected {{claimed, total}}")
-                        })?;
-                        let field = |name: &str| -> Result<u64, String> {
-                            cell.iter()
-                                .find(|(k, _)| k == name)
-                                .ok_or_else(|| format!("unsafe_audit/{file:?}: missing {name:?}"))
-                                .and_then(|(_, v)| {
-                                    as_u64(v, &format!("unsafe_audit/{file:?}/{name}"))
-                                })
-                        };
-                        unsafe_audit.insert(file.clone(), (field("claimed")?, field("total")?));
-                    }
-                }
-                None if ver >= 4 => {
-                    return Err(
-                        "schema v4 baseline is missing the \"unsafe_audit\" coverage map".into(),
-                    );
-                }
-                None => {}
-            }
-            &top.iter()
-                .find(|(k, _)| k == "counts")
-                .ok_or("schema v2+ baseline is missing the \"counts\" object")?
-                .1
-        }
-        None => &value,
-    };
+    for (file, cell) in audit {
+        let cell = cell
+            .as_map()
+            .ok_or_else(|| format!("unsafe_audit/{file:?}: expected {{claimed, total}}"))?;
+        let count = |name: &str| -> Result<u64, String> {
+            cell.iter()
+                .find(|(k, _)| k == name)
+                .ok_or_else(|| format!("unsafe_audit/{file:?}: missing {name:?}"))
+                .and_then(|(_, v)| as_u64(v, &format!("unsafe_audit/{file:?}/{name}")))
+        };
+        unsafe_audit.insert(file.clone(), (count("claimed")?, count("total")?));
+    }
+    let rules_value = field("counts").ok_or("baseline is missing the \"counts\" object")?;
     let rules = rules_value
         .as_map()
         .ok_or("expected an object of rule counts")?;
@@ -338,65 +321,30 @@ mod tests {
     }
 
     #[test]
-    fn v2_envelope_migrates_and_rerenders_as_v4() {
-        let v2 = "{\n  \"schema_version\": 2,\n  \"counts\": {\n    \"unwrap-in-lib\": {\n      \
-                  \"crates/nn/src/a.rs\": 2\n    }\n  }\n}\n";
-        let b = parse(v2).expect("v2 migration");
-        assert_eq!(b.counts["unwrap-in-lib"]["crates/nn/src/a.rs"], 2);
-        assert!(b.unsafe_audit.is_empty());
-        let v4 = render(&b.counts, &b.unsafe_audit);
-        assert!(v4.contains("\"schema_version\": 4"), "{v4}");
-        assert!(v4.contains("\"rules\": [\"unwrap-in-lib\"]"), "{v4}");
-        assert!(v4.contains("\"unsafe_audit\": {}"), "{v4}");
-        // And the upgraded text roundtrips to the same baseline.
-        assert_eq!(parse(&v4).expect("v4 roundtrip"), b);
-    }
-
-    #[test]
-    fn v3_baselines_migrate_with_an_empty_audit() {
-        let v3 = "{\n  \"schema_version\": 3,\n  \"rules\": [\"unwrap-in-lib\"],\n  \
-                  \"counts\": {\n    \"unwrap-in-lib\": {\n      \"a.rs\": 1\n    }\n  }\n}\n";
-        let b = parse(v3).expect("v3 migration");
-        assert_eq!(b.counts["unwrap-in-lib"]["a.rs"], 1);
-        assert!(b.unsafe_audit.is_empty());
-        assert!(render(&b.counts, &b.unsafe_audit).contains("\"schema_version\": 4"));
-    }
-
-    #[test]
-    fn v3_roster_is_validated() {
-        assert!(parse("{\"schema_version\": 3, \"counts\": {}}")
-            .expect_err("missing roster")
-            .contains("roster"));
-        assert!(parse("{\"schema_version\": 3, \"rules\": [1], \"counts\": {}}").is_err());
-        assert!(parse("{\"schema_version\": 3, \"rules\": \"x\", \"counts\": {}}").is_err());
-        assert!(
-            parse("{\"schema_version\": 3, \"rules\": [], \"counts\": {}}")
-                .expect("empty roster is fine")
-                .counts
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn v1_bare_map_baselines_still_parse() {
-        let v1 = "{\n  \"unwrap-in-lib\": {\n    \"crates/nn/src/a.rs\": 2\n  }\n}\n";
-        let b = parse(v1).expect("v1 migration");
-        assert_eq!(b.counts["unwrap-in-lib"]["crates/nn/src/a.rs"], 2);
-        // Re-rendering upgrades to the current schema.
-        assert!(render(&b.counts, &b.unsafe_audit).contains("\"schema_version\": 4"));
-    }
-
-    #[test]
-    fn future_schema_versions_are_rejected() {
-        let v99 = "{\"schema_version\": 99, \"counts\": {}}";
-        let err = parse(v99).expect_err("future schema");
+    fn only_the_current_schema_is_read() {
+        // v1 (bare map, no version), v2 and v3 name themselves and point
+        // at --bless; a future version still says it is newer.
+        let v1 = "{\"unwrap-in-lib\": {\"crates/nn/src/a.rs\": 2}}";
+        let err = parse(v1).expect_err("v1");
+        assert!(err.contains("v1") && err.contains("--bless"), "{err}");
+        for (ver, old) in [
+            (2, "{\"schema_version\": 2, \"counts\": {}}"),
+            (3, "{\"schema_version\": 3, \"rules\": [], \"counts\": {}}"),
+        ] {
+            let err = parse(old).expect_err("pre-v4");
+            assert!(err.contains(&format!("schema_version {ver} ")), "{err}");
+            assert!(err.contains("--bless"), "{err}");
+        }
+        let err = parse("{\"schema_version\": 99, \"counts\": {}}").expect_err("future");
         assert!(err.contains("newer"), "{err}");
-        assert!(parse("{\"schema_version\": 2, \"counts\": {}}")
-            .expect("v2 empty")
-            .counts
-            .is_empty());
-        assert!(parse("{\"schema_version\": 2}").is_err());
         assert!(parse("{\"schema_version\": -1, \"counts\": {}}").is_err());
+        // A v4 envelope still needs its roster and counts.
+        assert!(parse(
+            "{\"schema_version\": 4, \"rules\": [1], \"counts\": {}, \"unsafe_audit\": {}}"
+        )
+        .is_err());
+        assert!(parse("{\"schema_version\": 4, \"counts\": {}, \"unsafe_audit\": {}}").is_err());
+        assert!(parse("{\"schema_version\": 4, \"rules\": [], \"unsafe_audit\": {}}").is_err());
     }
 
     #[test]
@@ -444,10 +392,17 @@ mod tests {
 
     #[test]
     fn malformed_baseline_is_an_error() {
+        let v4 = |counts: &str| {
+            format!(
+                "{{\"schema_version\": 4, \"rules\": [], \"unsafe_audit\": {{}}, \
+                 \"counts\": {counts}}}"
+            )
+        };
         assert!(parse("[1, 2]").is_err());
-        assert!(parse("{\"r\": 3}").is_err());
-        assert!(parse("{\"r\": {\"f\": -1}}").is_err());
-        assert!(parse("{\"r\": {\"f\": 1.5}}").is_err());
+        assert!(parse(&v4("{\"r\": 3}")).is_err());
+        assert!(parse(&v4("{\"r\": {\"f\": -1}}")).is_err());
+        assert!(parse(&v4("{\"r\": {\"f\": 1.5}}")).is_err());
+        assert!(parse(&v4("{\"r\": {\"f\": 1}}")).is_ok());
     }
 
     #[test]

@@ -33,14 +33,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// straight into results or JSON output here.
 pub const NUMERIC_CRATES: &[&str] = &["tensor", "nn", "aggregation", "attacks", "data", "fl"];
 
-/// Files allowed to read process environment variables: the two
-/// `FABFLIP_THREADS` budget modules (the tensor thread budget and the
-/// rayon-shim mirror of it) plus the CPU-backend dispatcher, which reads
+/// Files allowed to read process environment variables: the
+/// `FABFLIP_THREADS` thread budget (`tensor::par`, the one thread
+/// runtime) plus the CPU-backend dispatcher, which reads
 /// `FABFLIP_BACKEND` once at startup. Everything else must take
 /// configuration as arguments so a run is a pure function of its config
 /// + seed.
 pub const BLESSED_ENV_FILES: &[&str] = &[
-    "compat/rayon/src/lib.rs",
     "crates/tensor/src/backend/mod.rs",
     "crates/tensor/src/par.rs",
 ];
@@ -299,9 +298,10 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
         // Thread creation is the pool's monopoly: ad-hoc spawns bypass the
         // budget cap and the fixed-block determinism argument. Tests too —
         // a scoped spawn in a test still races the pool's parked workers.
-        // The compat shims are exempt (the rayon shim delegates to `par`),
-        // as are the serving shell and its kill/restart harness, whose
-        // threads block on sockets rather than compute.
+        // The compat shims are exempt (vendored stand-ins for external
+        // crates, outside the product code), as are the serving shell and
+        // its kill/restart harness, whose threads block on sockets rather
+        // than compute.
         Rule::ThreadSpawnOutsidePar => {
             if class.in_crates
                 && class.rel != BLESSED_THREAD_FILE
@@ -1990,8 +1990,13 @@ mod tests {
     fn env_var_blessed_only_in_budget_modules() {
         let src = r#"let v = std::env::var("FABFLIP_THREADS");"#;
         assert!(run("crates/tensor/src/par.rs", src).is_empty());
-        assert!(run("compat/rayon/src/lib.rs", src).is_empty());
         assert_eq!(run("crates/fl/src/sim.rs", src), ["env-var-outside-config"]);
+        // `tensor::par` is the only FABFLIP_THREADS reader: no compat shim
+        // is blessed.
+        assert_eq!(
+            run("compat/rayon/src/lib.rs", src),
+            ["env-var-outside-config"]
+        );
         // env::args and env::temp_dir stay legal everywhere.
         assert!(run("crates/cli/src/main.rs", "let a = std::env::args();").is_empty());
     }
@@ -2082,7 +2087,7 @@ mod tests {
         );
         // The worker pool itself and the compat shims are exempt.
         assert!(run("crates/tensor/src/par.rs", spawn).is_empty());
-        assert!(run("compat/rayon/src/lib.rs", spawn).is_empty());
+        assert!(run("compat/proptest/src/lib.rs", spawn).is_empty());
         // `thread::scope` and `thread::Builder` count too.
         assert_eq!(
             run(

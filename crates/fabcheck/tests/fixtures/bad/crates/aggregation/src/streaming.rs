@@ -3,11 +3,11 @@
 //! is not — a stray `TcpStream` here must still fail `--ci`.
 //! Never compiled — only scanned.
 
-pub struct StreamingServer;
+pub struct StreamingAggregator;
 
-impl StreamingServer {
+impl StreamingAggregator {
     /// `io-on-hot-path`: blocking network I/O inside the hot entry.
-    pub fn submit(&mut self, update: &[f32]) -> usize {
+    pub fn ingest(&mut self, update: &[f32]) -> usize {
         let _probe = std::net::TcpStream::connect("127.0.0.1:9");
         update.len()
     }

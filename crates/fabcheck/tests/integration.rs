@@ -117,13 +117,12 @@ fn bad_fixture_reports_every_forbidden_rule() {
 #[test]
 fn bad_fixture_regresses_against_its_baseline() {
     let report = check_workspace(&fixture("bad")).expect("scan");
-    // The bad baseline is deliberately kept in the v1 bare-map format, so
-    // this test also exercises the schema migration read path.
+    // The bad baseline was blessed before panic-on-hot-path and
+    // span-disjointness were counted: its roster lacks both rules.
     let baseline = ratchet::load(&fixture("bad").join("FABCHECK_BASELINE.json")).expect("baseline");
     let (regressions, _) = ratchet::compare(&baseline.counts, &report.counts);
     // unwrap-in-lib grew 1 → 2, todo-unimplemented appeared 0 → 1, and
-    // panic-on-hot-path (0 → 3) and span-disjointness (0 → 1) appeared
-    // (v1 baselines lack both rules).
+    // panic-on-hot-path (0 → 3) and span-disjointness (0 → 1) appeared.
     assert_eq!(regressions.len(), 4, "{regressions:?}");
     assert!(regressions
         .iter()
@@ -148,10 +147,10 @@ fn clean_fixture_is_silent() {
         report.findings
     );
     assert!(report.counted.is_empty(), "{:?}", report.counted);
-    // 10 files: the serve shell (`crates/serve/src/shell.rs`) is full of
+    // 9 files: the serve shell (`crates/serve/src/shell.rs`) is full of
     // sockets, locks, and spawns, and must still be silent — the blessed
     // I/O boundary.
-    assert_eq!(report.files_checked, 10);
+    assert_eq!(report.files_checked, 9);
 }
 
 #[test]
@@ -335,8 +334,8 @@ fn bless_rewrites_baseline_and_future_runs_pass() {
         blessed.counts["panic-on-hot-path"]["crates/tensor/src/matmul.rs"],
         3
     );
-    // Blessing a v1 baseline rewrites it in the v4 envelope: roster plus
-    // the unsafe-site coverage map.
+    // The blessed baseline is the v4 envelope: roster plus the
+    // unsafe-site coverage map.
     let raw = std::fs::read_to_string(&baseline_path).expect("read blessed");
     assert!(raw.contains("\"schema_version\": 4"), "{raw}");
     assert!(raw.contains("\"rules\": ["), "{raw}");
@@ -434,27 +433,29 @@ fn seed_stream_registry_findings_are_position_exact() {
     );
 }
 
-/// v2 → v4 baseline migration, end to end through the binary: a clean
-/// tree with a v2-envelope baseline passes as-is, `--bless` rewrites it
-/// in the v4 envelope (roster plus the unsafe-audit coverage map,
-/// populated from the fixture's actual unsafe sites), and the tree still
-/// passes.
+/// Only the v4 baseline schema is read: a clean tree whose baseline is
+/// an older version fails `--ci` with a message naming that version, and
+/// `--bless` replaces it with a v4 baseline the tree then passes.
 #[test]
-fn v2_baseline_migrates_to_v4_roundtrip() {
-    let dir = copy_fixture("clean", "migrate");
+fn old_schema_baseline_is_rejected_until_reblessed() {
+    let dir = copy_fixture("clean", "oldschema");
     let root = dir.to_str().expect("utf8 path");
-    let before = std::fs::read_to_string(dir.join("FABCHECK_BASELINE.json")).expect("read");
-    assert!(before.contains("\"schema_version\": 2"), "{before}");
-    let (code, _, _) = run_binary(&["--ci", "--root", root]);
-    assert_eq!(code, 0, "v2 baseline must parse");
+    let baseline_path = dir.join("FABCHECK_BASELINE.json");
+    std::fs::write(
+        &baseline_path,
+        "{\"schema_version\": 2, \"counts\": {\"unwrap-in-lib\": {}}}\n",
+    )
+    .expect("write v2 baseline");
+    let (code, _, stderr) = run_binary(&["--ci", "--root", root]);
+    assert_eq!(code, 2, "a v2 baseline must not be read");
+    assert!(stderr.contains("schema_version 2"), "{stderr}");
+    assert!(stderr.contains("--bless"), "{stderr}");
     let (code, _, _) = run_binary(&["--bless", "--root", root]);
     assert_eq!(code, 0);
-    let after = std::fs::read_to_string(dir.join("FABCHECK_BASELINE.json")).expect("read");
+    let after = std::fs::read_to_string(&baseline_path).expect("read");
     assert!(after.contains("\"schema_version\": 4"), "{after}");
-    assert!(after.contains("\"rules\": ["), "{after}");
-    assert!(after.contains("\"unsafe_audit\""), "{after}");
     let (code, _, _) = run_binary(&["--ci", "--root", root]);
-    assert_eq!(code, 0, "v4 baseline must pass unchanged");
+    assert_eq!(code, 0, "the re-blessed baseline must pass");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -466,44 +467,57 @@ fn real_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// The PR-6 cross-crate edge, pinned: the `--json` callgraph proves
-/// `fl::stream::StreamingServer::submit` reaches `tensor::vecops` through
-/// `aggregation::streaming::StreamingAggregator::ingest` — the chain the
-/// per-crate v2 graph could not see.
+/// The cross-crate edge, pinned: the `--json` callgraph proves the
+/// `aggregation::streaming::StreamingAggregator::ingest` entry reaches
+/// `tensor::vecops::l2_norm_delta`, which is not itself an entry — the
+/// chain a per-crate graph could not see.
 #[test]
 fn cross_crate_hot_chain_appears_in_json_callgraph() {
     let root = real_root().to_str().expect("utf8 path");
     let (_, stdout, _) = run_binary(&["--json", "--root", root]);
     let v: serde_json::Value = serde_json::from_str(&stdout).expect("valid JSON");
-    let hot = v
-        .as_map()
-        .and_then(|m| m.iter().find(|(k, _)| k == "callgraph"))
-        .and_then(|(_, cg)| cg.as_map())
-        .and_then(|m| m.iter().find(|(k, _)| k == "hot"))
-        .map(|(_, h)| format!("{h:?}"))
-        .expect("hot section");
-    for link in [
-        "fl::stream::StreamingServer::submit",
-        "aggregation::streaming::StreamingAggregator::ingest",
-        "tensor::vecops::l2_norm_delta",
-    ] {
-        assert!(hot.contains(link), "chain link {link} missing");
+    fn field<'a>(v: &'a serde_json::Value, name: &str) -> Option<&'a serde_json::Value> {
+        v.as_map()
+            .and_then(|m| m.iter().find(|(k, _)| k == name))
+            .map(|(_, v)| v)
     }
-    // The via chain itself crosses all three crates in entry order.
-    let chain = hot
-        .split("l2_norm_delta")
-        .find(|seg| seg.contains("via"))
-        .map(|seg| seg.to_string());
-    assert!(chain.is_some(), "no via chain ends at l2_norm_delta");
+    fn names(v: &serde_json::Value) -> Vec<&str> {
+        match v {
+            serde_json::Value::Seq(items) => items.iter().filter_map(|i| i.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+    let callgraph = field(&v, "callgraph").expect("callgraph section");
+    let entries = names(field(callgraph, "entries").expect("entries"));
+    assert!(
+        !entries.contains(&"tensor::vecops::l2_norm_delta"),
+        "l2_norm_delta must be proven hot, not declared"
+    );
+    let Some(serde_json::Value::Seq(hot)) = field(callgraph, "hot") else {
+        panic!("hot section");
+    };
+    let record = hot
+        .iter()
+        .find(|h| {
+            field(h, "fn").and_then(serde_json::Value::as_str)
+                == Some("tensor::vecops::l2_norm_delta")
+        })
+        .expect("l2_norm_delta is hot");
+    assert_eq!(
+        names(field(record, "via").expect("via chain")),
+        [
+            "aggregation::streaming::StreamingAggregator::ingest",
+            "tensor::vecops::l2_norm_delta"
+        ],
+        "route must run from the aggregation entry"
+    );
 }
 
-/// Planting an allocation in `StreamingAggregator::ingest` must flip
-/// `--ci` to failure with a route from the `fl` entry — the cross-crate
-/// false negative this release closes.
-#[test]
-fn vec_in_ingest_flips_ci_from_fl_entry() {
+/// Copies the real workspace's `crates/`, `compat/`, manifest and
+/// baseline into a fresh temp dir and checks that the copy starts clean.
+fn copy_real_tree(tag: &str) -> PathBuf {
     let src = real_root();
-    let dir = std::env::temp_dir().join(format!("fabcheck-xcrate-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("fabcheck-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     copy_tree(&src.join("crates"), &dir.join("crates")).expect("copy crates");
     copy_tree(&src.join("compat"), &dir.join("compat")).expect("copy compat");
@@ -513,43 +527,55 @@ fn vec_in_ingest_flips_ci_from_fl_entry() {
         dir.join(fabcheck::BASELINE_FILE),
     )
     .expect("copy baseline");
-    let root = dir.to_str().expect("utf8 path");
-    let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
     assert_eq!(code, 0, "copied tree must start clean: {stdout}");
+    dir
+}
 
-    let target = dir.join("crates/aggregation/src/streaming.rs");
-    let text = std::fs::read_to_string(&target).expect("read streaming.rs");
-    let needle = "pub fn ingest(&mut self, update: &[f32], weight: f32) {";
+/// Planting an allocation in `tensor::vecops::l2_norm_delta` must flip
+/// `--ci` to failure with a route from the aggregation entry — the
+/// cross-crate false negative a per-crate graph would ship.
+#[test]
+fn vec_in_l2_norm_delta_flips_ci_from_aggregation_entry() {
+    let dir = copy_real_tree("xcrate");
+    let target = dir.join("crates/tensor/src/vecops.rs");
+    let text = std::fs::read_to_string(&target).expect("read vecops.rs");
+    let needle = "pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {";
     let planted = text.replace(
         needle,
-        "pub fn ingest(&mut self, update: &[f32], weight: f32) {\n        \
-         let _grow = vec![0.0f32; update.len()];",
+        "pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {\n    \
+         let _grow = vec![0.0f32; a.len()];",
     );
-    assert_ne!(planted, text, "ingest signature moved; update the test");
-    std::fs::write(&target, planted).expect("write streaming.rs");
+    assert_ne!(
+        planted, text,
+        "l2_norm_delta signature moved; update the test"
+    );
+    std::fs::write(&target, planted).expect("write vecops.rs");
 
-    let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
     assert_eq!(code, 1, "planted alloc must fail CI: {stdout}");
     assert!(stdout.contains("alloc-on-hot-path"), "{stdout}");
     assert!(
-        stdout.contains("fl::stream::StreamingServer::submit"),
-        "route must start at the fl entry: {stdout}"
+        stdout.contains(
+            "aggregation::streaming::StreamingAggregator::ingest → tensor::vecops::l2_norm_delta"
+        ),
+        "route must start at an aggregation entry: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The serve-dir blessing must not blunt the rule for the core: the bad
-/// fixture's `fl::stream::StreamingServer::submit` dials a `TcpStream`,
-/// and that is still an `io-on-hot-path` finding with a route from the
-/// fl entry.
+/// fixture's `aggregation::streaming::StreamingAggregator::ingest` dials
+/// a `TcpStream`, and that is still an `io-on-hot-path` finding with a
+/// route from the aggregation entry.
 #[test]
-fn stray_tcp_in_fl_hot_entry_still_fires_despite_serve_blessing() {
+fn stray_tcp_in_aggregation_hot_entry_still_fires_despite_serve_blessing() {
     let report = check_workspace(&fixture("bad")).expect("scan");
     let io_hit = report
         .findings
         .iter()
-        .find(|f| f.rule == Rule::IoOnHotPath && f.file == "crates/fl/src/stream.rs")
-        .expect("fl TcpStream finding");
+        .find(|f| f.rule == Rule::IoOnHotPath && f.file == "crates/aggregation/src/streaming.rs")
+        .expect("aggregation TcpStream finding");
     assert!(
         io_hit.message.contains("net::TcpStream::connect"),
         "{}",
@@ -558,8 +584,8 @@ fn stray_tcp_in_fl_hot_entry_still_fires_despite_serve_blessing() {
     assert!(
         io_hit
             .message
-            .contains("fl::stream::StreamingServer::submit"),
-        "route must name the fl entry: {}",
+            .contains("aggregation::streaming::StreamingAggregator::ingest"),
+        "route must name the aggregation entry: {}",
         io_hit.message
     );
 }
@@ -568,22 +594,8 @@ fn stray_tcp_in_fl_hot_entry_still_fires_despite_serve_blessing() {
 /// tree must flip `--ci` to failure — the `crates/serve/` blessing is a
 /// directory boundary, not a hole in the aggregation core's purity.
 #[test]
-fn tcp_dial_in_ingest_flips_ci_from_fl_entry() {
-    let src = real_root();
-    let dir = std::env::temp_dir().join(format!("fabcheck-tcpplant-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    copy_tree(&src.join("crates"), &dir.join("crates")).expect("copy crates");
-    copy_tree(&src.join("compat"), &dir.join("compat")).expect("copy compat");
-    std::fs::copy(src.join("Cargo.toml"), dir.join("Cargo.toml")).expect("copy manifest");
-    std::fs::copy(
-        src.join(fabcheck::BASELINE_FILE),
-        dir.join(fabcheck::BASELINE_FILE),
-    )
-    .expect("copy baseline");
-    let root = dir.to_str().expect("utf8 path");
-    let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
-    assert_eq!(code, 0, "copied tree must start clean: {stdout}");
-
+fn tcp_dial_in_ingest_flips_ci() {
+    let dir = copy_real_tree("tcpplant");
     let target = dir.join("crates/aggregation/src/streaming.rs");
     let text = std::fs::read_to_string(&target).expect("read streaming.rs");
     let needle = "pub fn ingest(&mut self, update: &[f32], weight: f32) {";
@@ -595,12 +607,12 @@ fn tcp_dial_in_ingest_flips_ci_from_fl_entry() {
     assert_ne!(planted, text, "ingest signature moved; update the test");
     std::fs::write(&target, planted).expect("write streaming.rs");
 
-    let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
     assert_eq!(code, 1, "planted TcpStream must fail CI: {stdout}");
     assert!(stdout.contains("io-on-hot-path"), "{stdout}");
     assert!(
-        stdout.contains("fl::stream::StreamingServer::submit"),
-        "route must start at the fl entry: {stdout}"
+        stdout.contains("aggregation::streaming::StreamingAggregator::ingest"),
+        "route must name the aggregation entry: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -40,7 +40,6 @@ pub mod metrics;
 pub mod round;
 pub mod runner;
 mod sim;
-pub mod stream;
 
 pub use attack_spec::AttackSpec;
 pub use checkpoint::CheckpointSpec;
@@ -51,7 +50,6 @@ pub use faults::{FaultPlan, StragglerPolicy};
 pub use metrics::{RoundRecord, RunResult};
 pub use round::{ClientFleet, RoundInput, ServerCore, StagedRound, StagedSubmission};
 pub use sim::{simulate, simulate_observed, simulate_with};
-pub use stream::{StreamingServer, Submit};
 
 /// Unique per-test scratch directory under the system temp dir (pid +
 /// counter, no wall clock: fabcheck's determinism rules hold even in

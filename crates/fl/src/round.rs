@@ -32,8 +32,8 @@ pub(crate) const TASK_SEED: u64 = 0xDA7A_5EED;
 /// has the model dimension, every coordinate is finite, and it is not the
 /// all-zero dead-buffer sentinel. Quarantining here is *degradation
 /// accounting*; the aggregation rules additionally filter malformed input
-/// themselves (defense in depth). Shared by the batch fault transport,
-/// [`crate::StreamingServer`], and the `fabflip-serve` ingest path.
+/// themselves (defense in depth). Shared by the batch fault transport
+/// and the `fabflip-serve` ingest path.
 pub fn server_accepts(payload: &[f32], d: usize) -> bool {
     payload.len() == d && payload.iter().all(|v| v.is_finite()) && payload.iter().any(|&v| v != 0.0)
 }
@@ -705,5 +705,14 @@ mod tests {
             core.restore(vec![1.0; 3], None),
             Err(FlError::Checkpoint(_))
         ));
+    }
+
+    #[test]
+    fn server_accepts_only_finite_nonzero_payloads_of_model_dimension() {
+        let d = 6;
+        assert!(server_accepts(&[1.0; 6], d));
+        assert!(!server_accepts(&[1.0; 7], d), "wrong length");
+        assert!(!server_accepts(&[f32::NAN; 6], d), "non-finite");
+        assert!(!server_accepts(&[0.0; 6], d), "all-zero dead buffer");
     }
 }

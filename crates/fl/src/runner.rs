@@ -1,11 +1,9 @@
 //! Experiment runner: repeated paired runs, the clean baseline `acc_natk`,
 //! and cell summaries — the machinery behind every table and figure bench.
 
-use crate::checkpoint::CheckpointSpec;
 use crate::metrics::attack_success_rate;
-use crate::{simulate_with, AttackSpec, FlConfig, FlError};
+use crate::{simulate, AttackSpec, FlConfig, FlError};
 use fabflip_agg::DefenseKind;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -60,21 +58,6 @@ fn clean_cache() -> &'static Mutex<BTreeMap<String, f32>> {
 ///
 /// Propagates simulation failures.
 pub fn acc_natk(cfg: &FlConfig) -> Result<f32, FlError> {
-    acc_natk_checkpointed(cfg, None)
-}
-
-/// [`acc_natk`] with an optional checkpoint sink: an interrupted grid run
-/// resumes the clean baseline too, not just the attacked cells. Shares the
-/// process-wide memo cache (checkpoint placement is not part of the cache
-/// key — it cannot change the result).
-///
-/// # Errors
-///
-/// Propagates simulation and checkpoint-write failures.
-pub fn acc_natk_checkpointed(
-    cfg: &FlConfig,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<f32, FlError> {
     let mut clean = cfg.clone();
     clean.attack = AttackSpec::None;
     clean.defense = DefenseKind::FedAvg;
@@ -82,7 +65,7 @@ pub fn acc_natk_checkpointed(
     if let Some(&v) = clean_cache().lock().expect("cache lock").get(&key) {
         return Ok(v);
     }
-    let acc = simulate_with(&clean, ckpt, |_| {})?.max_accuracy();
+    let acc = simulate(&clean)?.max_accuracy();
     clean_cache().lock().expect("cache lock").insert(key, acc);
     Ok(acc)
 }
@@ -94,22 +77,6 @@ pub fn acc_natk_checkpointed(
 ///
 /// Propagates the first failing simulation.
 pub fn run_cell(base: &FlConfig, repeats: usize) -> Result<CellSummary, FlError> {
-    run_cell_checkpointed(base, repeats, None)
-}
-
-/// [`run_cell`] with an optional checkpoint sink. Every simulation of the
-/// cell (each repeat's attacked run and its clean baseline) checkpoints
-/// into the same directory; files are keyed by config fingerprint, so one
-/// directory safely serves a whole grid.
-///
-/// # Errors
-///
-/// Propagates the first failing simulation or checkpoint write.
-pub fn run_cell_checkpointed(
-    base: &FlConfig,
-    repeats: usize,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<CellSummary, FlError> {
     assert!(repeats > 0, "need at least one repeat");
     let mut natk_sum = 0.0f32;
     let mut accmax_sum = 0.0f32;
@@ -119,8 +86,8 @@ pub fn run_cell_checkpointed(
     for k in 0..repeats {
         let mut cfg = base.clone();
         cfg.seed = base.seed + k as u64;
-        let natk = acc_natk_checkpointed(&cfg, ckpt)?;
-        let result = simulate_with(&cfg, ckpt, |_| {})?;
+        let natk = acc_natk(&cfg)?;
+        let result = simulate(&cfg)?;
         let acc_max = result.max_accuracy();
         natk_sum += natk;
         accmax_sum += acc_max;
@@ -146,58 +113,6 @@ pub fn run_cell_checkpointed(
         },
         repeats,
     })
-}
-
-/// Runs many cells, parallelizing across available cores, preserving input
-/// order.
-///
-/// # Errors
-///
-/// Propagates the first failing cell.
-pub fn run_grid(cells: &[FlConfig], repeats: usize) -> Result<Vec<CellSummary>, FlError> {
-    run_grid_checkpointed(cells, repeats, None)
-}
-
-/// [`run_grid`] with an optional checkpoint sink: a grid interrupted at
-/// any point (mid-cell included) resumes from the last per-run checkpoint
-/// on the next invocation with the same cells and directory. Completed
-/// runs are recognized by their final checkpoint and replay instantly.
-///
-/// # Errors
-///
-/// Propagates the first failing cell.
-pub fn run_grid_checkpointed(
-    cells: &[FlConfig],
-    repeats: usize,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<Vec<CellSummary>, FlError> {
-    // One FABFLIP_THREADS-controlled global pool drives the grid (the
-    // build is a no-op if a pool already exists). With several cells in
-    // flight the grid already saturates that pool, so the in-simulation
-    // kernels are pinned to one thread for the duration — two nested
-    // parallel levels would otherwise oversubscribe the machine.
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(fabflip_tensor::par::max_threads())
-        .build_global();
-    if cells.len() > 1 && rayon::current_num_threads() > 1 {
-        let inner = fabflip_tensor::par::max_threads();
-        fabflip_tensor::par::set_max_threads(1);
-        let out = cells
-            .par_iter()
-            .map(|cfg| run_cell_checkpointed(cfg, repeats, ckpt))
-            .collect();
-        fabflip_tensor::par::set_max_threads(inner);
-        return out;
-    }
-    cells
-        .par_iter()
-        .map(|cfg| run_cell_checkpointed(cfg, repeats, ckpt))
-        .collect()
-}
-
-/// Serializes summaries as pretty JSON (for `results/*.json`).
-pub fn to_json(summaries: &[CellSummary]) -> String {
-    serde_json::to_string_pretty(summaries).expect("summaries serialize")
 }
 
 #[cfg(test)]
@@ -250,49 +165,5 @@ mod tests {
         let s = run_cell(&cfg, 1).unwrap();
         assert_eq!(s.dpr, None);
         assert_eq!(s.dpr_display(), "NA");
-    }
-
-    #[test]
-    fn grid_preserves_order() {
-        let cells = vec![
-            tiny(AttackSpec::RandomWeights, DefenseKind::FedAvg),
-            tiny(AttackSpec::None, DefenseKind::Median),
-        ];
-        let out = run_grid(&cells, 1).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].defense, "FedAvg");
-        assert_eq!(out[1].defense, "Median");
-        let json = to_json(&out);
-        assert!(json.contains("acc_natk"));
-    }
-
-    #[test]
-    fn checkpointed_grid_resumes_interrupted_cells() {
-        let dir = crate::test_dir("runner-grid");
-        let spec = CheckpointSpec::new(&dir, 1);
-        let cells = vec![
-            tiny(AttackSpec::RandomWeights, DefenseKind::FedAvg),
-            tiny(AttackSpec::None, DefenseKind::TrMean { trim: 1 }),
-        ];
-        let plain = run_grid(&cells, 1).unwrap();
-
-        // Interrupt mid-grid: run every cell with a truncated round budget
-        // (same fingerprint — it excludes `rounds`), leaving round-1
-        // checkpoints behind.
-        let short: Vec<FlConfig> = cells
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.rounds = 1;
-                c
-            })
-            .collect();
-        run_grid_checkpointed(&short, 1, Some(&spec)).unwrap();
-
-        // The full grid resumes from those checkpoints and must agree with
-        // the uninterrupted run exactly.
-        let resumed = run_grid_checkpointed(&cells, 1, Some(&spec)).unwrap();
-        assert_eq!(resumed, plain);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

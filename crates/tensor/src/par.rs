@@ -109,9 +109,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Call before any parallel work runs (the value is consulted on every
 /// dispatch, but in-flight dispatches keep the count they started with).
-/// `run_grid`-style outer loops set this to 1 in their workers so nested
-/// parallelism does not oversubscribe the machine. Shrinking the budget
-/// never kills pool workers: surplus workers simply stay parked.
+/// Tests and benchmarks use it to pin a thread count; nested parallelism
+/// needs no pin, since a dispatch from inside a pool job already runs
+/// serially. Shrinking the budget never kills pool workers: surplus
+/// workers simply stay parked.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n.max(1), Ordering::Relaxed);
 }

@@ -256,7 +256,8 @@ pub fn encode(codec: Codec, v: &[f32]) -> Encoded {
 }
 
 /// Decodes a wire payload into `out` (`out.len() == enc.len()`).
-/// Allocation-free: the streaming server's hot ingest entry.
+/// Allocation-free: a caller that reuses `out` decodes each submission
+/// without allocating.
 pub fn decode_into(enc: &Encoded, out: &mut [f32]) {
     match enc {
         Encoded::F32(v) => {

@@ -61,13 +61,11 @@ pub enum Purpose {
     DistTile = 8,
     /// Quantized-transport encode staging (`quant::roundtrip_in_place`).
     QuantEncode = 9,
-    /// Quantized-transport decode staging (streaming server ingest).
-    QuantDecode = 10,
 }
 
 /// Number of [`Purpose`] variants — the arena array length.
 #[doc(hidden)]
-pub const PURPOSES: usize = 11;
+pub const PURPOSES: usize = 10;
 
 /// An element type that scratch arenas can pool.
 ///
