@@ -2,7 +2,6 @@ use crate::types::finite_updates;
 use crate::{AggError, Aggregation, Defense, Selection};
 use fabflip_tensor::scratch::{scratch_f32, Purpose};
 use fabflip_tensor::vecops;
-use std::collections::BTreeMap;
 
 /// FoolsGold (Fung et al., 2020) — the *Sybil* defense class the paper's
 /// threat model discusses (Sec. III-A): instead of rejecting outliers, it
@@ -236,53 +235,6 @@ fn foolsgold_weights_dense(refs: &[&[f32]]) -> Vec<f32> {
     w
 }
 
-/// Per-round deltas `w_i − w(t)` (or the raw inputs when no reference).
-fn centered_deltas(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<Vec<f32>> {
-    refs.iter()
-        .map(|u| match reference {
-            Some(r) => vecops::sub(u, r),
-            None => u.to_vec(),
-        })
-        .collect()
-}
-
-/// Weighted-mean aggregation + selection bookkeeping shared by the
-/// memoryless and stateful paths. `idx`/`refs` are the valid survivors,
-/// `w` their FoolsGold weights; the rejection lists come straight from
-/// the input validator.
-fn weighted_aggregation(
-    idx: &[usize],
-    refs: &[&[f32]],
-    w: &[f32],
-    rejected_non_finite: Vec<usize>,
-    rejected_malformed: Vec<usize>,
-) -> Aggregation {
-    let total: f32 = w.iter().sum();
-    let d = refs[0].len();
-    let mut model = vec![0.0f32; d];
-    if total > 0.0 {
-        for (r, &wi) in refs.iter().zip(w) {
-            vecops::axpy_in_place(&mut model, wi / total, r);
-        }
-    } else {
-        // Everything looked Sybil-like: an uninformative round; fall
-        // back to the plain mean so the server still makes progress.
-        model = vecops::mean(refs);
-    }
-    let chosen: Vec<usize> = idx
-        .iter()
-        .zip(w)
-        .filter(|(_, &wi)| wi >= FoolsGold::CUTOFF)
-        .map(|(&i, _)| i)
-        .collect();
-    Aggregation {
-        model,
-        selection: Selection::Chosen(chosen),
-        rejected_non_finite,
-        rejected_malformed,
-    }
-}
-
 impl FoolsGold {
     fn aggregate_inner(
         &self,
@@ -301,173 +253,31 @@ impl FoolsGold {
         // Similarities on deltas w_i − w(t) (or raw inputs when no ref),
         // evaluated tile-by-tile without materializing the deltas.
         let w = foolsgold_weights(&v.refs, reference);
-        Ok(weighted_aggregation(
-            &v.idx,
-            &v.refs,
-            &w,
-            v.rejected_non_finite,
-            v.rejected_malformed,
-        ))
-    }
-
-    /// Stateful aggregation — the original FoolsGold formulation, with
-    /// bounded memory: folds this round's deltas into `history` and
-    /// weights each update by the similarity of the clients' *decayed
-    /// accumulated* histories, so Sybils whose identical directions only
-    /// emerge across rounds are still caught. `clients[i]` is the stable
-    /// client id behind `updates[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Defense::aggregate_with_reference`], plus a
-    /// length mismatch between `clients` and `updates`.
-    pub fn aggregate_with_history(
-        &self,
-        history: &mut FoolsGoldHistory,
-        clients: &[usize],
-        updates: &[Vec<f32>],
-        reference: Option<&[f32]>,
-    ) -> Result<Aggregation, AggError> {
-        if clients.len() != updates.len() {
-            return Err(AggError::LengthMismatch {
-                expected: updates.len(),
-                actual: clients.len(),
-            });
-        }
-        let v = finite_updates(updates)?;
-        if let Some(r) = reference {
-            if r.len() != v.refs[0].len() {
-                return Err(AggError::LengthMismatch {
-                    expected: v.refs[0].len(),
-                    actual: r.len(),
-                });
+        let total: f32 = w.iter().sum();
+        let model = if total > 0.0 {
+            let mut model = vec![0.0f32; v.refs[0].len()];
+            for (r, &wi) in v.refs.iter().zip(&w) {
+                vecops::axpy_in_place(&mut model, wi / total, r);
             }
-        }
-        let deltas = centered_deltas(&v.refs, reference);
-        let kept_clients: Vec<usize> = v.idx.iter().map(|&i| clients[i]).collect();
-        history.observe_round(&kept_clients, &deltas);
-        let w = history.weights(&kept_clients);
-        Ok(weighted_aggregation(
-            &v.idx,
-            &v.refs,
-            &w,
-            v.rejected_non_finite,
-            v.rejected_malformed,
-        ))
-    }
-}
-
-/// Bounded per-client history for the stateful FoolsGold path.
-///
-/// The original FoolsGold measures similarity between each client's
-/// *accumulated* update history `H_i = Σ_t Δ_i(t)`; stored naively that
-/// state grows with both the round count and the client population. This
-/// implementation keeps exactly one exponentially-decayed aggregate per
-/// client (`H_i ← decay·H_i + Δ_i`) and at most `max_clients` aggregates
-/// (least-recently-seen eviction, smallest client id on ties), so memory
-/// is `O(max_clients · d)` no matter how long a grid runs — the regression
-/// test below pins that bound.
-#[derive(Debug, Clone)]
-pub struct FoolsGoldHistory {
-    decay: f32,
-    max_clients: usize,
-    round: u64,
-    hist: BTreeMap<usize, ClientHistory>,
-}
-
-#[derive(Debug, Clone)]
-struct ClientHistory {
-    aggregate: Vec<f32>,
-    last_seen: u64,
-}
-
-impl FoolsGoldHistory {
-    /// Decay used by [`FoolsGoldHistory::with_capacity`]: old rounds fade
-    /// with a ~10-round half-life while the Sybil direction, re-submitted
-    /// every round, keeps dominating the aggregate.
-    pub const DEFAULT_DECAY: f32 = 0.9;
-
-    /// Creates a history with the given per-round `decay` in `[0, 1]` and
-    /// a hard cap on tracked clients.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `decay` is outside `[0, 1]` or `max_clients` is zero.
-    pub fn new(decay: f32, max_clients: usize) -> FoolsGoldHistory {
-        assert!((0.0..=1.0).contains(&decay), "decay must be in [0, 1]");
-        assert!(max_clients > 0, "max_clients must be positive");
-        FoolsGoldHistory {
-            decay,
-            max_clients,
-            round: 0,
-            hist: BTreeMap::new(),
-        }
-    }
-
-    /// [`FoolsGoldHistory::new`] with [`FoolsGoldHistory::DEFAULT_DECAY`].
-    pub fn with_capacity(max_clients: usize) -> FoolsGoldHistory {
-        FoolsGoldHistory::new(FoolsGoldHistory::DEFAULT_DECAY, max_clients)
-    }
-
-    /// Folds one round of per-client deltas into the decayed aggregates,
-    /// then evicts least-recently-seen clients beyond the cap
-    /// (deterministically: smallest client id breaks `last_seen` ties,
-    /// because `BTreeMap` iterates ids in ascending order).
-    pub fn observe_round(&mut self, clients: &[usize], deltas: &[Vec<f32>]) {
-        debug_assert_eq!(clients.len(), deltas.len());
-        self.round += 1;
-        let (decay, round) = (self.decay, self.round);
-        for (&c, d) in clients.iter().zip(deltas) {
-            let e = self.hist.entry(c).or_insert_with(|| ClientHistory {
-                aggregate: vec![0.0; d.len()],
-                last_seen: round,
-            });
-            if e.aggregate.len() != d.len() {
-                // Model dimensionality changed: restart this client.
-                e.aggregate = vec![0.0; d.len()];
-            }
-            for (h, &x) in e.aggregate.iter_mut().zip(d) {
-                *h = decay * *h + x;
-            }
-            e.last_seen = round;
-        }
-        while self.hist.len() > self.max_clients {
-            let evict = self
-                .hist
-                .iter()
-                .min_by_key(|(_, ch)| ch.last_seen)
-                .map(|(&id, _)| id)
-                .expect("history non-empty while over capacity");
-            self.hist.remove(&evict);
-        }
-    }
-
-    /// FoolsGold weights for `clients`, computed on their decayed history
-    /// aggregates. A client without history (never seen, or evicted before
-    /// this round re-inserted it) counts as fresh: its zero-norm aggregate
-    /// has zero cosine to everyone.
-    pub fn weights(&self, clients: &[usize]) -> Vec<f32> {
-        static EMPTY: [f32; 0] = [];
-        let refs: Vec<&[f32]> = clients
+            model
+        } else {
+            // Everything looked Sybil-like: an uninformative round; fall
+            // back to the plain mean so the server still makes progress.
+            vecops::mean(&v.refs)
+        };
+        let chosen: Vec<usize> = v
+            .idx
             .iter()
-            .map(|c| {
-                self.hist
-                    .get(c)
-                    .map_or(&EMPTY[..], |h| h.aggregate.as_slice())
-            })
+            .zip(&w)
+            .filter(|(_, &wi)| wi >= FoolsGold::CUTOFF)
+            .map(|(&i, _)| i)
             .collect();
-        foolsgold_weights(&refs, None)
-    }
-
-    /// Number of clients currently tracked (≤ `max_clients`).
-    pub fn tracked_clients(&self) -> usize {
-        self.hist.len()
-    }
-
-    /// Total floats held across all aggregates — the memory figure the
-    /// bounded-growth regression test asserts stays ≤ `max_clients · d`.
-    pub fn memory_floats(&self) -> usize {
-        self.hist.values().map(|h| h.aggregate.len()).sum()
+        Ok(Aggregation {
+            model,
+            selection: Selection::Chosen(chosen),
+            rejected_non_finite: v.rejected_non_finite,
+            rejected_malformed: v.rejected_malformed,
+        })
     }
 }
 
@@ -493,6 +303,11 @@ impl Defense for FoolsGold {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-round deltas `w_i − w(t)`, materialized.
+    fn centered_deltas(refs: &[&[f32]], reference: &[f32]) -> Vec<Vec<f32>> {
+        refs.iter().map(|u| vecops::sub(u, reference)).collect()
+    }
 
     /// Pseudo-random, low-mutual-cosine "honest" deltas.
     fn diverse_deltas(n: usize, d: usize) -> Vec<Vec<f32>> {
@@ -622,7 +437,7 @@ mod tests {
         // The referenced path equals dense-on-materialized-deltas bitwise.
         let global: Vec<f32> = (0..9).map(|j| 10.0 + (j as f32 * 0.3).sin()).collect();
         let tiled_ref = foolsgold_weights(&refs, Some(&global));
-        let deltas = centered_deltas(&refs, Some(&global));
+        let deltas = centered_deltas(&refs, &global);
         let delta_refs: Vec<&[f32]> = deltas.iter().map(|d| d.as_slice()).collect();
         let dense_ref = foolsgold_weights_dense(&delta_refs);
         for (t, d) in tiled_ref.iter().zip(&dense_ref) {
@@ -651,102 +466,5 @@ mod tests {
         let agg = FoolsGold::new().aggregate(&ups, &[1.0; 6]).unwrap();
         assert_eq!(agg.rejected_non_finite, vec![5]);
         assert!(agg.model.iter().all(|v| v.is_finite()));
-    }
-
-    /// Regression test for the ROADMAP open item: history memory must stay
-    /// bounded by `max_clients · d` no matter how many rounds run or how
-    /// many distinct clients rotate through.
-    #[test]
-    fn history_memory_stays_bounded_over_many_rounds() {
-        let (cap, d) = (16usize, 32usize);
-        let mut h = FoolsGoldHistory::new(0.9, cap);
-        for round in 0..500usize {
-            // 8 distinct clients per round drawn from a rotating pool of 64.
-            let clients: Vec<usize> = (0..8).map(|i| (round * 5 + i * 11) % 64).collect();
-            let deltas: Vec<Vec<f32>> = clients
-                .iter()
-                .map(|c| (0..d).map(|j| ((c * d + j) as f32 * 0.37).sin()).collect())
-                .collect();
-            h.observe_round(&clients, &deltas);
-            assert!(
-                h.tracked_clients() <= cap,
-                "round {round}: {}",
-                h.tracked_clients()
-            );
-            assert!(
-                h.memory_floats() <= cap * d,
-                "round {round}: {}",
-                h.memory_floats()
-            );
-        }
-        // Decay keeps the aggregates finite (geometric series bound).
-        let w = h.weights(&[(499 * 5) % 64]);
-        assert!(w.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn history_eviction_is_deterministic_lru() {
-        let mut h = FoolsGoldHistory::new(0.5, 2);
-        let d1 = vec![vec![1.0f32, 0.0]];
-        h.observe_round(&[10], &d1);
-        h.observe_round(&[20], &d1);
-        // Inserting a third client evicts the least recently seen (10).
-        h.observe_round(&[30], &d1);
-        assert_eq!(h.tracked_clients(), 2);
-        assert_eq!(h.weights(&[10]), vec![1.0], "evicted client reads as fresh");
-        // Same-round tie: smallest id goes first.
-        let mut h2 = FoolsGoldHistory::new(0.5, 2);
-        h2.observe_round(&[7, 3, 5], &[d1[0].clone(), d1[0].clone(), d1[0].clone()]);
-        assert_eq!(h2.tracked_clients(), 2);
-        let w = h2.weights(&[5, 7]);
-        assert_eq!(w.len(), 2, "3 was evicted, 5 and 7 remain tracked");
-    }
-
-    /// The stateful path catches Sybils whose identical direction
-    /// accumulates across rounds, and stays bounded while doing so.
-    #[test]
-    fn aggregate_with_history_flags_repeated_sybils() {
-        let fg = FoolsGold::new();
-        let mut h = FoolsGoldHistory::with_capacity(32);
-        let sybil: Vec<f32> = (0..16).map(|j| (j as f32 * 1.1).cos()).collect();
-        let mut last = None;
-        for round in 0..5usize {
-            // Honest deltas vary per round; Sybil clients 6..9 repeat the
-            // same crafted direction every round.
-            let mut ups: Vec<Vec<f32>> = (0..6)
-                .map(|i| {
-                    (0..16)
-                        .map(|j| (((round * 96 + i * 16 + j) as f32) * 2.399 + 0.7).sin())
-                        .collect()
-                })
-                .collect();
-            for _ in 0..3 {
-                ups.push(sybil.clone());
-            }
-            let clients: Vec<usize> = (0..9).collect();
-            last = Some(
-                fg.aggregate_with_history(&mut h, &clients, &ups, None)
-                    .unwrap(),
-            );
-        }
-        assert!(h.memory_floats() <= 32 * 16);
-        match last.expect("ran rounds").selection {
-            Selection::Chosen(ref c) => {
-                assert!(
-                    !c.contains(&6) && !c.contains(&7) && !c.contains(&8),
-                    "sybils kept: {c:?}"
-                );
-                assert!(c.len() >= 4, "honest majority dropped: {c:?}");
-            }
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn aggregate_with_history_rejects_mismatched_clients() {
-        let fg = FoolsGold::new();
-        let mut h = FoolsGoldHistory::with_capacity(4);
-        let err = fg.aggregate_with_history(&mut h, &[1, 2], &[vec![1.0f32, 2.0]], None);
-        assert!(matches!(err, Err(AggError::LengthMismatch { .. })));
     }
 }

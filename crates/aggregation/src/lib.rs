@@ -58,7 +58,7 @@ pub use bulyan::{bulyan_coordinate_chunk, Bulyan, BULYAN_DENSE_MAX};
 pub use error::AggError;
 pub use fedavg::FedAvg;
 pub use fltrust::{fltrust_aggregate, FLTRUST_SELECT_CUTOFF};
-pub use foolsgold::{foolsgold_weights, FoolsGold, FoolsGoldHistory};
+pub use foolsgold::{foolsgold_weights, FoolsGold};
 pub use krum::{
     krum_scores, krum_scores_from_dists, krum_scores_into, Krum, MultiKrum, KRUM_ROW_BLOCK,
 };

@@ -13,31 +13,16 @@ use rand::Rng;
 /// the malicious value sits below the benign minimum; when moving down,
 /// above the benign maximum. Values are drawn uniformly from an interval
 /// scaled by `b` (the original paper's default `b = 2`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fang {
-    b: f32,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fang;
 
 impl Fang {
-    /// Creates the attack with the original default scale `b = 2`.
+    /// The interval scale `b`, the original paper's default.
+    const B: f32 = 2.0;
+
+    /// Creates the attack.
     pub fn new() -> Fang {
-        Fang { b: 2.0 }
-    }
-
-    /// Creates the attack with an explicit interval scale `b > 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b <= 1`.
-    pub fn with_scale(b: f32) -> Fang {
-        assert!(b > 1.0, "fang scale must exceed 1");
-        Fang { b }
-    }
-}
-
-impl Default for Fang {
-    fn default() -> Self {
-        Fang::new()
+        Fang
     }
 }
 
@@ -58,10 +43,10 @@ impl Attack for Fang {
             // Width of the overshoot interval; use a magnitude floor so
             // near-zero coordinates still deviate.
             if dir > 0.0 {
-                let width = (self.b - 1.0) * lo.abs().max(1e-3);
+                let width = (Fang::B - 1.0) * lo.abs().max(1e-3);
                 w[j] = lo - width * rng.gen_range(0.0f32..=1.0);
             } else {
-                let width = (self.b - 1.0) * hi.abs().max(1e-3);
+                let width = (Fang::B - 1.0) * hi.abs().max(1e-3);
                 w[j] = hi + width * rng.gen_range(0.0f32..=1.0);
             }
         }
@@ -150,12 +135,6 @@ mod tests {
             Fang::new().craft(&ctx, &mut rng),
             Err(AttackError::NeedsBenignUpdates(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 1")]
-    fn rejects_degenerate_scale() {
-        let _ = Fang::with_scale(1.0);
     }
 
     #[test]

@@ -6,27 +6,17 @@ use rand::Rng;
 /// weights. The paper reports it bypasses mKrum in only 2.62% / 6.57% of
 /// cases (Fashion-MNIST / CIFAR-10) and Bulyan in ≤ 3.27% — the motivating
 /// negative result for synthesizing data instead of weights.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomWeights {
-    std: f32,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RandomWeights;
 
 impl RandomWeights {
-    /// Creates the attack drawing weights from `N(0, std²)`; the default
-    /// `std = 0.1` is on the order of a fresh He initialization.
+    /// Standard deviation of the drawn weights, on the order of a fresh He
+    /// initialization.
+    const STD: f32 = 0.1;
+
+    /// Creates the attack drawing weights from `N(0, 0.1²)`.
     pub fn new() -> RandomWeights {
-        RandomWeights { std: 0.1 }
-    }
-
-    /// Creates the attack with an explicit weight scale.
-    pub fn with_std(std: f32) -> RandomWeights {
-        RandomWeights { std }
-    }
-}
-
-impl Default for RandomWeights {
-    fn default() -> Self {
-        RandomWeights::new()
+        RandomWeights
     }
 }
 
@@ -44,9 +34,9 @@ impl Attack for RandomWeights {
             let u2: f32 = rng.gen_range(0.0..1.0);
             let r = (-2.0 * u1.ln()).sqrt();
             let t = std::f32::consts::TAU * u2;
-            w.push(self.std * r * t.cos());
+            w.push(RandomWeights::STD * r * t.cos());
             if w.len() < d {
-                w.push(self.std * r * t.sin());
+                w.push(RandomWeights::STD * r * t.sin());
             }
         }
         Ok(w)
@@ -96,14 +86,14 @@ mod tests {
             build_model: &builder,
         };
         let mut rng = StdRng::seed_from_u64(0);
-        let w = RandomWeights::with_std(0.1).craft(&ctx, &mut rng).unwrap();
+        let w = RandomWeights::new().craft(&ctx, &mut rng).unwrap();
         assert_eq!(w.len(), 1000);
         let mean: f32 = w.iter().sum::<f32>() / 1000.0;
         let var: f32 = w.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 1000.0;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var.sqrt() - 0.1).abs() < 0.02, "std {}", var.sqrt());
         // Unrelated to the global model (zero-knowledge, pure noise).
-        let w2 = RandomWeights::with_std(0.1).craft(&ctx, &mut rng).unwrap();
+        let w2 = RandomWeights::new().craft(&ctx, &mut rng).unwrap();
         assert_ne!(w, w2);
     }
 }

@@ -1,6 +1,5 @@
-//! Element-wise activation layers: [`Relu`], [`LeakyRelu`], [`Tanh`],
-//! [`Sigmoid`]. Each caches its forward output (or input mask) for the
-//! backward pass.
+//! Element-wise activation layers: [`Relu`] and [`Sigmoid`]. Each caches
+//! its forward output (or input mask) for the backward pass.
 
 use crate::{Layer, NnError};
 use fabflip_tensor::Tensor;
@@ -46,96 +45,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "Relu"
-    }
-}
-
-/// Leaky rectified linear unit, `x > 0 ? x : slope·x`.
-#[derive(Debug)]
-pub struct LeakyRelu {
-    slope: f32,
-    mask: Option<Vec<bool>>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative-side `slope`
-    /// (typically 0.01–0.2).
-    pub fn new(slope: f32) -> LeakyRelu {
-        LeakyRelu { slope, mask: None }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.mask = Some(input.data().iter().map(|&x| x > 0.0).collect());
-        let s = self.slope;
-        Ok(input.map(|x| if x > 0.0 { x } else { s * x }))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mask = self
-            .mask
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("LeakyRelu"))?;
-        if mask.len() != grad_out.len() {
-            return Err(NnError::BadInput {
-                layer: "LeakyRelu",
-                detail: format!("grad len {} vs cached {}", grad_out.len(), mask.len()),
-            });
-        }
-        let mut g = grad_out.clone();
-        for (v, &pos) in g.data_mut().iter_mut().zip(mask) {
-            if !pos {
-                *v *= self.slope;
-            }
-        }
-        Ok(g)
-    }
-
-    fn name(&self) -> &'static str {
-        "LeakyRelu"
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Default)]
-pub struct Tanh {
-    out: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Tanh {
-        Tanh::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let out = input.map(f32::tanh);
-        self.out = Some(out.clone());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let out = self
-            .out
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("Tanh"))?;
-        if out.len() != grad_out.len() {
-            return Err(NnError::BadInput {
-                layer: "Tanh",
-                detail: format!("grad len {} vs cached {}", grad_out.len(), out.len()),
-            });
-        }
-        let mut g = grad_out.clone();
-        for (v, &y) in g.data_mut().iter_mut().zip(out.data()) {
-            *v *= 1.0 - y * y;
-        }
-        Ok(g)
-    }
-
-    fn name(&self) -> &'static str {
-        "Tanh"
     }
 }
 
@@ -199,28 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_passes_scaled_negatives() {
-        let mut r = LeakyRelu::new(0.1);
-        let x = Tensor::from_vec(vec![2], vec![-2.0, 2.0]).unwrap();
-        let y = r.forward(&x).unwrap();
-        assert!((y.data()[0] + 0.2).abs() < 1e-6);
-        let g = Tensor::from_vec(vec![2], vec![1.0, 1.0]).unwrap();
-        let gx = r.backward(&g).unwrap();
-        assert!((gx.data()[0] - 0.1).abs() < 1e-6);
-        assert_eq!(gx.data()[1], 1.0);
-    }
-
-    #[test]
-    fn tanh_saturates() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_vec(vec![3], vec![-10.0, 0.0, 10.0]).unwrap();
-        let y = t.forward(&x).unwrap();
-        assert!((y.data()[0] + 1.0).abs() < 1e-4);
-        assert_eq!(y.data()[1], 0.0);
-        assert!((y.data()[2] - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
     fn sigmoid_range_and_grad() {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![3], vec![-5.0, 0.0, 5.0]).unwrap();
@@ -236,10 +123,6 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         assert!(Relu::new().backward(&Tensor::zeros(vec![1])).is_err());
-        assert!(Tanh::new().backward(&Tensor::zeros(vec![1])).is_err());
         assert!(Sigmoid::new().backward(&Tensor::zeros(vec![1])).is_err());
-        assert!(LeakyRelu::new(0.1)
-            .backward(&Tensor::zeros(vec![1]))
-            .is_err());
     }
 }

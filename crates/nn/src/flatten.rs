@@ -57,6 +57,12 @@ impl Reshape {
 
 impl Layer for Reshape {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        if input.rank() < 2 {
+            return Err(NnError::BadInput {
+                layer: "Reshape",
+                detail: format!("expected rank >= 2, got {:?}", input.shape()),
+            });
+        }
         let n = input.shape()[0];
         let [c, h, w] = self.target;
         Ok(input.reshape(vec![n, c, h, w])?)
@@ -101,5 +107,6 @@ mod tests {
     fn reshape_rejects_bad_size() {
         let mut r = Reshape::new(3, 2, 2);
         assert!(r.forward(&Tensor::zeros(vec![1, 13])).is_err());
+        assert!(r.forward(&Tensor::zeros(vec![])).is_err());
     }
 }

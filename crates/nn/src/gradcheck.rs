@@ -5,9 +5,7 @@
 //! the input gradient) must match `(L(w + εe) − L(w − εe)) / 2ε`.
 
 use crate::losses::{softmax_cross_entropy_hard, softmax_cross_entropy_soft};
-use crate::{
-    Conv2d, ConvTranspose2d, Dense, LeakyRelu, MaxPool2d, Relu, Sequential, Sigmoid, Tanh,
-};
+use crate::{Conv2d, ConvTranspose2d, Dense, MaxPool2d, Relu, Sequential, Sigmoid};
 use fabflip_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,11 +139,9 @@ fn gradcheck_activations_stack() {
     let mut rng = StdRng::seed_from_u64(4);
     let mut m = Sequential::new();
     m.push(Dense::new(6, 6, &mut rng));
-    m.push(Tanh::new());
     m.push(Dense::new(6, 6, &mut rng));
     m.push(Sigmoid::new());
     m.push(Dense::new(6, 3, &mut rng));
-    m.push(LeakyRelu::new(0.1));
     check_model(&mut m, &rand_input(vec![2, 6], 5), 3e-2);
 }
 
@@ -161,6 +157,18 @@ fn gradcheck_pool_conv_stack() {
     m.push(crate::Flatten::new());
     m.push(Dense::new(4 * 3 * 3, 5, &mut rng));
     check_model(&mut m, &rand_input(vec![1, 1, 6, 6], 6), 5e-2);
+}
+
+#[test]
+fn gradcheck_attack_models() {
+    // The ZKA-G generator and ZKA-R filter exactly as `models` builds them;
+    // the generator's dense stem reaches its transposed convolutions through
+    // `Reshape::backward`.
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut g = crate::models::tcnn_generator(4, 1, 4, 4, &mut rng);
+    check_model(&mut g, &rand_input(vec![2, 4], 11), 5e-2);
+    let mut f = crate::models::filter_layer(3, 3, &mut rng);
+    check_model(&mut f, &rand_input(vec![1, 3, 6, 6], 12), 5e-2);
 }
 
 #[test]

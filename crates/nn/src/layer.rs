@@ -52,9 +52,4 @@ pub trait Layer: Send {
 
     /// Short human-readable layer name, e.g. `"Conv2d"`.
     fn name(&self) -> &'static str;
-
-    /// Switches the layer between training and evaluation behaviour.
-    /// Only mode-dependent layers (dropout, batch norm) override this;
-    /// the default is a no-op.
-    fn set_training(&mut self, _training: bool) {}
 }

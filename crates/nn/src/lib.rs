@@ -41,33 +41,25 @@
 //! ```
 
 mod activations;
-mod batchnorm;
-pub mod checkpoint;
 mod conv;
 mod conv_transpose;
 mod dense;
-mod dropout;
 mod error;
 mod flatten;
 mod layer;
 pub mod losses;
 pub mod models;
-pub mod optim;
 mod pool;
-mod pool_avg;
 mod sequential;
 
-pub use activations::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm2d;
+pub use activations::{Relu, Sigmoid};
 pub use conv::Conv2d;
 pub use conv_transpose::ConvTranspose2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use flatten::{Flatten, Reshape};
 pub use layer::Layer;
 pub use pool::MaxPool2d;
-pub use pool_avg::AvgPool2d;
 pub use sequential::Sequential;
 
 #[cfg(test)]

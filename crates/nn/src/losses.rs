@@ -118,7 +118,8 @@ pub fn softmax_cross_entropy_soft(
             ),
         });
     }
-    let (n, _l) = check_logits(logits, logits.shape()[0], "cross_entropy_soft")?;
+    let rows = logits.shape().first().copied().unwrap_or(0);
+    let (n, _l) = check_logits(logits, rows, "cross_entropy_soft")?;
     let mut probs = softmax(logits);
     let mut loss = 0.0f32;
     for (p, &t) in probs.data().iter().zip(targets.data()) {
@@ -251,6 +252,16 @@ mod tests {
         for (a, b) in gh.data().iter().zip(gs.data()) {
             assert!((a - b).abs() < 1e-7);
         }
+    }
+
+    #[test]
+    fn soft_ce_rejects_bad_shapes() {
+        let logits = Tensor::zeros(vec![2, 3]);
+        assert!(softmax_cross_entropy_soft(&logits, &Tensor::zeros(vec![2, 4])).is_err());
+        let row = Tensor::zeros(vec![3]);
+        assert!(softmax_cross_entropy_soft(&row, &row).is_err());
+        let scalar = Tensor::zeros(vec![]);
+        assert!(softmax_cross_entropy_soft(&scalar, &scalar).is_err());
     }
 
     #[test]

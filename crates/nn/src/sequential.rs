@@ -89,14 +89,6 @@ impl Sequential {
         Ok(g)
     }
 
-    /// Switches every layer between training and evaluation behaviour
-    /// (dropout masks, batch-norm statistics).
-    pub fn set_training(&mut self, training: bool) {
-        for layer in &mut self.layers {
-            layer.set_training(training);
-        }
-    }
-
     /// Zeroes all parameter gradients.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
@@ -286,41 +278,6 @@ mod tests {
             last = loss;
         }
         assert!(last < 0.05, "loss did not shrink: {last}");
-    }
-
-    #[test]
-    fn set_training_reaches_mode_dependent_layers() {
-        use crate::{BatchNorm2d, Conv2d, Dropout, Flatten};
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut m = Sequential::new();
-        m.push(Conv2d::new(1, 2, 3, 1, 1, &mut rng));
-        m.push(BatchNorm2d::new(2));
-        m.push(Relu::new());
-        m.push(Flatten::new());
-        m.push(Dropout::new(0.5, 3));
-        m.push(Dense::new(2 * 6 * 6, 3, &mut rng));
-        let x = Tensor::uniform(vec![2, 1, 6, 6], 0.0, 1.0, &mut rng);
-        // Train mode: dropout makes two forwards differ.
-        let a = m.forward(&x).unwrap();
-        let b = m.forward(&x).unwrap();
-        assert_ne!(a.data(), b.data(), "dropout inactive in training mode");
-        // Eval mode: deterministic.
-        m.set_training(false);
-        let c = m.forward(&x).unwrap();
-        let d = m.forward(&x).unwrap();
-        assert_eq!(c.data(), d.data(), "eval mode must be deterministic");
-        // The full stack still trains end-to-end.
-        m.set_training(true);
-        let labels = [0usize, 1];
-        let mut last = f32::INFINITY;
-        for _ in 0..10 {
-            last = m
-                .train_step(&x, 0.05, |lg| {
-                    crate::losses::softmax_cross_entropy_hard(lg, &labels)
-                })
-                .unwrap();
-        }
-        assert!(last.is_finite());
     }
 
     #[test]

@@ -582,46 +582,6 @@ pub fn for_each_chunk_pair_mut<T, U, F>(
     });
 }
 
-/// Like [`for_each_chunk_mut`] but each chunk also produces a value;
-/// results are returned in chunk order.
-pub fn map_chunks_mut<T, R, F>(data: &mut [T], chunk_len: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = max_threads().min(n_chunks.max(1));
-    if threads <= 1 {
-        return data
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(idx, chunk)| f(idx, chunk))
-            .collect();
-    }
-    let chunks_per_worker = n_chunks.div_ceil(threads);
-    let items_per_worker = chunks_per_worker * chunk_len;
-    let spans: Vec<Mutex<Option<&mut [T]>>> = data
-        .chunks_mut(items_per_worker)
-        .map(|s| Mutex::new(Some(s)))
-        .collect();
-    let slots: Vec<Mutex<Vec<R>>> = (0..spans.len()).map(|_| Mutex::new(Vec::new())).collect();
-    dispatch(spans.len(), threads - 1, &|b| {
-        let span = lock(&spans[b]).take().expect("span claimed exactly once");
-        let out: Vec<R> = span
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(i, chunk)| f(b * chunks_per_worker + i, chunk))
-            .collect();
-        *lock(&slots[b]) = out;
-    });
-    slots
-        .into_iter()
-        .flat_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect()
-}
-
 /// The pre-pool dispatch path, kept as a measurable baseline: spawns one
 /// scoped OS thread per block on every call, exactly as the helpers above
 /// did before the persistent pool existed. Exists so the bench crate's
@@ -684,16 +644,6 @@ mod tests {
         });
         for (i, &v) in data.iter().enumerate() {
             assert_eq!(v, 1 + (i / 33) as u32, "element {i}");
-        }
-    }
-
-    #[test]
-    fn map_chunks_mut_returns_in_chunk_order() {
-        let mut data: Vec<usize> = (0..1000).collect();
-        let firsts = map_chunks_mut(&mut data, 64, |idx, chunk| (idx, chunk[0]));
-        for (i, (idx, first)) in firsts.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*first, i * 64);
         }
     }
 

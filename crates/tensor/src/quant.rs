@@ -54,15 +54,6 @@ impl Codec {
             Codec::I8 => "i8",
         }
     }
-
-    /// Bytes per element on the wire (excluding the per-tensor scale).
-    pub fn wire_bytes_per_elem(&self) -> usize {
-        match self {
-            Codec::F32 => 4,
-            Codec::F16 => 2,
-            Codec::I8 => 1,
-        }
-    }
 }
 
 /// An IEEE-754 binary16 value stored as raw bits. A transparent newtype

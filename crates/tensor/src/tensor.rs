@@ -167,23 +167,6 @@ impl Tensor {
         })
     }
 
-    /// Reshapes in place (no copy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: Vec<usize>) -> Result<(), TensorError> {
-        let n: usize = shape.iter().product();
-        if n != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: n,
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     fn check_same_shape(&self, other: &Tensor, op: &'static str) -> Result<(), TensorError> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
