@@ -14,6 +14,22 @@ const PAR_STAGE2_WORK: usize = 1 << 20;
 /// [`select_ranked`] and DESIGN.md §4e) so memory stays O(B·n).
 pub const BULYAN_DENSE_MAX: usize = 512;
 
+/// Smallest tolerated Byzantine count Bulyan can aggregate with. Its last
+/// selection round runs Krum on a pool of `n − θ + 1 = 2f + 1` updates,
+/// and Krum needs `f + 3`, so `f ≥ 2`; a smaller `f` fails on every `n`.
+pub const BULYAN_MIN_F: usize = 2;
+
+/// Rejects a Bulyan `f` below [`BULYAN_MIN_F`].
+pub(crate) fn check_f(f: usize) -> Result<(), AggError> {
+    if f < BULYAN_MIN_F {
+        return Err(AggError::InvalidParameter(format!(
+            "Bulyan needs f >= {BULYAN_MIN_F}, got {f}: its last selection round \
+             runs Krum (which needs f+3 updates) on a pool of 2f+1"
+        )));
+    }
+    Ok(())
+}
+
 /// Bulyan's stage-2 coordinate kernel, allocation-free: for each
 /// coordinate of `out` (coordinates `lo..lo + out.len()` of the model),
 /// averages the `beta` values among `selected` closest to the
@@ -131,7 +147,10 @@ pub struct Bulyan {
 }
 
 impl Bulyan {
-    /// Creates Bulyan tolerating `f` Byzantine clients.
+    /// Creates Bulyan tolerating `f` Byzantine clients. `f` must be at
+    /// least [`BULYAN_MIN_F`]; below it `aggregate` returns
+    /// [`AggError::InvalidParameter`] (and `DefenseKind::build` refuses
+    /// to build it).
     pub fn new(f: usize) -> Bulyan {
         Bulyan { f }
     }
@@ -143,6 +162,7 @@ impl Defense for Bulyan {
         let (idx, refs) = (v.idx, v.refs);
         let n = refs.len();
         let f = self.f;
+        check_f(f)?;
         // Need θ = n − 2f ≥ 1 and the Krum precondition on the *last*
         // selection round: pool size n − θ + 1 ≥ f + 3.
         let theta = n
@@ -290,6 +310,39 @@ mod tests {
         let refs: Vec<&[f32]> = ups.iter().map(|u| u.as_slice()).collect();
         let sel = select_ranked(&refs, 1, 4).unwrap();
         assert_eq!(sel, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn f_below_two_is_rejected_at_every_n() {
+        use crate::DefenseKind;
+        for f in 0..BULYAN_MIN_F {
+            assert!(
+                matches!(
+                    DefenseKind::Bulyan { f }.build(),
+                    Err(AggError::InvalidParameter(_))
+                ),
+                "build accepted Bulyan f = {f}"
+            );
+            for n in [3, 5, 10, 40] {
+                let ups = benign_cluster(n);
+                assert!(
+                    matches!(
+                        Bulyan::new(f).aggregate(&ups, &vec![1.0; n]),
+                        Err(AggError::InvalidParameter(_))
+                    ),
+                    "f = {f}, n = {n}"
+                );
+                // The dynamic quorum never degrades into the bad range.
+                assert_eq!(DefenseKind::Bulyan { f }.for_cohort(n), None);
+            }
+        }
+        // f = 2 is the smallest that aggregates, from n = 2f + 1 up.
+        for n in [5, 10, 40] {
+            let ups = benign_cluster(n);
+            assert!(Bulyan::new(BULYAN_MIN_F)
+                .aggregate(&ups, &vec![1.0; n])
+                .is_ok());
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@ pub const KRUM_ROW_BLOCK: usize = 128;
 ///
 /// Evaluated in row blocks of [`KRUM_ROW_BLOCK`] through a
 /// [`Purpose::DistTile`] scratch tile, so resident memory is O(B·n)
-/// instead of the dense O(n²). Bitwise identical to scoring against the
-/// dense matrix: `sq_distance(a, b) == sq_distance(b, a)` exactly (each
-/// lane negates, and IEEE negation and multiplication are exact/
+/// instead of the dense O(n²). Each tile is filled by
+/// [`vecops::sq_distance_tile_into`], the 4×4 register-blocked kernel
+/// (parallel over groups of four rows), whose every entry is bitwise
+/// `sq_distance(refs[i], refs[j])`. Bitwise identical to scoring against
+/// the dense matrix: `sq_distance(a, b) == sq_distance(b, a)` exactly
+/// (each lane negates, and IEEE negation and multiplication are exact/
 /// commutative), so computing full rows directly equals the historical
 /// upper-triangle-plus-mirror fill, and the per-row gather → sort → sum
 /// sequence is the same code path as [`krum_scores_into`].
@@ -32,7 +35,6 @@ pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
             got: n,
         });
     }
-    let d = refs[0].len();
     let k = n - f - 2;
     let block = KRUM_ROW_BLOCK.min(n);
     let mut scores = vec![0.0f32; n];
@@ -42,9 +44,7 @@ pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
     while lo < n {
         let rows = block.min(n - lo);
         let tile = &mut tile[..rows * n];
-        vecops::pairwise_tile_into(lo, 0, n, d, tile, |i, j| {
-            vecops::sq_distance(refs[i], refs[j])
-        });
+        vecops::sq_distance_tile_into(refs, lo, tile);
         for (r, drow) in tile.chunks(n).enumerate() {
             let i = lo + r;
             let mut w = 0;

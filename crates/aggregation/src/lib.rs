@@ -54,7 +54,7 @@ mod statistic;
 mod streaming;
 mod types;
 
-pub use bulyan::{bulyan_coordinate_chunk, Bulyan, BULYAN_DENSE_MAX};
+pub use bulyan::{bulyan_coordinate_chunk, Bulyan, BULYAN_DENSE_MAX, BULYAN_MIN_F};
 pub use error::AggError;
 pub use fedavg::FedAvg;
 pub use fltrust::{fltrust_aggregate, FLTRUST_SELECT_CUTOFF};

@@ -1,4 +1,6 @@
-use crate::{AggError, Bulyan, FedAvg, FoolsGold, Krum, Median, MultiKrum, NormBound, TrimmedMean};
+use crate::{
+    bulyan, AggError, Bulyan, FedAvg, FoolsGold, Krum, Median, MultiKrum, NormBound, TrimmedMean,
+};
 use serde::{Deserialize, Serialize};
 
 /// Which updates an aggregation rule included in the new global model.
@@ -131,7 +133,8 @@ impl DefenseKind {
     ///
     /// # Errors
     ///
-    /// Returns [`AggError::InvalidParameter`] for degenerate parameters.
+    /// Returns [`AggError::InvalidParameter`] for degenerate parameters:
+    /// a zero norm bound, or Bulyan with `f` below [`crate::BULYAN_MIN_F`].
     pub fn build(&self) -> Result<Box<dyn Defense>, AggError> {
         Ok(match *self {
             DefenseKind::FedAvg => Box::new(FedAvg::new()),
@@ -139,7 +142,10 @@ impl DefenseKind {
             DefenseKind::MKrum { f } => Box::new(MultiKrum::with_default_m(f)),
             DefenseKind::TrMean { trim } => Box::new(TrimmedMean::new(trim)),
             DefenseKind::Median => Box::new(Median::new()),
-            DefenseKind::Bulyan { f } => Box::new(Bulyan::new(f)),
+            DefenseKind::Bulyan { f } => {
+                bulyan::check_f(f)?;
+                Box::new(Bulyan::new(f))
+            }
             DefenseKind::FoolsGold => Box::new(FoolsGold::new()),
             DefenseKind::NormBound { max_norm_milli } => {
                 if max_norm_milli == 0 {

@@ -23,17 +23,19 @@
 //! d = 256/4096/65536 (DESIGN.md §4f).
 //!
 //! `--smoke` runs the dispatch microbench with a reduced dispatch count
-//! plus a reduced n-sweep (n = 50/500), does not write
-//! `BENCH_kernels.json`, and exits non-zero when the pool is not
-//! measurably faster than per-dispatch spawning, the streaming path
-//! diverges from batch FedAvg, or (on SIMD-capable hosts) the detected
-//! backend's 1024³ GEMM falls below the committed autovectorized
-//! baseline — CI uses this as a cheap perf/correctness regression gate.
+//! plus a reduced n-sweep (n = 50/500) and the Krum distance-tile ratio
+//! gate, does not write `BENCH_kernels.json`, and exits non-zero when the
+//! pool is not measurably faster than per-dispatch spawning, the streaming
+//! path diverges from batch FedAvg, blocked `krum_scores` is not bitwise
+//! equal to (or not enough faster than) its per-pair reference, or (on
+//! SIMD-capable hosts) the detected backend's 1024³ GEMM falls below the
+//! committed autovectorized baseline — CI uses this as a cheap
+//! perf/correctness regression gate.
 
 use fabflip::{ZkaConfig, ZkaG, ZkaR};
 use fabflip_agg::{
-    Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median, MultiKrum, NormBound,
-    StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
+    krum_scores, Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median, MultiKrum,
+    NormBound, StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
@@ -387,6 +389,132 @@ fn streaming_gate(d: usize) -> bool {
     bitwise && close
 }
 
+/// Minimum speed-up of blocked `krum_scores` over the in-run per-pair
+/// reference at n = 1 000, d = 1 024 on one thread. Measured on the
+/// 2-vCPU AVX-512 host (portable SSE2 build): 2.0–2.4×; with the per-pair
+/// loop planted as the tile kernel the same gate measures 1.2–1.4×.
+const KRUM_GATE_MIN_SPEEDUP: f64 = 1.7;
+
+/// The reference the Krum gate times against: `krum_scores`' row-block
+/// loop with each tile filled pair by pair through `vecops::sq_distance`
+/// (the per-pair loop the register-blocked kernel replaced, in the form
+/// the kernel's own remainder path uses), then the same gather, sort and
+/// prefix sum. Returns the scores and the seconds spent in the distance
+/// and the selection phase.
+fn krum_scores_per_pair(refs: &[&[f32]], f: usize) -> (Vec<f32>, f64, f64) {
+    let n = refs.len();
+    let k = n - f - 2;
+    let mut scores = vec![0.0f32; n];
+    let mut tile = vec![0.0f32; KRUM_ROW_BLOCK * n];
+    let mut row = vec![0.0f32; n - 1];
+    let (mut dist_s, mut select_s) = (0.0, 0.0);
+    for lo in (0..n).step_by(KRUM_ROW_BLOCK) {
+        let tile = &mut tile[..KRUM_ROW_BLOCK.min(n - lo) * n];
+        let t = Instant::now();
+        for (r, drow) in tile.chunks_mut(n).enumerate() {
+            let i = lo + r;
+            for (j, (slot, vj)) in drow.iter_mut().zip(refs).enumerate() {
+                *slot = if j == i {
+                    0.0
+                } else {
+                    vecops::sq_distance(refs[i], vj)
+                };
+            }
+        }
+        let t_sel = Instant::now();
+        for (r, drow) in tile.chunks(n).enumerate() {
+            let i = lo + r;
+            let others = drow.iter().enumerate().filter(|&(j, _)| j != i);
+            for (slot, (_, &dist)) in row.iter_mut().zip(others) {
+                *slot = dist;
+            }
+            row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            scores[i] = row[..k].iter().sum();
+        }
+        select_s += t_sel.elapsed().as_secs_f64();
+        dist_s += (t_sel - t).as_secs_f64();
+    }
+    (scores, dist_s, select_s)
+}
+
+/// Ratio gate for the register-blocked Krum distance tiles (DESIGN.md
+/// §4e): on one thread at n = 1 000, d = 1 024, `krum_scores` must match
+/// the per-pair reference bit for bit and beat it by
+/// [`KRUM_GATE_MIN_SPEEDUP`]. Prints the distance and selection phases
+/// separately; the blocked distance phase is the tile fills alone.
+///
+/// d = 1 024 rather than 256: at d = 256 one pair is only 64 chunk steps,
+/// the out-of-order core overlaps consecutive pairs of the per-pair loop,
+/// and that loop's speed then swings with code placement — a build with
+/// the per-pair loop planted as the kernel measured up to 1.46× there,
+/// against 1.56–1.89× for the blocked kernel.
+fn krum_gate() -> bool {
+    const N: usize = 1_000;
+    const D: usize = 1_024;
+    const F: usize = 10;
+    let mut buf = vec![0.0f32; D];
+    let updates: Vec<Vec<f32>> = (0..N)
+        .map(|i| {
+            gen_update(&mut buf, i);
+            buf.clone()
+        })
+        .collect();
+    let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+    let prev_budget = par::max_threads();
+    par::set_max_threads(1);
+    let blocked = krum_scores(&refs, F).expect("krum geometry");
+    let (reference, _, _) = krum_scores_per_pair(&refs, F);
+    // Best of seven, the three timings interleaved so a noisy stretch of
+    // a shared host hits both sides of the ratio.
+    let mut tile = vec![0.0f32; KRUM_ROW_BLOCK * N];
+    let (mut t_ref, mut t_blocked, mut t_dist) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut ref_dist, mut ref_select) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        t_ref = t_ref.min(time_best(1, || {
+            let (scores, dist, select) = krum_scores_per_pair(&refs, F);
+            std::hint::black_box(scores);
+            ref_dist = ref_dist.min(dist);
+            ref_select = ref_select.min(select);
+        }));
+        t_blocked = t_blocked.min(time_best(1, || {
+            std::hint::black_box(krum_scores(&refs, F).expect("krum geometry"));
+        }));
+        t_dist = t_dist.min(time_best(1, || {
+            for lo in (0..N).step_by(KRUM_ROW_BLOCK) {
+                let rows = KRUM_ROW_BLOCK.min(N - lo);
+                vecops::sq_distance_tile_into(&refs, lo, &mut tile[..rows * N]);
+            }
+            std::hint::black_box(&mut tile);
+        }));
+    }
+    par::set_max_threads(prev_budget);
+    let speedup = t_ref / t_blocked;
+    println!(
+        "krum gate (n={N}, d={D}, 1 thread): per-pair {:.1} ms (distance {:.1} + selection {:.1}), \
+         blocked {:.1} ms (distance {:.1} + selection {:.1}), speed-up {speedup:.2}x",
+        t_ref * 1e3,
+        ref_dist * 1e3,
+        ref_select * 1e3,
+        t_blocked * 1e3,
+        t_dist * 1e3,
+        (t_blocked - t_dist).max(0.0) * 1e3,
+    );
+    let bitwise = blocked
+        .iter()
+        .zip(&reference)
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    if !bitwise {
+        eprintln!("FAIL: blocked krum_scores differ from the per-pair reference");
+    }
+    if speedup < KRUM_GATE_MIN_SPEEDUP {
+        eprintln!(
+            "FAIL: blocked krum_scores speed-up {speedup:.2}x < {KRUM_GATE_MIN_SPEEDUP}x \
+             vs the per-pair reference"
+        );
+    }
+    bitwise && speedup >= KRUM_GATE_MIN_SPEEDUP
+}
+
 /// The §4e n-sweep: per-rule seconds and resident aggregation bytes as
 /// the cohort grows at fixed `d`. The mean family streams (resident
 /// O(shards·d), measured from the live aggregator); the quadratic selection
@@ -709,6 +837,9 @@ fn main() {
             std::process::exit(1);
         }
         let _ = bench_n_sweep(true);
+        if !krum_gate() {
+            std::process::exit(1);
+        }
         // SIMD-dispatch gate (DESIGN.md §4f): on hosts where CPUID finds
         // a SIMD backend, its 1024³ GEMM must beat the committed
         // autovectorized `target-cpu=native` number — runtime dispatch

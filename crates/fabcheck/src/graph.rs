@@ -86,7 +86,9 @@ pub const HOT_ENTRIES: &[&str] = &[
     "tensor::vecops::median_into",
     "tensor::vecops::trimmed_mean_into",
     "tensor::vecops::pairwise_sq_distances_into",
-    // Blocked/tiled O(n²) kernel driver (§4e).
+    // Blocked/tiled O(n²) kernel drivers (§4e): the register-blocked Krum
+    // distance tile, and the generic tile FoolsGold's cosine pass uses.
+    "tensor::vecops::sq_distance_tile_into",
     "tensor::vecops::pairwise_tile_into",
     // Quantized-transport wire kernels: encode runs per client per round,
     // decode per submission on the server ingest path.

@@ -207,6 +207,9 @@ impl FlConfig {
         if self.fltrust_root_size == Some(0) {
             return Err("fltrust root dataset must be non-empty".into());
         }
+        // A defense that cannot be built (Bulyan with f < 2, a zero norm
+        // bound) would fail or skip every round.
+        self.defense.build().map_err(|e| e.to_string())?;
         self.faults.validate()?;
         Ok(())
     }
@@ -370,6 +373,21 @@ mod tests {
         let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
         cfg.clients_per_round = 1000;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bulyan_below_two() {
+        for f in 0..2 {
+            let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
+            cfg.defense = DefenseKind::Bulyan { f };
+            let err = cfg
+                .validate()
+                .expect_err("Bulyan f < 2 can never aggregate");
+            assert!(err.contains("Bulyan"), "{err}");
+        }
+        let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
+        cfg.defense = DefenseKind::Bulyan { f: 2 };
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub enum Purpose {
     /// Bulyan stage-2 column workspace (gather + sort + closeness).
     BulyanCols = 7,
     /// Pairwise distance/similarity tile for the blocked O(n²) kernels
-    /// (`vecops::pairwise_tile_into` callers).
+    /// (`vecops::sq_distance_tile_into` and `vecops::pairwise_tile_into`
+    /// callers).
     DistTile = 8,
     /// Quantized-transport encode staging (`quant::roundtrip_in_place`).
     QuantEncode = 9,

@@ -108,9 +108,9 @@ pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
 /// Squared Euclidean distance between two vectors.
 ///
 /// Accumulates in four independent lanes combined as
-/// `((s0 + s1) + (s2 + s3)) + tail` — a fixed reduction tree that lets the
-/// compiler vectorize the hot Krum/Bulyan distance loops while staying
-/// deterministic across calls.
+/// `((s0 + s1) + (s2 + s3)) + tail` — a fixed reduction tree, so results
+/// are deterministic across calls. The register-blocked Krum/Bulyan tile
+/// kernel ([`sq_distance_tile_into`]) reproduces it entry for entry.
 ///
 /// # Panics
 ///
@@ -118,6 +118,101 @@ pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
 pub fn sq_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sq_distance: length mismatch");
     sq_distance_t(a, b)
+}
+
+/// One `chunks_exact(4)` chunk as four lanes (the chunk is exactly four
+/// long, so the fallback arm never runs).
+#[inline(always)]
+fn lanes(c: &[f32]) -> [f32; 4] {
+    match c {
+        [x0, x1, x2, x3] => [*x0, *x1, *x2, *x3],
+        _ => [0.0; 4],
+    }
+}
+
+/// One chunk step of [`sq_distance_t`]'s four lane chains for one pair:
+/// separate `sub`, `mul` and `add` per lane, in the same order.
+#[inline(always)]
+fn sq_lanes_step(s: &mut [f32; 4], x: &[f32; 4], y: &[f32; 4]) {
+    let ([x0, x1, x2, x3], [y0, y1, y2, y3], [s0, s1, s2, s3]) = (x, y, s);
+    let d0 = x0 - y0;
+    let d1 = x1 - y1;
+    let d2 = x2 - y2;
+    let d3 = x3 - y3;
+    *s0 += d0 * d0;
+    *s1 += d1 * d1;
+    *s2 += d2 * d2;
+    *s3 += d3 * d3;
+}
+
+/// The register-blocked distance kernel: entry `(r, c)` is
+/// `sq_distance(rows[r], cols[c])`, bit for bit. Each of the 16 pairs
+/// keeps its own four lane accumulators and runs [`sq_distance_t`]'s exact
+/// per-pair op sequence and final fold `((s0+s1)+(s2+s3))+tail`; blocking
+/// only interleaves the 16 independent chains (so the loop is bound by
+/// add throughput, not latency) and loads each row/column chunk once per
+/// block instead of once per pair. The accumulators are named locals on
+/// purpose: an array of them is not kept in registers.
+fn sq_distance_4x4(rows: [&[f32]; 4], cols: [&[f32]; 4]) -> [[f32; 4]; 4] {
+    let z = [0.0f32; 4];
+    let (mut s00, mut s01, mut s02, mut s03) = (z, z, z, z);
+    let (mut s10, mut s11, mut s12, mut s13) = (z, z, z, z);
+    let (mut s20, mut s21, mut s22, mut s23) = (z, z, z, z);
+    let (mut s30, mut s31, mut s32, mut s33) = (z, z, z, z);
+    let [a0, a1, a2, a3] = rows.map(|v| v.chunks_exact(4));
+    let [b0, b1, b2, b3] = cols.map(|v| v.chunks_exact(4));
+    let ra = [
+        a0.remainder(),
+        a1.remainder(),
+        a2.remainder(),
+        a3.remainder(),
+    ];
+    let rb = [
+        b0.remainder(),
+        b1.remainder(),
+        b2.remainder(),
+        b3.remainder(),
+    ];
+    let (qa, qb) = (a0.zip(a1).zip(a2).zip(a3), b0.zip(b1).zip(b2).zip(b3));
+    for ((((x0, x1), x2), x3), (((y0, y1), y2), y3)) in qa.zip(qb) {
+        let (x0, x1, x2, x3) = (lanes(x0), lanes(x1), lanes(x2), lanes(x3));
+        let (y0, y1, y2, y3) = (lanes(y0), lanes(y1), lanes(y2), lanes(y3));
+        sq_lanes_step(&mut s00, &x0, &y0);
+        sq_lanes_step(&mut s01, &x0, &y1);
+        sq_lanes_step(&mut s02, &x0, &y2);
+        sq_lanes_step(&mut s03, &x0, &y3);
+        sq_lanes_step(&mut s10, &x1, &y0);
+        sq_lanes_step(&mut s11, &x1, &y1);
+        sq_lanes_step(&mut s12, &x1, &y2);
+        sq_lanes_step(&mut s13, &x1, &y3);
+        sq_lanes_step(&mut s20, &x2, &y0);
+        sq_lanes_step(&mut s21, &x2, &y1);
+        sq_lanes_step(&mut s22, &x2, &y2);
+        sq_lanes_step(&mut s23, &x2, &y3);
+        sq_lanes_step(&mut s30, &x3, &y0);
+        sq_lanes_step(&mut s31, &x3, &y1);
+        sq_lanes_step(&mut s32, &x3, &y2);
+        sq_lanes_step(&mut s33, &x3, &y3);
+    }
+    let acc = [
+        [s00, s01, s02, s03],
+        [s10, s11, s12, s13],
+        [s20, s21, s22, s23],
+        [s30, s31, s32, s33],
+    ];
+    let mut out = [[0.0f32; 4]; 4];
+    for ((out_r, acc_r), ta) in out.iter_mut().zip(&acc).zip(ra) {
+        for ((o, s), tb) in out_r.iter_mut().zip(acc_r).zip(rb) {
+            let mut tail = 0.0f32;
+            for (x, y) in ta.iter().zip(tb) {
+                let d = x - y;
+                tail += d * d;
+            }
+            let [s0, s1, s2, s3] = *s;
+            *o = ((s0 + s1) + (s2 + s3)) + tail;
+        }
+    }
+    out
 }
 
 /// `Σᵢ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas — bitwise
@@ -504,13 +599,117 @@ pub fn trimmed_mean_serial(vs: &[&[f32]], trim: usize) -> Vec<f32> {
     out
 }
 
+/// Rows per unit of the blocked distance fill: the height of
+/// [`sq_distance_4x4`]'s register block, and the parallel unit.
+const DIST_GROUP: usize = 4;
+
+/// Fills `out`, up to [`DIST_GROUP`] consecutive rows starting at row `i0`
+/// of the `n × n` squared-distance matrix of `vs` (row-major, `n` columns).
+/// With `upper`, only the strict upper triangle is computed and every
+/// entry with `j ≤ i` is `0.0`; otherwise every off-diagonal entry is
+/// computed and the diagonal is `0.0`.
+///
+/// A full group of four rows runs [`sq_distance_4x4`] over column blocks
+/// of four, starting at the first column it needs. The last `< 4` columns
+/// and a group of fewer than four rows fall back to [`sq_distance`].
+/// Either way every computed entry is bitwise `sq_distance(vs[i], vs[j])`.
+fn sq_distance_rows(vs: &[&[f32]], i0: usize, upper: bool, out: &mut [f32]) {
+    let n = vs.len();
+    let wanted = |i: usize, j: usize| if upper { j > i } else { j != i };
+    // Columns `first..blocked` come from the 4×4 kernel.
+    let first = if upper { i0 } else { 0 };
+    let mut blocked = first;
+    let full_group = out.len() == DIST_GROUP * n;
+    if let Some(&[a0, a1, a2, a3]) = vs.get(i0..i0 + DIST_GROUP).filter(|_| full_group) {
+        let cols = vs.get(first..).unwrap_or(&[]);
+        for (cb, block) in cols.chunks_exact(4).enumerate() {
+            let &[b0, b1, b2, b3] = block else {
+                continue;
+            };
+            let j = first + 4 * cb;
+            let dists = sq_distance_4x4([a0, a1, a2, a3], [b0, b1, b2, b3]);
+            for (r, drow) in dists.iter().enumerate() {
+                let Some(dst) = out.get_mut(r * n + j..r * n + j + 4) else {
+                    continue;
+                };
+                for (c, (slot, &v)) in dst.iter_mut().zip(drow).enumerate() {
+                    *slot = if wanted(i0 + r, j + c) { v } else { 0.0 };
+                }
+            }
+        }
+        blocked = first + (n - first) / 4 * 4;
+    }
+    for (r, row) in out.chunks_mut(n).enumerate() {
+        let i = i0 + r;
+        // Checked access: callers keep `i < n`, so the miss arm is
+        // unreachable.
+        let vi = vs.get(i).copied().unwrap_or(&[]);
+        for (j, (slot, vj)) in row.iter_mut().zip(vs).enumerate() {
+            if (first..blocked).contains(&j) {
+                continue;
+            }
+            *slot = if wanted(i, j) {
+                sq_distance(vi, vj)
+            } else {
+                0.0
+            };
+        }
+    }
+}
+
+/// Dispatches [`sq_distance_rows`] over `out` in groups of
+/// [`DIST_GROUP`] rows from `row_lo`: serially below the work threshold,
+/// group-parallel above it. The group is a fixed unit and every entry is
+/// a pure function of its pair, so the result is the same at any thread
+/// count.
+fn sq_distance_groups(vs: &[&[f32]], row_lo: usize, upper: bool, out: &mut [f32], work: usize) {
+    let fill = |g: usize, rows: &mut [f32]| {
+        sq_distance_rows(vs, row_lo + g * DIST_GROUP, upper, rows);
+    };
+    let group = DIST_GROUP * vs.len();
+    if work < PAR_ELEMS || par::max_threads() == 1 {
+        for (g, rows) in out.chunks_mut(group).enumerate() {
+            fill(g, rows);
+        }
+    } else {
+        par::for_each_chunk_mut(out, group, fill);
+    }
+}
+
+/// Fills rows `row_lo..row_lo + tile.len() / n` of the `n × n` pairwise
+/// squared-distance matrix of `vs` (`n = vs.len()`) into `tile`,
+/// row-major, with `0.0` on the diagonal — the distance tile of the
+/// blocked Krum scorer (DESIGN.md §4e). Allocation-free.
+///
+/// Runs the 4×4 register-blocked kernel (four rows against four columns
+/// per pass, 16 independent accumulator chains); every entry is bitwise
+/// `sq_distance(vs[i], vs[j])`, so the tile equals the corresponding
+/// rows of [`pairwise_sq_distances_into`]'s matrix. Groups of four rows
+/// are dispatched in parallel above the work threshold; the result is
+/// the same at any thread count.
+///
+/// # Panics
+///
+/// Panics if vector lengths differ or the tile reaches past row `n`.
+pub fn sq_distance_tile_into(vs: &[&[f32]], row_lo: usize, tile: &mut [f32]) {
+    let n = vs.len();
+    if n == 0 || tile.is_empty() {
+        return;
+    }
+    debug_assert_eq!(tile.len() % n, 0, "sq_distance_tile: ragged tile");
+    let d = vs.first().map_or(0, |v| v.len());
+    check_lengths(vs, d, "sq_distance_tile");
+    sq_distance_groups(vs, row_lo, false, tile, tile.len() * d);
+}
+
 /// Full pairwise squared-distance matrix, written into `out` as a flat
 /// row-major `n × n` slice (symmetric, zero diagonal), allocation-free.
 ///
-/// Rows are dispatched in parallel over the strict upper triangle, then
-/// mirrored serially; each entry is a pure function of its pair, so the
-/// matrix is bitwise identical to [`pairwise_sq_distances_serial`] at any
-/// thread count.
+/// The strict upper triangle is filled by the same 4×4 register-blocked
+/// kernel as [`sq_distance_tile_into`] (groups of four rows, parallel
+/// above the work threshold), then mirrored serially. Each entry is
+/// bitwise `sq_distance(vs[i], vs[j])`, so the matrix is bitwise
+/// identical to [`pairwise_sq_distances_serial`] at any thread count.
 ///
 /// # Panics
 ///
@@ -523,20 +722,7 @@ pub fn pairwise_sq_distances_into(vs: &[&[f32]], out: &mut [f32]) {
     if n == 0 {
         return;
     }
-    let fill_row = |i: usize, row: &mut [f32]| {
-        let vi = vs.get(i).copied().unwrap_or(&[]);
-        for (j, (slot, vj)) in row.iter_mut().zip(vs).enumerate() {
-            *slot = if j > i { sq_distance(vi, vj) } else { 0.0 };
-        }
-    };
-    let work = n * (n.saturating_sub(1)) / 2 * d;
-    if work < PAR_ELEMS || par::max_threads() == 1 {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            fill_row(i, row);
-        }
-    } else {
-        par::for_each_chunk_mut(out, n, |i, row| fill_row(i, row));
-    }
+    sq_distance_groups(vs, 0, true, out, n * (n - 1) / 2 * d);
     // Serial mirror of the upper triangle into the lower; checked access
     // (the bounds are guaranteed by the `n*n` entry assert).
     for i in 0..n {
@@ -581,9 +767,10 @@ pub fn pairwise_sq_distances_serial(vs: &[&[f32]]) -> Vec<Vec<f32>> {
 /// Fills one tile of an `n × n` pairwise matrix into `tile` (row-major,
 /// `tile.len()/cols` rows × `cols` columns): tile entry `(r, c)` receives
 /// `entry(row_lo + r, col_lo + c)`, with `0.0` on the global diagonal.
-/// Allocation-free — the blocked Krum/FoolsGold kernels stream tiles
+/// Allocation-free — the blocked FoolsGold cosine passes stream tiles
 /// through a [`Purpose::DistTile`] scratch so only O(tile) floats of the
-/// matrix are ever resident (DESIGN.md §4e).
+/// matrix are ever resident (DESIGN.md §4e). Squared-distance tiles use
+/// the register-blocked [`sq_distance_tile_into`] instead.
 ///
 /// Rows are dispatched in parallel above the work threshold (`elem_work`
 /// is the per-entry input size). Each entry is a pure function of its
@@ -752,6 +939,77 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    /// `n` vectors of length `d` mixing four magnitude classes: ordinary
+    /// values, values whose squared differences overflow to `+inf`,
+    /// subnormal values, and values whose squared differences are
+    /// subnormal.
+    fn mixed_magnitudes(n: usize, d: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|u| {
+                let scale = [1.0f32, 3e19, 1e-39, 2e-20][u % 4];
+                (0..d)
+                    .map(|i| ((u * 31 + i * 7) as f32 * 0.37).sin() * scale)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn blocked_distance_kernels_match_per_pair_bitwise() {
+        let mut saw_inf = false;
+        let mut saw_subnormal = false;
+        for d in [0usize, 1, 3, 4, 5, 8, 17] {
+            for n in 1..=9 {
+                let vs = mixed_magnitudes(n, d);
+                let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
+                let want = |i: usize, j: usize| {
+                    if i == j {
+                        0.0
+                    } else {
+                        sq_distance(refs[i], refs[j])
+                    }
+                };
+                // Every row offset (including ones whose rows cross the
+                // diagonal) and every row count, so every rows × cols
+                // remainder mod 4 is covered.
+                for row_lo in 0..n {
+                    for rows in 1..=n - row_lo {
+                        let mut tile = vec![f32::NAN; rows * n];
+                        sq_distance_tile_into(&refs, row_lo, &mut tile);
+                        for (r, row) in tile.chunks(n).enumerate() {
+                            for (j, got) in row.iter().enumerate() {
+                                let w = want(row_lo + r, j);
+                                saw_inf |= w == f32::INFINITY;
+                                saw_subnormal |= w.is_subnormal();
+                                assert_eq!(
+                                    got.to_bits(),
+                                    w.to_bits(),
+                                    "tile n={n} d={d} row_lo={row_lo} rows={rows} ({}, {j})",
+                                    row_lo + r
+                                );
+                            }
+                        }
+                    }
+                }
+                let mut dense = vec![f32::NAN; n * n];
+                pairwise_sq_distances_into(&refs, &mut dense);
+                for i in 0..n {
+                    for j in 0..n {
+                        let w = want(i.min(j), i.max(j));
+                        let got = dense[i * n + j];
+                        assert_eq!(got.to_bits(), w.to_bits(), "dense n={n} d={d} ({i}, {j})");
+                    }
+                }
+            }
+        }
+        assert!(
+            saw_inf && saw_subnormal,
+            "inputs must reach +inf and subnormal distances"
+        );
+        let inputs = mixed_magnitudes(9, 17);
+        assert!(inputs.iter().flatten().any(|v| v.is_subnormal()));
     }
 
     #[test]

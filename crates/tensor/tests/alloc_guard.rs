@@ -15,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fabflip_tensor::vecops::{
-    mean_into, median_into, pairwise_sq_distances_into, pairwise_tile_into, std_dev_into,
-    trimmed_mean_into,
+    mean_into, median_into, pairwise_sq_distances_into, pairwise_tile_into, sq_distance_tile_into,
+    std_dev_into, trimmed_mean_into,
 };
 use fabflip_tensor::{
     col2im, im2col, matmul_into, matmul_transpose_a, matmul_transpose_b, par, quant, Tensor,
@@ -148,6 +148,13 @@ fn hot_kernels_are_allocation_free_once_warm() {
     let mut dists = vec![0.0f32; n_up * n_up];
     assert_steady_state_alloc_free("pairwise_sq_distances_into", || {
         pairwise_sq_distances_into(&refs, &mut dists);
+    });
+
+    // Five rows from row 3: one full 4-row register block crossing the
+    // diagonal plus a remainder row, over 9 columns (two blocks + one).
+    let mut dist_tile = vec![0.0f32; 5 * n_up];
+    assert_steady_state_alloc_free("sq_distance_tile_into", || {
+        sq_distance_tile_into(&refs, 3, &mut dist_tile);
     });
 
     let mut tile = vec![0.0f32; 4 * n_up];

@@ -15,7 +15,8 @@ fn defense_strategy() -> impl Strategy<Value = DefenseKind> {
         (1usize..3).prop_map(|f| DefenseKind::MKrum { f }),
         (1usize..3).prop_map(|trim| DefenseKind::TrMean { trim }),
         Just(DefenseKind::Median),
-        (1usize..3).prop_map(|f| DefenseKind::Bulyan { f }),
+        // Bulyan needs f >= 2 (`BULYAN_MIN_F`); smaller f is rejected.
+        (2usize..4).prop_map(|f| DefenseKind::Bulyan { f }),
         Just(DefenseKind::FoolsGold),
         (1u32..2000).prop_map(|m| DefenseKind::NormBound { max_norm_milli: m }),
     ]
