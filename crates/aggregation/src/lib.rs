@@ -46,7 +46,6 @@
 mod bulyan;
 mod error;
 mod fedavg;
-mod fltrust;
 mod foolsgold;
 mod krum;
 mod normbound;
@@ -57,7 +56,6 @@ mod types;
 pub use bulyan::{bulyan_coordinate_chunk, Bulyan, BULYAN_DENSE_MAX, BULYAN_MIN_F};
 pub use error::AggError;
 pub use fedavg::FedAvg;
-pub use fltrust::{fltrust_aggregate, FLTRUST_SELECT_CUTOFF};
 pub use foolsgold::{foolsgold_weights, FoolsGold};
 pub use krum::{
     krum_scores, krum_scores_from_dists, krum_scores_into, Krum, MultiKrum, KRUM_ROW_BLOCK,

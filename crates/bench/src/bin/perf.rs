@@ -1,10 +1,10 @@
 //! Kernel/throughput benchmark: emits `BENCH_kernels.json` in the current
 //! directory with matmul GFLOP/s (new tiled kernels vs the seed's ikj
 //! kernel re-implemented below as the baseline), conv forward/backward
-//! throughput, per-rule aggregation timings at `n = 50, d = 100k`, one
-//! full FL round, the worker-pool dispatch-overhead microbench (persistent
-//! pool vs per-dispatch `thread::scope`), and the Sec. IV-E complexity
-//! claims (ZKA crafting cost vs a benign client's local epoch).
+//! throughput, per-rule aggregation timings at `n = 50, d = 100k`, the
+//! worker-pool dispatch-overhead microbench (persistent pool vs
+//! per-dispatch `thread::scope`), and the Sec. IV-E complexity claims
+//! (ZKA crafting cost vs a benign client's local epoch).
 //!
 //! Run with `cargo run --release -p fabflip-bench --bin perf`. The thread
 //! budget follows `FABFLIP_THREADS` (see README); the dispatch microbench
@@ -39,7 +39,7 @@ use fabflip_agg::{
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
-use fabflip_fl::{simulate, Codec, FlConfig, TaskKind};
+use fabflip_fl::{Codec, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
@@ -802,27 +802,6 @@ fn bench_complexity() -> Value {
     })
 }
 
-fn bench_fl_round() -> Value {
-    let cfg = FlConfig::builder(TaskKind::Fashion)
-        .rounds(1)
-        .n_clients(12)
-        .clients_per_round(6)
-        .train_size(240)
-        .test_size(80)
-        .synth_set_size(6)
-        .seed(5)
-        .build();
-    let t = time_best(2, || {
-        let _ = simulate(&cfg).expect("fl round");
-    });
-    println!("fl round: {:.2} s (fashion, 6 clients)", t);
-    serde_json::json!({
-        "task": "fashion",
-        "clients_per_round": 6u64,
-        "seconds": t,
-    })
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
@@ -881,7 +860,6 @@ fn main() {
     let conv = bench_conv();
     let agg = bench_aggregation(50, 100_000);
     let n_sweep = bench_n_sweep(false);
-    let fl_round = bench_fl_round();
     let (dispatch, dispatch_speedup) = bench_dispatch(false);
     let complexity = bench_complexity();
     let out = serde_json::json!({
@@ -895,7 +873,6 @@ fn main() {
         "conv": conv,
         "aggregation": agg,
         "n_sweep": n_sweep,
-        "fl_round": fl_round,
         "dispatch": dispatch,
         "complexity": complexity,
     });

@@ -266,35 +266,25 @@ impl ConfigFlags {
         Ok(true)
     }
 
-    fn build(self, faults: FaultPlan) -> FlConfig {
-        let mut builder = FlConfig::builder(self.task)
-            .attack(self.attack)
-            .defense(self.defense)
-            .seed(self.seed)
-            .sybil_noise(self.sybil_noise)
-            .faults(faults);
-        if let Some(r) = self.rounds {
-            builder = builder.rounds(r);
-        }
-        if let Some(b) = self.beta {
-            builder = builder.beta(b);
-        }
-        if let Some(n) = self.n_clients {
-            builder = builder.n_clients(n);
-        }
-        if let Some(k) = self.clients_per_round {
-            builder = builder.clients_per_round(k);
-        }
-        if let Some(n) = self.train_size {
-            builder = builder.train_size(n);
-        }
-        if let Some(n) = self.test_size {
-            builder = builder.test_size(n);
-        }
-        if let Some(s) = self.synth_set {
-            builder = builder.synth_set_size(s);
-        }
-        builder.build()
+    /// The config these flags describe, validated here so a bad value is
+    /// a usage error (exit 2) like every other bad flag, not a panic.
+    fn build(self, faults: FaultPlan) -> Result<FlConfig, ParseError> {
+        let mut cfg = FlConfig::builder(self.task).build();
+        cfg.attack = self.attack;
+        cfg.defense = self.defense;
+        cfg.seed = self.seed;
+        cfg.sybil_noise = self.sybil_noise;
+        cfg.faults = faults;
+        cfg.rounds = self.rounds.unwrap_or(cfg.rounds);
+        cfg.beta = self.beta.unwrap_or(cfg.beta);
+        cfg.n_clients = self.n_clients.unwrap_or(cfg.n_clients);
+        cfg.clients_per_round = self.clients_per_round.unwrap_or(cfg.clients_per_round);
+        cfg.train_size = self.train_size.unwrap_or(cfg.train_size);
+        cfg.test_size = self.test_size.unwrap_or(cfg.test_size);
+        cfg.synth_set_size = self.synth_set.unwrap_or(cfg.synth_set_size);
+        cfg.validate()
+            .map_err(|e| ParseError(format!("invalid configuration: {e}")))?;
+        Ok(cfg)
     }
 }
 
@@ -382,7 +372,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 };
             }
             Ok(Command::Run(Box::new(RunArgs {
-                config: cf.build(faults),
+                config: cf.build(faults)?,
                 live,
                 json,
                 checkpoint: checkpoint_dir.map(|d| CheckpointSpec::new(d, checkpoint_every)),
@@ -432,7 +422,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 ));
             };
             Ok(Command::Serve(Box::new(ServeArgs {
-                config: cf.build(FaultPlan::default()),
+                config: cf.build(FaultPlan::default())?,
                 bind,
                 ckpt_dir,
                 workers,
@@ -477,7 +467,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 return Err(ParseError("load-gen needs --addr".into()));
             };
             Ok(Command::LoadGen(Box::new(LoadGenArgs {
-                config: cf.build(FaultPlan::default()),
+                config: cf.build(FaultPlan::default())?,
                 addr,
                 senders,
                 omit_every,
@@ -608,6 +598,23 @@ mod tests {
         assert!(parse(&argv("run --rounds x")).is_err());
         assert!(parse(&argv("run --whatever")).is_err());
         assert!(!help_text().is_empty());
+        // An invalid config is a usage error, not a builder panic.
+        for bad in [
+            "run --rounds 0",
+            "run --beta nan",
+            "run --beta inf",
+            "run --beta 0",
+            "run --sybil-noise nan",
+            "run --sybil-noise inf",
+            "run --sybil-noise -1",
+            "run --n-clients 5 --clients-per-round 6",
+            "run --dropout 1.5",
+            "serve --ckpt-dir ck --rounds 0",
+            "load-gen --addr 127.0.0.1:9000 --beta inf",
+        ] {
+            let err = parse(&argv(bad)).expect_err(bad);
+            assert!(err.0.starts_with("invalid configuration"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -16,15 +16,15 @@ use std::fmt;
 pub enum PartitionError {
     /// `num_clients` was zero.
     NoClients,
-    /// `beta` was not strictly positive.
-    NonPositiveBeta,
+    /// `beta` was not a finite, strictly positive number.
+    InvalidBeta,
 }
 
 impl fmt::Display for PartitionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PartitionError::NoClients => write!(f, "cannot partition over zero clients"),
-            PartitionError::NonPositiveBeta => write!(f, "dirichlet beta must be positive"),
+            PartitionError::InvalidBeta => write!(f, "dirichlet beta must be finite and positive"),
         }
     }
 }
@@ -39,7 +39,8 @@ impl std::error::Error for PartitionError {}
 ///
 /// # Errors
 ///
-/// Returns [`PartitionError`] for zero clients or non-positive `beta`.
+/// Returns [`PartitionError`] for zero clients, or a `beta` that is not
+/// finite and positive.
 pub fn dirichlet_partition(
     dataset: &Dataset,
     num_clients: usize,
@@ -49,8 +50,8 @@ pub fn dirichlet_partition(
     if num_clients == 0 {
         return Err(PartitionError::NoClients);
     }
-    if beta <= 0.0 {
-        return Err(PartitionError::NonPositiveBeta);
+    if !(beta > 0.0 && beta.is_finite()) {
+        return Err(PartitionError::InvalidBeta);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
@@ -151,9 +152,12 @@ mod tests {
             dirichlet_partition(&d, 0, 0.5, 0),
             Err(PartitionError::NoClients)
         );
-        assert_eq!(
-            dirichlet_partition(&d, 5, 0.0, 0),
-            Err(PartitionError::NonPositiveBeta)
-        );
+        for beta in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                dirichlet_partition(&d, 5, beta, 0),
+                Err(PartitionError::InvalidBeta),
+                "beta {beta}"
+            );
+        }
     }
 }

@@ -10,9 +10,13 @@ use rand::Rng;
 ///
 /// # Panics
 ///
-/// Panics when `shape <= 0`.
+/// Panics unless `shape` is finite and positive (an infinite shape would
+/// never pass the squeeze test, and NaN compares false everywhere).
 pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
-    assert!(shape > 0.0, "gamma shape must be positive");
+    assert!(
+        shape > 0.0 && shape.is_finite(),
+        "gamma shape must be finite and positive"
+    );
     if shape < 1.0 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         return sample_gamma(shape + 1.0, rng) * u.powf(1.0 / shape);
@@ -43,10 +47,13 @@ pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics when `k == 0` or `beta <= 0`.
+/// Panics when `k == 0` or `beta` is not finite and positive.
 pub fn sample_dirichlet<R: Rng + ?Sized>(beta: f64, k: usize, rng: &mut R) -> Vec<f64> {
     assert!(k > 0, "dirichlet needs at least one category");
-    assert!(beta > 0.0, "dirichlet concentration must be positive");
+    assert!(
+        beta > 0.0 && beta.is_finite(),
+        "dirichlet concentration must be finite and positive"
+    );
     let mut draws: Vec<f64> = (0..k).map(|_| sample_gamma(beta, rng)).collect();
     let sum: f64 = draws.iter().sum();
     if sum <= 0.0 {
@@ -93,6 +100,13 @@ mod tests {
     fn gamma_rejects_nonpositive_shape() {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = sample_gamma(0.0, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn gamma_rejects_infinite_shape() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let _ = sample_gamma(f64::INFINITY, &mut rng);
     }
 
     #[test]

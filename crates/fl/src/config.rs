@@ -113,13 +113,6 @@ pub struct FlConfig {
     /// keys stay stable.
     #[serde(default, skip_serializing_if = "is_zero_f32")]
     pub sybil_noise: f32,
-    /// When set, the server uses FLTrust-style aggregation (extension):
-    /// it owns a clean root dataset of this size, computes its own update
-    /// per round, and trust-scores clients against it — `defense` is
-    /// ignored. Skipped in serialization when `None` for cache-key
-    /// stability.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fltrust_root_size: Option<usize>,
     /// Deterministic transport-fault rates (DESIGN.md §4d). The default
     /// plan is inactive — no faults, and the field is skipped in
     /// serialization so result-cache keys of fault-free configs stay
@@ -164,7 +157,6 @@ impl FlConfig {
                 defense: DefenseKind::FedAvg,
                 attack: AttackSpec::None,
                 sybil_noise: 0.0,
-                fltrust_root_size: None,
                 faults: FaultPlan::default(),
                 transport: Codec::F32,
                 seed: 0,
@@ -201,11 +193,16 @@ impl FlConfig {
         if self.batch == 0 {
             return Err("batch must be positive".into());
         }
-        if self.sybil_noise < 0.0 {
-            return Err("sybil noise must be non-negative".into());
+        // Written so NaN fails too. The Dirichlet sampler asserts a positive
+        // `beta`, and an infinite one never leaves its Gamma rejection loop.
+        if !(self.beta > 0.0 && self.beta.is_finite()) {
+            return Err(format!("beta {} must be finite and positive", self.beta));
         }
-        if self.fltrust_root_size == Some(0) {
-            return Err("fltrust root dataset must be non-empty".into());
+        if !(self.sybil_noise >= 0.0 && self.sybil_noise.is_finite()) {
+            return Err(format!(
+                "sybil noise {} must be finite and non-negative",
+                self.sybil_noise
+            ));
         }
         // A defense that cannot be built (Bulyan with f < 2, a zero norm
         // bound) would fail or skip every round.
@@ -306,13 +303,6 @@ impl FlConfigBuilder {
         self
     }
 
-    /// Enables FLTrust-style server aggregation with a clean root dataset
-    /// of `n` images (extension; overrides the configured defense).
-    pub fn fltrust_root(mut self, n: usize) -> Self {
-        self.cfg.fltrust_root_size = Some(n);
-        self
-    }
-
     /// Sets the deterministic transport-fault plan (DESIGN.md §4d).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.cfg.faults = plan;
@@ -373,6 +363,16 @@ mod tests {
         let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
         cfg.clients_per_round = 1000;
         assert!(cfg.validate().is_err());
+        for beta in [f64::NAN, f64::INFINITY, 0.0, -0.5] {
+            let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
+            cfg.beta = beta;
+            assert!(cfg.validate().is_err(), "beta {beta} accepted");
+        }
+        for noise in [f32::NAN, f32::INFINITY, -0.1] {
+            let mut cfg = FlConfig::builder(TaskKind::Fashion).build();
+            cfg.sybil_noise = noise;
+            assert!(cfg.validate().is_err(), "sybil noise {noise} accepted");
+        }
     }
 
     #[test]

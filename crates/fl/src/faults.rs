@@ -42,10 +42,8 @@ pub mod streams {
     pub const CLIENT_TRAIN: u64 = 7;
     /// Per-round adversarial update crafting.
     pub const ATTACK: u64 = 8;
-    /// FLTrust server root-dataset synthesis.
-    pub const FLTRUST_ROOT: u64 = 9;
-    /// FLTrust server-side root-update training RNG.
-    pub const FLTRUST_SERVER: u64 = 10;
+    // Ids 9 and 10 are retired: never reuse them, and keep `FAULTS` at 11,
+    // or every recorded fault schedule and transcript moves.
     /// Transport fault plan: dropout/straggler/malformed resolution and
     /// payload corruption (shared by [`super::FaultPlan::fault_for`] and
     /// `sim.rs`, which must draw the *same* word per (round, client)).

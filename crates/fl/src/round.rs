@@ -15,7 +15,7 @@
 use crate::faults::{streams, sub_seed, ClientFault};
 use crate::metrics::RoundRecord;
 use crate::{FlConfig, FlError};
-use fabflip_agg::{AggError, Aggregation, Defense, Selection};
+use fabflip_agg::{AggError, Defense, Selection};
 use fabflip_attacks::{Attack, AttackContext, TaskInfo};
 use fabflip_data::{dirichlet_partition, Dataset};
 use fabflip_nn::losses::{accuracy, softmax_cross_entropy_hard};
@@ -448,7 +448,7 @@ pub struct RoundInput {
 }
 
 /// The server side of one FL deployment: the held-out test set, the
-/// configured defense, the optional FLTrust root, and the global model.
+/// configured defense, and the global model.
 /// [`ServerCore::close_round`] is a pure function of the [`RoundInput`]
 /// log and the core's current state, so any shell that reconstructs the
 /// same log — batch transport or TCP — reaches the same next model.
@@ -456,15 +456,14 @@ pub struct ServerCore {
     cfg: FlConfig,
     test: Dataset,
     defense: Box<dyn Defense>,
-    fltrust_root: Option<Dataset>,
     global_model: Sequential,
     global: Vec<f32>,
     prev_global: Option<Vec<f32>>,
 }
 
 impl ServerCore {
-    /// Builds the server for `cfg`: test split, defense, optional FLTrust
-    /// root, and the seeded initial global model.
+    /// Builds the server for `cfg`: test split, defense, and the seeded
+    /// initial global model.
     ///
     /// # Errors
     ///
@@ -480,16 +479,6 @@ impl ServerCore {
             sub_seed(cfg.seed, streams::TEST_DATA, 0, 0),
         );
         let defense = cfg.defense.build()?;
-        // FLTrust extension: the server's clean root dataset (same task,
-        // independent sample stream).
-        let fltrust_root = cfg.fltrust_root_size.map(|n| {
-            Dataset::synthesize_split(
-                &spec,
-                n,
-                TASK_SEED,
-                sub_seed(cfg.seed, streams::FLTRUST_ROOT, 0, 0),
-            )
-        });
         let mut init_rng = StdRng::seed_from_u64(sub_seed(cfg.seed, streams::MODEL_INIT, 0, 0));
         let mut global_model = cfg.task.build_model(&mut init_rng);
         let global = global_model.flat_params();
@@ -497,7 +486,6 @@ impl ServerCore {
             cfg: cfg.clone(),
             test,
             defense,
-            fltrust_root,
             global_model,
             global,
             prev_global: None,
@@ -544,9 +532,11 @@ impl ServerCore {
     }
 
     /// Closes one round: aggregate the validated log under the configured
-    /// defense (with graceful cohort degradation when `input.degrade`),
-    /// advance the global model, evaluate, and produce the round record.
-    /// An impossible quorum skips the round and carries the model forward.
+    /// [`DefenseKind`](fabflip_agg::DefenseKind) — its
+    /// [`for_cohort`](fabflip_agg::DefenseKind::for_cohort) form when
+    /// `input.degrade` — advance the global model, evaluate, and produce
+    /// the round record. This is the only aggregation path. An empty log or
+    /// an impossible quorum skips the round and carries the model forward.
     ///
     /// # Errors
     ///
@@ -554,45 +544,33 @@ impl ServerCore {
     /// too-few/no-updates quorum failures, and evaluation failures.
     pub fn close_round(&mut self, round: usize, input: RoundInput) -> Result<RoundRecord, FlError> {
         let cfg = &self.cfg;
-        let round_u64 = round as u64;
         let updates = &input.updates;
         let weights = &input.weights;
         let mut malicious_passed = 0usize;
         let mut selection_available = false;
         let mut skipped = false;
-        let outcome: Option<Result<Aggregation, AggError>> = if updates.is_empty() {
+        // Every round aggregates under the configured defense, re-derived
+        // for the surviving cohort when the round closes degraded. An empty
+        // log, or a cohort no form of the defense can serve, skips it.
+        let effective = if updates.is_empty() {
             None
-        } else if let Some(root) = &self.fltrust_root {
-            // FLTrust: the server computes its own root update, then
-            // trust-scores the clients against it (any cohort n ≥ 1).
-            let mut srng =
-                StdRng::seed_from_u64(sub_seed(cfg.seed, streams::FLTRUST_SERVER, round_u64, 0));
-            let all: Vec<usize> = (0..root.len()).collect();
-            let server_update = train_benign_client(cfg, root, &all, &self.global, &mut srng)?;
-            Some(fabflip_agg::fltrust_aggregate(
-                updates,
-                &self.global,
-                &server_update,
-            ))
+        } else if input.degrade {
+            cfg.defense.for_cohort(updates.len())
         } else {
-            let effective = if input.degrade {
-                cfg.defense.for_cohort(updates.len())
-            } else {
-                Some(cfg.defense)
-            };
-            match effective {
-                None => None,
-                Some(kind) if kind == cfg.defense => Some(self.defense.aggregate_with_reference(
-                    updates,
-                    weights,
-                    Some(&self.global),
-                )),
-                Some(kind) => Some(kind.build()?.aggregate_with_reference(
-                    updates,
-                    weights,
-                    Some(&self.global),
-                )),
-            }
+            Some(cfg.defense)
+        };
+        let outcome = match effective {
+            None => None,
+            Some(kind) if kind == cfg.defense => Some(self.defense.aggregate_with_reference(
+                updates,
+                weights,
+                Some(&self.global),
+            )),
+            Some(kind) => Some(kind.build()?.aggregate_with_reference(
+                updates,
+                weights,
+                Some(&self.global),
+            )),
         };
         match outcome {
             Some(Ok(agg)) => {

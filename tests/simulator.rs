@@ -2,7 +2,11 @@
 //! impact, defense behaviour, and metric plumbing.
 
 use fabflip_agg::DefenseKind;
-use fabflip_fl::{metrics::attack_success_rate, runner, simulate, AttackSpec, FlConfig, TaskKind};
+use fabflip_fl::{
+    metrics::attack_success_rate, runner, simulate, AttackSpec, FaultPlan, FlConfig, RoundRecord,
+    RunResult, StragglerPolicy, TaskKind,
+};
+use fabflip_tensor::backend::{self, Kind};
 
 fn small(attack: AttackSpec, defense: DefenseKind) -> FlConfig {
     FlConfig::builder(TaskKind::Fashion)
@@ -172,4 +176,101 @@ fn asr_uses_paired_clean_baseline() {
     let asr_clean =
         attack_success_rate(runner::acc_natk(&clean_cfg).unwrap(), clean.max_accuracy());
     assert!(asr_clean < 1e-6);
+}
+
+/// FNV-1a over each round's accuracy bits and client ledger, then the
+/// final model's bits.
+fn transcript_digest(r: &RunResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for rec in &r.rounds {
+        eat(u64::from(rec.accuracy.to_bits()));
+        for n in [
+            rec.malicious_selected,
+            rec.malicious_passed,
+            usize::from(rec.selection_available),
+            rec.delivered,
+            rec.stale,
+            rec.dropped,
+            rec.straggling,
+            rec.quarantined,
+            rec.stale_quarantined,
+            rec.offline,
+            rec.diverged,
+            rec.silent,
+            usize::from(rec.skipped),
+        ] {
+            eat(n as u64);
+        }
+    }
+    for w in &r.final_model {
+        eat(u64::from(w.to_bits()));
+    }
+    h
+}
+
+#[test]
+fn transcripts_match_their_pinned_digests() {
+    // Bitwise pins of two small runs: a moved digest means a seed-stream
+    // id, a defense or the round path changed what the simulator computes.
+    let tiny = |attack: AttackSpec, defense: DefenseKind| {
+        FlConfig::builder(TaskKind::Fashion)
+            .n_clients(12)
+            .clients_per_round(8)
+            .rounds(3)
+            .train_size(96)
+            .test_size(40)
+            .batch(8)
+            .synth_set_size(4)
+            .attack(attack)
+            .defense(defense)
+            .seed(17)
+    };
+    // mKrum under LIE with every transport fault, so the `FAULTS` stream
+    // schedules dropouts, stale stragglers and malformed payloads.
+    let faulty = tiny(AttackSpec::Lie, DefenseKind::MKrum { f: 2 })
+        .faults(FaultPlan {
+            dropout: 0.15,
+            straggler: 0.15,
+            malformed: 0.2,
+            straggler_policy: StragglerPolicy::Stale {
+                discount_milli: 500,
+            },
+        })
+        .build();
+    let r = simulate(&faulty).unwrap();
+    let total = |f: fn(&RoundRecord) -> usize| r.rounds.iter().map(f).sum::<usize>();
+    assert!(total(|x| x.dropped) > 0, "no dropout exercised");
+    assert!(total(|x| x.stale) > 0, "no stale delivery exercised");
+    assert!(
+        total(|x| x.quarantined) > 0,
+        "no malformed payload exercised"
+    );
+    assert_eq!(
+        transcript_digest(&r),
+        11_957_660_298_366_345_886,
+        "mKrum/LIE faulty transcript moved"
+    );
+    // FoolsGold against identical random-weight copies perturbed by
+    // Sec. III-A's Sybil noise.
+    let sybil = tiny(AttackSpec::RandomWeights, DefenseKind::FoolsGold)
+        .sybil_noise(0.02)
+        .build();
+    let r = simulate(&sybil).unwrap();
+    // FoolsGold's cosine similarities are serial dot products, which round
+    // per backend (DESIGN.md §4f), so this pin is kept per backend.
+    let pinned = match backend::active_kind() {
+        Kind::Scalar => 8_638_109_197_716_327_814,
+        Kind::Avx2 => 8_067_100_630_040_440_859,
+        Kind::Avx512 => 13_451_313_149_285_140_286,
+    };
+    assert_eq!(
+        transcript_digest(&r),
+        pinned,
+        "FoolsGold/Sybil-noise transcript moved"
+    );
 }

@@ -119,23 +119,3 @@ fn foolsgold_catches_identical_copies_and_noise_evades_it() {
         "identical sybils should mostly be caught: {dpr_identical}"
     );
 }
-
-#[test]
-fn fltrust_resists_random_weights_where_fedavg_falls() {
-    // Extension check: the root-of-trust defense keeps learning under the
-    // naive attack because opposed/noise updates get zero trust.
-    let base = cfg(AttackSpec::RandomWeights, DefenseKind::FedAvg);
-    let mut trust_cfg = base.clone();
-    trust_cfg.fltrust_root_size = Some(60);
-    let fedavg = simulate(&base).unwrap();
-    let fltrust = simulate(&trust_cfg).unwrap();
-    assert!(
-        fltrust.max_accuracy() >= fedavg.max_accuracy(),
-        "fltrust {} should be at least as robust as fedavg {}",
-        fltrust.max_accuracy(),
-        fedavg.max_accuracy()
-    );
-    // Random weights should essentially never earn trust.
-    let dpr = fltrust.dpr().expect("fltrust reports a selection");
-    assert!(dpr < 0.5, "random weights earned trust too often: {dpr}");
-}
