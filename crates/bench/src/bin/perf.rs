@@ -1,7 +1,8 @@
 //! Kernel/throughput benchmark: emits `BENCH_kernels.json` in the current
 //! directory with matmul GFLOP/s (new tiled kernels vs the seed's ikj
 //! kernel re-implemented below as the baseline), conv forward/backward
-//! throughput, per-rule aggregation timings at `n = 50, d = 100k`, the
+//! throughput with its per-phase lowering (GB/s) and GEMM (GFLOP/s)
+//! rates, per-rule aggregation timings at `n = 50, d = 100k`, the
 //! worker-pool dispatch-overhead microbench (persistent pool vs
 //! per-dispatch `thread::scope`), and the Sec. IV-E complexity claims
 //! (ZKA crafting cost vs a benign client's local epoch).
@@ -23,11 +24,13 @@
 //! d = 256/4096/65536 (DESIGN.md §4f).
 //!
 //! `--smoke` runs the dispatch microbench with a reduced dispatch count
-//! plus a reduced n-sweep (n = 50/500) and the Krum distance-tile ratio
-//! gate, does not write `BENCH_kernels.json`, and exits non-zero when the
-//! pool is not measurably faster than per-dispatch spawning, the streaming
-//! path diverges from batch FedAvg, blocked `krum_scores` is not bitwise
-//! equal to (or not enough faster than) its per-pair reference, or (on
+//! plus a reduced n-sweep (n = 50/500) and the Krum distance-tile and
+//! conv weight-gradient tile ratio gates, does not write
+//! `BENCH_kernels.json`, and exits non-zero when the pool is not
+//! measurably faster than per-dispatch spawning, the streaming path
+//! diverges from batch FedAvg, blocked `krum_scores` or the tiled
+//! `matmul_transpose_b` is not bitwise equal to (or not enough faster
+//! than) its per-pair reference, or (on
 //! SIMD-capable hosts) the detected backend's 1024³ GEMM falls below the
 //! committed autovectorized baseline — CI uses this as a cheap
 //! perf/correctness regression gate.
@@ -43,7 +46,10 @@ use fabflip_fl::{Codec, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
-use fabflip_tensor::{matmul_into, matmul_into_serial, par, quant, vecops, Tensor};
+use fabflip_tensor::{
+    col2im, im2col, matmul_into, matmul_into_serial, matmul_transpose_a, matmul_transpose_b, par,
+    quant, vecops, Tensor,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
@@ -279,6 +285,93 @@ fn bench_vecops_reduce() -> Vec<Value> {
     rows
 }
 
+/// One sample's conv lowering and GEMMs at `[cin, hw, hw] → [cout, hw,
+/// hw]` (3×3, stride 1, pad 1), each phase timed alone on one thread over
+/// `batch` samples: `im2col` and `col2im` in GB/s of column matrix
+/// written/read, the forward (`W·col`), weight-gradient (`g·colᵀ`) and
+/// input-gradient (`Wᵀ·g`) GEMMs in GFLOP/s — the calls `Conv2d` makes,
+/// in isolation.
+fn bench_conv_phases(batch: usize, cin: usize, cout: usize, hw: usize) -> Value {
+    let (k, stride, pad) = (3usize, 1usize, 1usize);
+    let (ckk, area) = (cin * k * k, hw * hw);
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut gen =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
+    let img = gen(batch * cin * area);
+    let g = gen(batch * cout * area);
+    let weight = gen(cout * ckk);
+    let mut cols = vec![0.0f32; batch * ckk * area];
+    let mut out = vec![0.0f32; cout * area];
+    let mut gw = vec![0.0f32; cout * ckk];
+    let mut grad_col = vec![0.0f32; ckk * area];
+    let mut grad_img = vec![0.0f32; cin * area];
+    let prev_budget = par::max_threads();
+    par::set_max_threads(1);
+    let t_im2col = time_best(5, || {
+        for i in 0..batch {
+            im2col(
+                &img[i * cin * area..(i + 1) * cin * area],
+                &mut cols[i * ckk * area..(i + 1) * ckk * area],
+                cin,
+                hw,
+                hw,
+                k,
+                k,
+                stride,
+                pad,
+            );
+        }
+    });
+    let col = |i: usize| &cols[i * ckk * area..(i + 1) * ckk * area];
+    let g_of = |i: usize| &g[i * cout * area..(i + 1) * cout * area];
+    let t_fwd = time_best(5, || {
+        for i in 0..batch {
+            out.fill(0.0);
+            matmul_into(&weight, col(i), &mut out, cout, ckk, area);
+        }
+    });
+    let t_wgrad = time_best(5, || {
+        for i in 0..batch {
+            gw.fill(0.0);
+            matmul_transpose_b(g_of(i), col(i), &mut gw, cout, area, ckk);
+        }
+    });
+    let t_igrad = time_best(5, || {
+        for i in 0..batch {
+            grad_col.fill(0.0);
+            matmul_transpose_a(&weight, g_of(i), &mut grad_col, ckk, cout, area);
+        }
+    });
+    let t_col2im = time_best(5, || {
+        for i in 0..batch {
+            grad_img.fill(0.0);
+            col2im(col(i), &mut grad_img, cin, hw, hw, k, k, stride, pad);
+        }
+    });
+    par::set_max_threads(prev_budget);
+    let col_bytes = (batch * ckk * area * 4) as f64;
+    let gemm_flops = (2 * batch * cout * ckk * area) as f64;
+    let gbps = |t: f64| col_bytes / t / 1e9;
+    let gflops = |t: f64| gemm_flops / t / 1e9;
+    println!(
+        "conv phases (1 thread, {cin}->{cout} ch, {hw}x{hw}): im2col {:.2} GB/s, col2im {:.2} GB/s, \
+         forward GEMM {:.1} GFLOP/s, weight-grad GEMM {:.1} GFLOP/s, input-grad GEMM {:.1} GFLOP/s",
+        gbps(t_im2col),
+        gbps(t_col2im),
+        gflops(t_fwd),
+        gflops(t_wgrad),
+        gflops(t_igrad),
+    );
+    serde_json::json!({
+        "threads": 1u64,
+        "im2col_gbps": gbps(t_im2col),
+        "col2im_gbps": gbps(t_col2im),
+        "forward_gemm_gflops": gflops(t_fwd),
+        "weight_grad_gemm_gflops": gflops(t_wgrad),
+        "input_grad_gemm_gflops": gflops(t_igrad),
+    })
+}
+
 fn bench_conv() -> Value {
     // Cifar-scale middle layer: batch 32, 8 -> 16 channels, 3x3 on 32x32.
     let (batch, cin, cout, hw) = (32usize, 8usize, 16usize, 32usize);
@@ -306,6 +399,7 @@ fn bench_conv() -> Value {
         "spatial": hw as u64,
         "forward_samples_per_s": batch as f64 / t_fwd,
         "backward_samples_per_s": batch as f64 / t_bwd,
+        "phases": bench_conv_phases(batch, cin, cout, hw),
     })
 }
 
@@ -513,6 +607,93 @@ fn krum_gate() -> bool {
         );
     }
     bitwise && speedup >= KRUM_GATE_MIN_SPEEDUP
+}
+
+/// Minimum speed-up of the tiled `matmul_transpose_b` over the in-run
+/// per-pair reference at the 8→8 @ 32×32 weight-gradient shape on one
+/// thread, on a SIMD backend. Measured on the 2-vCPU AVX-512 host
+/// (portable build): 2.8–3.0× on AVX-512 and 2.0× with AVX2 forced; with
+/// the per-pair loop planted as the AVX-512 tile the same gate measures
+/// 1.00–1.06×.
+const CONV_GATE_MIN_SPEEDUP: f64 = 1.5;
+
+/// The reference the conv gate times against: one
+/// [`backend::CpuBackend::dot_lanes`] per output element, added into `c`
+/// — the weight-gradient loop the 4×4 tile replaced.
+fn transpose_b_per_pair(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+    let be = backend::active();
+    for (c_row, a_row) in c.chunks_mut(n).zip(a.chunks(k)) {
+        for (c_v, b_row) in c_row.iter_mut().zip(b.chunks(k)) {
+            *c_v += be.dot_lanes(a_row, b_row);
+        }
+    }
+}
+
+/// Ratio gate for the register-blocked weight-gradient tile (DESIGN.md
+/// §4b): at `cifar_cnn`'s 8→8 channel, 3×3, 32×32 layer, the weight
+/// gradient `g [8, 1024] · colᵀ [1024, 72]` through `matmul_transpose_b`
+/// must match the per-pair reference bit for bit and, on a SIMD backend,
+/// beat it by [`CONV_GATE_MIN_SPEEDUP`]. The scalar backend's tile is
+/// the per-pair loop by definition, so there only equality is gated.
+fn conv_gate() -> bool {
+    const M: usize = 8;
+    const K: usize = 32 * 32;
+    const N: usize = 8 * 3 * 3;
+    let mut rng = StdRng::seed_from_u64(31);
+    let g: Vec<f32> = (0..M * K).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let col: Vec<f32> = (0..N * K).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let prev_budget = par::max_threads();
+    par::set_max_threads(1);
+    let mut tiled = vec![0.0f32; M * N];
+    matmul_transpose_b(&g, &col, &mut tiled, M, K, N);
+    let mut reference = vec![0.0f32; M * N];
+    transpose_b_per_pair(&g, &col, &mut reference, K, N);
+    // Best of seven rounds of 32 products (one batch), the two sides
+    // interleaved so a noisy stretch of a shared host hits both.
+    let mut c = vec![0.0f32; M * N];
+    let (mut t_ref, mut t_tiled) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        t_ref = t_ref.min(time_best(1, || {
+            for _ in 0..32 {
+                c.fill(0.0);
+                transpose_b_per_pair(&g, &col, &mut c, K, N);
+            }
+            std::hint::black_box(&mut c);
+        }));
+        t_tiled = t_tiled.min(time_best(1, || {
+            for _ in 0..32 {
+                c.fill(0.0);
+                matmul_transpose_b(&g, &col, &mut c, M, K, N);
+            }
+            std::hint::black_box(&mut c);
+        }));
+    }
+    par::set_max_threads(prev_budget);
+    let flops = (32 * 2 * M * K * N) as f64;
+    let speedup = t_ref / t_tiled;
+    let simd = backend::active_kind() != Kind::Scalar;
+    println!(
+        "conv gate (weight gradient {M}x{K} . ({N}x{K})^T, 1 thread, {}): per-pair {:.1} GFLOP/s, \
+         tiled {:.1} GFLOP/s, speed-up {speedup:.2}x",
+        backend::active().name(),
+        flops / t_ref / 1e9,
+        flops / t_tiled / 1e9,
+    );
+    let bitwise = tiled
+        .iter()
+        .zip(&reference)
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    if !bitwise {
+        eprintln!("FAIL: tiled matmul_transpose_b differs from the per-pair dot_lanes reference");
+    }
+    let fast = !simd || speedup >= CONV_GATE_MIN_SPEEDUP;
+    if !fast {
+        eprintln!(
+            "FAIL: tiled matmul_transpose_b speed-up {speedup:.2}x < {CONV_GATE_MIN_SPEEDUP}x \
+             vs the per-pair reference"
+        );
+    }
+    bitwise && fast
 }
 
 /// The §4e n-sweep: per-rule seconds and resident aggregation bytes as
@@ -816,7 +997,8 @@ fn main() {
             std::process::exit(1);
         }
         let _ = bench_n_sweep(true);
-        if !krum_gate() {
+        let krum_ok = krum_gate();
+        if !(conv_gate() && krum_ok) {
             std::process::exit(1);
         }
         // SIMD-dispatch gate (DESIGN.md §4f): on hosts where CPUID finds

@@ -79,8 +79,16 @@ impl ConvTranspose2d {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadInput`] when the geometry underflows.
+    /// Returns [`NnError::BadInput`] when the input is empty, the layer's
+    /// stride is zero, or the geometry underflows.
     pub fn out_dim(&self, input: usize) -> Result<usize, NnError> {
+        if input == 0 || self.stride == 0 {
+            return Err(NnError::BadInput {
+                layer: "ConvTranspose2d",
+                // fabcheck::allow(alloc_on_hot_path): error branch only.
+                detail: format!("input {input} with stride {}", self.stride),
+            });
+        }
         let grown = (input - 1) * self.stride + self.kernel;
         if grown < 2 * self.pad + 1 {
             return Err(NnError::BadInput {
@@ -281,6 +289,22 @@ mod tests {
         let up = ConvTranspose2d::new(4, 2, 4, 2, 1, &mut rng);
         assert_eq!(up.out_dim(7).unwrap(), 14);
         assert_eq!(up.out_dim(14).unwrap(), 28);
+    }
+
+    #[test]
+    fn out_dim_rejects_empty_input() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let up = ConvTranspose2d::new(4, 2, 4, 2, 1, &mut rng);
+        assert!(matches!(up.out_dim(0), Err(NnError::BadInput { .. })));
+    }
+
+    #[test]
+    fn zero_stride_is_bad_input() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut up = ConvTranspose2d::new(1, 1, 3, 0, 0, &mut rng);
+        let x = Tensor::zeros(vec![1, 1, 4, 4]);
+        assert!(matches!(up.forward(&x), Err(NnError::BadInput { .. })));
+        assert!(matches!(up.out_dim(4), Err(NnError::BadInput { .. })));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::arch::x86_64::{
     _mm_shuffle_ps,
 };
 
-use super::{CpuBackend, MR};
+use super::{CpuBackend, DOT_BLOCK, MR};
 
 /// The AVX2 + FMA backend (unit struct; dispatched as `&'static dyn`).
 pub(super) struct Avx2;
@@ -176,6 +176,61 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
         s = x.mul_add(*y, s);
     }
     s
+}
+
+/// Two rows against two columns of [`dot_lanes`]: four 16-lane
+/// accumulators as two 8-lane halves each (8 of the 16 `ymm` registers,
+/// plus eight for the loaded chunks), each the exact per-pair chain —
+/// `fmadd(a, b, acc)` per half-chunk in ascending order, the `acc0 + acc1`
+/// step and [`hsum8`], then the same scalar FMA tail — so every entry is
+/// bitwise `dot_lanes(a[r], b[s])`. The 4×4 block runs four of these: a
+/// full 4×4 set of accumulators would need 32 `ymm` registers.
+#[target_feature(enable = "avx2,fma")]
+fn dot_lanes_2x2(a: [&[f32]; 2], b: [&[f32]; 2]) -> [[f32; 2]; 2] {
+    let len = a.iter().chain(&b).map(|v| v.len()).min().unwrap_or(0);
+    let chunks = len / 16;
+    let ap = a.map(<[f32]>::as_ptr);
+    let bp = b.map(<[f32]>::as_ptr);
+    let mut acc = [[[_mm256_setzero_ps(); 2]; 2]; 2];
+    for q in 0..chunks {
+        let mut av = [[_mm256_setzero_ps(); 2]; 2];
+        let mut bv = [[_mm256_setzero_ps(); 2]; 2];
+        for ((va, pa), (vb, pb)) in av.iter_mut().zip(ap).zip(bv.iter_mut().zip(bp)) {
+            // SAFETY(bound: q*16 + 16 <= len <= every a[r].len() and b[s].len()):
+            // q < len/16 with `len` the shortest of the four slices.
+            unsafe {
+                *va = [
+                    _mm256_loadu_ps(pa.wrapping_add(q * 16)),
+                    _mm256_loadu_ps(pa.wrapping_add(q * 16 + 8)),
+                ];
+                *vb = [
+                    _mm256_loadu_ps(pb.wrapping_add(q * 16)),
+                    _mm256_loadu_ps(pb.wrapping_add(q * 16 + 8)),
+                ];
+            }
+        }
+        for (accr, [a_lo, a_hi]) in acc.iter_mut().zip(av) {
+            for (acc_rs, [b_lo, b_hi]) in accr.iter_mut().zip(bv) {
+                let [lo, hi] = *acc_rs;
+                *acc_rs = [
+                    _mm256_fmadd_ps(a_lo, b_lo, lo),
+                    _mm256_fmadd_ps(a_hi, b_hi, hi),
+                ];
+            }
+        }
+    }
+    let tail = chunks * 16;
+    let mut out = [[0.0f32; 2]; 2];
+    for ((out_r, acc_r), ar) in out.iter_mut().zip(acc).zip(a) {
+        for ((o, [lo, hi]), bs) in out_r.iter_mut().zip(acc_r).zip(b) {
+            let mut s = hsum8(_mm256_add_ps(lo, hi));
+            for (x, y) in ar.iter().skip(tail).zip(bs.iter().skip(tail)) {
+                s = x.mul_add(*y, s);
+            }
+            *o = s;
+        }
+    }
+    out
 }
 
 /// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
@@ -509,6 +564,27 @@ impl CpuBackend for Avx2 {
         // SAFETY(feature: avx2,fma): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_lanes(a, b) }
+    }
+
+    fn dot_lanes_4x4(
+        &self,
+        a: [&[f32]; DOT_BLOCK],
+        b: [&[f32]; DOT_BLOCK],
+    ) -> [[f32; DOT_BLOCK]; DOT_BLOCK] {
+        let [a0, a1, a2, a3] = a;
+        let [b0, b1, b2, b3] = b;
+        // SAFETY(feature: avx2,fma): detected by the dispatcher before this
+        // backend was handed out.
+        let [[tl0, tl1], [tr0, tr1], [bl0, bl1], [br0, br1]] = unsafe {
+            [
+                dot_lanes_2x2([a0, a1], [b0, b1]),
+                dot_lanes_2x2([a0, a1], [b2, b3]),
+                dot_lanes_2x2([a2, a3], [b0, b1]),
+                dot_lanes_2x2([a2, a3], [b2, b3]),
+            ]
+        };
+        let row = |[x, y]: [f32; 2], [z, w]: [f32; 2]| [x, y, z, w];
+        [row(tl0, tr0), row(tl1, tr1), row(bl0, br0), row(bl1, br1)]
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {

@@ -13,7 +13,7 @@ use std::arch::x86_64::{
     _mm512_storeu_ps, _mm512_sub_ps,
 };
 
-use super::{CpuBackend, MR};
+use super::{CpuBackend, DOT_BLOCK, MR};
 
 /// The AVX-512F backend (unit struct; dispatched as `&'static dyn`).
 pub(super) struct Avx512;
@@ -192,6 +192,50 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
         s = x.mul_add(*y, s);
     }
     s
+}
+
+/// Four rows against four columns of [`dot_lanes`]: sixteen 16-lane FMA
+/// accumulators (16 of the 32 `zmm` registers, plus eight for the loaded
+/// chunks), each the exact per-pair chain — `fmadd(a, b, acc)` per chunk
+/// in ascending order, [`hsum16`], then the same scalar FMA tail — so
+/// every entry is bitwise `dot_lanes(a[r], b[s])`. Each loaded chunk
+/// feeds four FMAs instead of one.
+#[target_feature(enable = "avx512f")]
+fn dot_lanes_4x4(a: [&[f32]; DOT_BLOCK], b: [&[f32]; DOT_BLOCK]) -> [[f32; DOT_BLOCK]; DOT_BLOCK] {
+    let len = a.iter().chain(&b).map(|v| v.len()).min().unwrap_or(0);
+    let chunks = len / 16;
+    let ap = a.map(<[f32]>::as_ptr);
+    let bp = b.map(<[f32]>::as_ptr);
+    let mut acc = [[_mm512_setzero_ps(); DOT_BLOCK]; DOT_BLOCK];
+    for q in 0..chunks {
+        let mut av = [_mm512_setzero_ps(); DOT_BLOCK];
+        let mut bv = [_mm512_setzero_ps(); DOT_BLOCK];
+        for ((va, pa), (vb, pb)) in av.iter_mut().zip(ap).zip(bv.iter_mut().zip(bp)) {
+            // SAFETY(bound: q*16 + 16 <= len <= every a[r].len() and b[s].len()):
+            // q < len/16 with `len` the shortest of the eight slices.
+            unsafe {
+                *va = _mm512_loadu_ps(pa.wrapping_add(q * 16));
+                *vb = _mm512_loadu_ps(pb.wrapping_add(q * 16));
+            }
+        }
+        for (accr, va) in acc.iter_mut().zip(av) {
+            for (acc_rs, vb) in accr.iter_mut().zip(bv) {
+                *acc_rs = _mm512_fmadd_ps(va, vb, *acc_rs);
+            }
+        }
+    }
+    let tail = chunks * 16;
+    let mut out = [[0.0f32; DOT_BLOCK]; DOT_BLOCK];
+    for ((out_r, acc_r), ar) in out.iter_mut().zip(acc).zip(a) {
+        for ((o, acc_rs), bs) in out_r.iter_mut().zip(acc_r).zip(b) {
+            let mut s = hsum16(acc_rs);
+            for (x, y) in ar.iter().skip(tail).zip(bs.iter().skip(tail)) {
+                s = x.mul_add(*y, s);
+            }
+            *o = s;
+        }
+    }
+    out
 }
 
 /// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
@@ -525,6 +569,16 @@ impl CpuBackend for Avx512 {
         // SAFETY(feature: avx512f): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_lanes(a, b) }
+    }
+
+    fn dot_lanes_4x4(
+        &self,
+        a: [&[f32]; DOT_BLOCK],
+        b: [&[f32]; DOT_BLOCK],
+    ) -> [[f32; DOT_BLOCK]; DOT_BLOCK] {
+        // SAFETY(feature: avx512f): detected by the dispatcher before this
+        // backend was handed out.
+        unsafe { dot_lanes_4x4(a, b) }
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {

@@ -1,9 +1,9 @@
 //! Runtime-dispatched CPU microkernel backends (DESIGN.md §4f).
 //!
 //! The hot inner loops of [`crate::matmul`] and [`crate::vecops`] — the
-//! GEMM register tile, the 16-lane dot kernel, the serial reductions and
-//! the element-wise chunk primitives — live behind the [`CpuBackend`]
-//! trait with three implementations:
+//! GEMM register tile, the 16-lane dot kernel and its 4×4 block, the
+//! serial reductions and the element-wise chunk primitives — live behind
+//! the [`CpuBackend`] trait with three implementations:
 //!
 //! * **scalar** — the portable kernels, extracted verbatim from the
 //!   pre-backend `matmul.rs`/`vecops.rs` code. Bitwise identical to the
@@ -33,7 +33,9 @@
 //!   correctly-rounded FMA chain plus one flush add; lane regrouping never
 //!   reorders a per-element chain), [`CpuBackend::dot_lanes`] (the
 //!   [`DOT_LANES`]-lane accumulator array and its binary combining tree
-//!   map exactly onto one 512-bit or two 256-bit registers), and every
+//!   map exactly onto one 512-bit or two 256-bit registers) and its
+//!   block form [`CpuBackend::dot_lanes_4x4`] (sixteen such chains side
+//!   by side, each entry bitwise the per-pair call), and every
 //!   element-wise primitive (`add_assign`, `scale_assign`,
 //!   `sq_dev_assign`, `scale_sqrt_assign`, `axpy_assign` — independent
 //!   per-coordinate op chains; the SIMD impls use separate mul/add, never
@@ -93,6 +95,9 @@ pub const WR: usize = 64;
 /// backends.
 pub const DOT_LANES: usize = 16;
 
+/// Rows and columns of one [`CpuBackend::dot_lanes_4x4`] block.
+pub const DOT_BLOCK: usize = 4;
+
 /// One CPU microkernel implementation. All methods are safe to call on
 /// any host *through the handles this module hands out* — an instance for
 /// an ISA is only ever constructed after feature detection succeeds.
@@ -134,8 +139,22 @@ pub trait CpuBackend: Send + Sync {
 
     /// Dot product over [`DOT_LANES`] independent FMA lanes with a fixed
     /// binary halving tree and a scalar FMA tail — bitwise identical
-    /// across backends (the row-dot kernel of `matmul_transpose_b`).
+    /// across backends (the row-dot kernel of `matmul_transpose_b`'s
+    /// leftover rows and columns).
     fn dot_lanes(&self, a: &[f32], b: &[f32]) -> f32;
+
+    /// A [`DOT_BLOCK`]×[`DOT_BLOCK`] block of [`CpuBackend::dot_lanes`]:
+    /// `out[r][s] = dot_lanes(a[r], b[s])`, every entry bitwise equal to
+    /// the per-pair call. Sixteen independent accumulators, each keeping
+    /// `dot_lanes`' exact lane chain, halving tree and FMA tail, so the
+    /// block is throughput-bound where one pair is latency-bound (the
+    /// register tile of `matmul_transpose_b`). All eight slices have the
+    /// same length.
+    fn dot_lanes_4x4(
+        &self,
+        a: [&[f32]; DOT_BLOCK],
+        b: [&[f32]; DOT_BLOCK],
+    ) -> [[f32; DOT_BLOCK]; DOT_BLOCK];
 
     /// Dot product. Scalar: the historical serial single-accumulator
     /// `Σ xᵢ·yᵢ`. Wide backends: fixed vector-lane accumulation —

@@ -5,7 +5,7 @@
 //! pre-refactor ones, and the autovectorizer is free to (and does)
 //! vectorize these fixed-order loops because none of them reassociates.
 
-use super::{CpuBackend, DOT_LANES, MR, WR};
+use super::{CpuBackend, DOT_BLOCK, DOT_LANES, MR, WR};
 
 /// The portable backend (unit struct; dispatched as `&'static dyn`).
 pub(super) struct Scalar;
@@ -152,6 +152,19 @@ impl CpuBackend for Scalar {
             s = a[t].mul_add(b[t], s);
         }
         s
+    }
+
+    /// The reference block: sixteen per-pair [`CpuBackend::dot_lanes`]
+    /// calls. The portable x86-64 build has no FMA instruction, so each
+    /// `mul_add` is a library call and register blocking would buy
+    /// nothing here; the wide backends block for real and are pinned to
+    /// this.
+    fn dot_lanes_4x4(
+        &self,
+        a: [&[f32]; DOT_BLOCK],
+        b: [&[f32]; DOT_BLOCK],
+    ) -> [[f32; DOT_BLOCK]; DOT_BLOCK] {
+        a.map(|ar| b.map(|bs| self.dot_lanes(ar, bs)))
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {

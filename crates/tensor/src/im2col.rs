@@ -36,11 +36,33 @@ pub fn conv_out_dim(
     Ok((padded - kernel) / stride + 1)
 }
 
+/// Output positions `[lo, hi)` of one kernel tap whose input index
+/// `o·stride + tap − pad` lies inside `0..len`, clamped to `0..out`.
+/// Outside the range the tap samples padding.
+fn valid_range(len: usize, out: usize, tap: usize, stride: usize, pad: usize) -> (usize, usize) {
+    let lo = pad.saturating_sub(tap).div_ceil(stride).min(out);
+    let hi = (len + pad)
+        .saturating_sub(tap)
+        .div_ceil(stride)
+        .clamp(lo, out);
+    (lo, hi)
+}
+
+/// Channel and kernel offsets `(c, ky, kx)` of column-matrix row `tap`.
+fn tap_coords(tap: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
+    (tap / (kh * kw), tap / kw % kh, tap % kw)
+}
+
 /// Unfolds one `[C, H, W]` image (flat slice) into column-major patches.
 ///
 /// The output buffer `col` has layout `[C*KH*KW, OH*OW]` row-major: row
 /// `(c*KH + kh)*KW + kw` holds, for each output position, the input pixel
 /// that the kernel tap `(c, kh, kw)` sees (0 where padding is sampled).
+///
+/// Lowering is a copy: per tap, the output rows and columns whose input
+/// lies inside the image are computed once, the rest is zero-filled, and
+/// each inside row is one `copy_from_slice` (stride 1) or one strided
+/// gather (stride > 1). Every element of `col` is written.
 ///
 /// # Panics
 ///
@@ -61,31 +83,31 @@ pub fn im2col(
     let ow = (w + 2 * pad - kw) / stride + 1;
     debug_assert_eq!(img.len(), c * h * w);
     debug_assert_eq!(col.len(), c * kh * kw * oh * ow);
-    let out_area = oh * ow;
-    for ch in 0..c {
-        let img_ch = &img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = ((ch * kh + ky) * kw + kx) * out_area;
-                let col_row = &mut col[row..row + out_area];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    let dst = &mut col_row[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        for v in dst.iter_mut() {
-                            *v = 0.0;
-                        }
-                        continue;
-                    }
-                    let src_row = &img_ch[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, v) in dst.iter_mut().enumerate() {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        *v = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
-                    }
+    for (tap, col_row) in col.chunks_exact_mut(oh * ow).enumerate() {
+        let (ch, ky, kx) = tap_coords(tap, kh, kw);
+        let img_ch = img.get(ch * h * w..(ch + 1) * h * w).unwrap_or(&[]);
+        let (y_lo, y_hi) = valid_range(h, oh, ky, stride, pad);
+        let (x_lo, x_hi) = valid_range(w, ow, kx, stride, pad);
+        let ix0 = (x_lo * stride + kx).saturating_sub(pad);
+        for (oy, dst) in col_row.chunks_exact_mut(ow).enumerate() {
+            let iy = (oy * stride + ky).saturating_sub(pad);
+            let src = img_ch.get(iy * w + ix0..(iy + 1) * w).unwrap_or(&[]);
+            let (lo, hi) = if (y_lo..y_hi).contains(&oy) {
+                (x_lo, x_hi)
+            } else {
+                (ow, ow)
+            };
+            let (head, rest) = dst.split_at_mut(lo);
+            head.fill(0.0);
+            let (body, tail) = rest.split_at_mut(hi - lo);
+            tail.fill(0.0);
+            if stride == 1 {
+                if let Some(src) = src.get(..body.len()) {
+                    body.copy_from_slice(src);
+                }
+            } else {
+                for (d, s) in body.iter_mut().zip(src.iter().step_by(stride)) {
+                    *d = *s;
                 }
             }
         }
@@ -94,6 +116,12 @@ pub fn im2col(
 
 /// Adjoint of [`im2col`]: folds patch-space gradients back into image space,
 /// accumulating into `img` (caller usually passes a zeroed buffer).
+///
+/// Per tap and inside output row, the columns whose input lies inside the
+/// image are added as one slice `+=` (strided for stride > 1); padding
+/// columns are skipped without a per-element test. Each image element
+/// receives its additions in `(c, ky, kx, oy)` order, the order of the
+/// per-element loop this replaced, so results are bitwise unchanged.
 ///
 /// # Panics
 ///
@@ -114,26 +142,27 @@ pub fn col2im(
     let ow = (w + 2 * pad - kw) / stride + 1;
     debug_assert_eq!(img.len(), c * h * w);
     debug_assert_eq!(col.len(), c * kh * kw * oh * ow);
-    let out_area = oh * ow;
-    for ch in 0..c {
-        let img_ch = &mut img[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = ((ch * kh + ky) * kw + kx) * out_area;
-                let col_row = &col[row..row + out_area];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src = &col_row[oy * ow..(oy + 1) * ow];
-                    let dst_row = &mut img_ch[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, &v) in src.iter().enumerate() {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst_row[ix as usize] += v;
-                        }
-                    }
+    for (tap, col_row) in col.chunks_exact(oh * ow).enumerate() {
+        let (ch, ky, kx) = tap_coords(tap, kh, kw);
+        let Some(img_ch) = img.get_mut(ch * h * w..(ch + 1) * h * w) else {
+            continue;
+        };
+        let (y_lo, y_hi) = valid_range(h, oh, ky, stride, pad);
+        let (x_lo, x_hi) = valid_range(w, ow, kx, stride, pad);
+        let ix0 = (x_lo * stride + kx).saturating_sub(pad);
+        for (oy, src) in col_row.chunks_exact(ow).enumerate().take(y_hi).skip(y_lo) {
+            let iy = (oy * stride + ky).saturating_sub(pad);
+            let src = src.get(x_lo..x_hi).unwrap_or(&[]);
+            let dst = img_ch
+                .get_mut(iy * w + ix0..(iy + 1) * w)
+                .unwrap_or(&mut []);
+            if stride == 1 {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d += *s;
+                }
+            } else {
+                for (d, s) in dst.iter_mut().step_by(stride).zip(src) {
+                    *d += *s;
                 }
             }
         }

@@ -19,7 +19,8 @@
 //! `crates/tensor/src/proptests.rs`.
 //!
 //! The register tile itself ([`CpuBackend::gemm_tile`]) and the row-dot
-//! kernel ([`CpuBackend::dot_lanes`]) are provided by the active
+//! kernels ([`CpuBackend::dot_lanes`] and its 4×4 block
+//! [`CpuBackend::dot_lanes_4x4`]) are provided by the active
 //! [`crate::backend`]; because each output element's chain is independent
 //! and every backend uses correctly-rounded FMAs in the same ascending-`p`
 //! order, GEMM results are bitwise identical across scalar, AVX2, and
@@ -35,7 +36,7 @@
 //! vectorization and only helped on the mostly-zero one-hot matrices that
 //! no hot path multiplies today).
 
-use crate::backend::{self, CpuBackend, MR};
+use crate::backend::{self, CpuBackend, DOT_BLOCK, MR};
 use crate::scratch::{scratch_f32, Purpose, ScratchBuf};
 use crate::{par, Tensor, TensorError};
 
@@ -233,10 +234,14 @@ fn kernel_transpose_a(
 }
 
 /// Computes `c_rows += a_rows · bᵀ` (`b` stored `n×k`): row-against-row dot
-/// products via [`CpuBackend::dot_lanes`] (the fixed 16-lane reduction
-/// tree — identical across backends). Both operands stream contiguously,
-/// so no `k`-tiling is needed; `j` is tiled to keep the active `b` rows
-/// L2-resident across the row block.
+/// products, four rows against four columns at a time through
+/// [`CpuBackend::dot_lanes_4x4`], the leftover rows and columns through
+/// [`CpuBackend::dot_lanes`]. Each entry of the block is bitwise the
+/// per-pair `dot_lanes` (the fixed 16-lane reduction tree — identical
+/// across backends), and every output element gets exactly one `+=`, so
+/// the blocking never shows in the result. Both operands stream
+/// contiguously, so no `k`-tiling is needed; `j` is tiled (in whole
+/// blocks) to keep the active `b` rows L2-resident across the row block.
 #[allow(clippy::too_many_arguments)]
 fn kernel_transpose_b(
     be: &dyn CpuBackend,
@@ -249,14 +254,38 @@ fn kernel_transpose_b(
     n: usize,
 ) {
     debug_assert_eq!(c_rows.len(), rows * n);
-    let jc = (NC * KC / k.max(1)).max(8);
+    const B: usize = DOT_BLOCK;
+    let jc = (NC * KC / k.max(1)).max(2 * B) / B * B;
+    let a_row = |i: usize| a.get((row0 + i) * k..(row0 + i + 1) * k).unwrap_or(&[]);
+    let b_row = |j: usize| b.get(j * k..(j + 1) * k).unwrap_or(&[]);
+    let mut add_to = |i: usize, j: usize, v: f32| {
+        if let Some(c_v) = c_rows.get_mut(i * n + j) {
+            *c_v += v;
+        }
+    };
+    let full_rows = rows / B * B;
     for jb in (0..n).step_by(jc) {
         let je = (jb + jc).min(n);
-        for i in 0..rows {
-            let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            let c_row = &mut c_rows[i * n + jb..i * n + je];
-            for (j, c_v) in (jb..je).zip(c_row.iter_mut()) {
-                *c_v += be.dot_lanes(a_row, &b[j * k..(j + 1) * k]);
+        let full_je = jb + (je - jb) / B * B;
+        for i in (0..full_rows).step_by(B) {
+            let a4: [&[f32]; B] = std::array::from_fn(|r| a_row(i + r));
+            for j in (jb..full_je).step_by(B) {
+                let block = be.dot_lanes_4x4(a4, std::array::from_fn(|s| b_row(j + s)));
+                for (r, vals) in block.into_iter().enumerate() {
+                    for (s, v) in vals.into_iter().enumerate() {
+                        add_to(i + r, j + s, v);
+                    }
+                }
+            }
+            for j in full_je..je {
+                for (r, ar) in a4.into_iter().enumerate() {
+                    add_to(i + r, j, be.dot_lanes(ar, b_row(j)));
+                }
+            }
+        }
+        for i in full_rows..rows {
+            for j in jb..je {
+                add_to(i, j, be.dot_lanes(a_row(i), b_row(j)));
             }
         }
     }
@@ -359,7 +388,9 @@ pub fn matmul_transpose_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
         kernel_transpose_b(be, a, b, c, 0, m, k, n);
         return;
     }
-    let rows = rows_per_chunk(m);
+    // Whole 4-row blocks per chunk, so a split never leaves a row block
+    // to the per-pair remainder path (the values are the same either way).
+    let rows = rows_per_chunk(m).next_multiple_of(DOT_BLOCK);
     par::for_each_chunk_mut(c, rows * n, |chunk, c_rows| {
         let row0 = chunk * rows;
         kernel_transpose_b(be, a, b, c_rows, row0, c_rows.len() / n, k, n);

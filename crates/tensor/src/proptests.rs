@@ -180,6 +180,157 @@ proptest! {
     }
 }
 
+/// The per-element lowering the per-tap `im2col`/`col2im` replaced: one
+/// bounds test per element, in `(c, ky, kx, oy, ox)` order. Kept as the
+/// bitwise reference for the production kernels.
+mod lowering_reference {
+    use super::*;
+
+    #[allow(clippy::too_many_arguments)]
+    fn ref_im2col(
+        img: &[f32],
+        col: &mut [f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) {
+        let oh = (h + 2 * pad - kh) / stride + 1;
+        let ow = (w + 2 * pad - kw) / stride + 1;
+        let out_area = oh * ow;
+        for ch in 0..c {
+            let img_ch = &img[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ch * kh + ky) * kw + kx) * out_area;
+                    let col_row = &mut col[row..row + out_area];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        let dst = &mut col_row[oy * ow..(oy + 1) * ow];
+                        if iy < 0 || iy >= h as isize {
+                            for v in dst.iter_mut() {
+                                *v = 0.0;
+                            }
+                            continue;
+                        }
+                        let src_row = &img_ch[iy as usize * w..(iy as usize + 1) * w];
+                        for (ox, v) in dst.iter_mut().enumerate() {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            *v = if ix < 0 || ix >= w as isize {
+                                0.0
+                            } else {
+                                src_row[ix as usize]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn ref_col2im(
+        col: &[f32],
+        img: &mut [f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) {
+        let oh = (h + 2 * pad - kh) / stride + 1;
+        let ow = (w + 2 * pad - kw) / stride + 1;
+        let out_area = oh * ow;
+        for ch in 0..c {
+            let img_ch = &mut img[ch * h * w..(ch + 1) * h * w];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let row = ((ch * kh + ky) * kw + kx) * out_area;
+                    let col_row = &col[row..row + out_area];
+                    for oy in 0..oh {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let src = &col_row[oy * ow..(oy + 1) * ow];
+                        let dst_row = &mut img_ch[iy as usize * w..(iy as usize + 1) * w];
+                        for (ox, &v) in src.iter().enumerate() {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix >= 0 && ix < w as isize {
+                                dst_row[ix as usize] += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Values spread over seven decades, so a reordered addition shows
+    /// in the low bits.
+    fn mixed(seed: u64, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let x = ((i as f32 + seed as f32) * 0.73).sin();
+                x * 10f32.powi((i % 7) as i32 - 3)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The per-tap `im2col` writes every cell of a NaN-prefilled
+        /// output, each with the reference's bits.
+        #[test]
+        fn im2col_matches_per_element_reference_bitwise(
+            c in 1usize..4, h in 1usize..10, w in 1usize..10,
+            kh in 1usize..6, kw in 1usize..6, stride in 1usize..4,
+            pad in 0usize..3, seed in 0u64..1000
+        ) {
+            let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
+            let oh = conv_out_dim(h, kh, stride, pad).unwrap();
+            let ow = conv_out_dim(w, kw, stride, pad).unwrap();
+            let img = mixed(seed, c * h * w);
+            let n_col = c * kh * kw * oh * ow;
+            let mut want = vec![0.0f32; n_col];
+            ref_im2col(&img, &mut want, c, h, w, kh, kw, stride, pad);
+            let mut got = vec![f32::NAN; n_col];
+            im2col(&img, &mut got, c, h, w, kh, kw, stride, pad);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+
+        /// The per-tap `col2im` accumulates into a non-zero image with the
+        /// reference's bits: each element's additions keep their order.
+        #[test]
+        fn col2im_matches_per_element_reference_bitwise(
+            c in 1usize..4, h in 1usize..10, w in 1usize..10,
+            kh in 1usize..6, kw in 1usize..6, stride in 1usize..4,
+            pad in 0usize..3, seed in 0u64..1000
+        ) {
+            let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
+            let oh = conv_out_dim(h, kh, stride, pad).unwrap();
+            let ow = conv_out_dim(w, kw, stride, pad).unwrap();
+            let col = mixed(seed, c * kh * kw * oh * ow);
+            let base = mixed(seed ^ 0x5EED, c * h * w);
+            let mut want = base.clone();
+            ref_col2im(&col, &mut want, c, h, w, kh, kw, stride, pad);
+            let mut got = base;
+            col2im(&col, &mut got, c, h, w, kh, kw, stride, pad);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+}
+
 /// Bitwise equivalence of the parallel kernels and their serial references.
 ///
 /// The public entry points only fan out above their work thresholds, so
@@ -400,6 +551,26 @@ mod parallel_equivalence {
         }
 
         #[test]
+        fn backend_dot_lanes_4x4_is_bitwise_per_pair_across_backends(
+            d in 0usize..100, seed in 0u64..1_000_000
+        ) {
+            use crate::backend::{self, Kind, ALL_KINDS};
+            let rows: Vec<Vec<f32>> = (0..8u64).map(|r| fill(seed ^ r, d)).collect();
+            let a: [&[f32]; 4] = std::array::from_fn(|r| rows[r].as_slice());
+            let b: [&[f32]; 4] = std::array::from_fn(|s| rows[4 + s].as_slice());
+            let scalar = backend::instance(Kind::Scalar);
+            let want = a.map(|ar| b.map(|bs| scalar.dot_lanes(ar, bs).to_bits()));
+            for kind in ALL_KINDS {
+                if !kind.supported() {
+                    continue;
+                }
+                let be = backend::instance(kind);
+                let got = be.dot_lanes_4x4(a, b).map(|row| row.map(f32::to_bits));
+                prop_assert_eq!(got, want, "backend {}", be.name());
+            }
+        }
+
+        #[test]
         fn backend_elementwise_primitives_are_bitwise_identical(
             d in 1usize..70, seed in 0u64..1_000_000, alpha in -2.0f32..2.0
         ) {
@@ -502,6 +673,62 @@ mod parallel_equivalence {
             let ser_d = vecops::pairwise_sq_distances_serial(&refs);
             for (rp, rs) in par_d.iter().zip(&ser_d) {
                 prop_assert_eq!(bits(rp), bits(rs));
+            }
+        }
+    }
+
+    /// Inputs for the block-versus-pair test: finite values with every
+    /// fifth element subnormal, plus `+inf` in row 1 and `-inf` in row 2
+    /// (from `k = 1` on), so the `inf·x`, `inf − inf` and NaN paths run.
+    fn special(seed: u64, rows: usize, k: usize, inf_row: usize, inf: f32) -> Vec<f32> {
+        let mut v = fill(seed, rows * k);
+        for (p, x) in v.iter_mut().enumerate() {
+            if p % 5 == 3 {
+                *x = f32::from_bits(1 + (p as u32 % 0x7F_FFFF)) * x.signum();
+            }
+        }
+        if let Some(x) = v
+            .get_mut(inf_row * k + k / 2)
+            .filter(|_| inf_row < rows && k > 0)
+        {
+            *x = inf;
+        }
+        v
+    }
+
+    /// `matmul_transpose_b` (4×4 `dot_lanes_4x4` blocks plus per-pair
+    /// remainders) equals one `dot_lanes` per output element added to
+    /// `c`, bit for bit, for every m, n in 1..=9 (full blocks, partial
+    /// blocks and remainders), at lengths around the 16-lane chunk, with
+    /// subnormal and infinite inputs, at thread budgets 1, 2 and 7.
+    #[test]
+    fn matmul_transpose_b_is_bitwise_per_pair_dot_lanes() {
+        let be = crate::backend::active();
+        for k in [0usize, 1, 15, 16, 17, 33, 1024] {
+            for m in 1usize..=9 {
+                for n in 1usize..=9 {
+                    let seed = (k * 100 + m * 10 + n) as u64;
+                    let a = special(seed, m, k, 1, f32::INFINITY);
+                    let b = special(seed ^ 0xB, n, k, 2, f32::NEG_INFINITY);
+                    let c0 = fill(seed ^ 0xC, m * n);
+                    let mut want = c0.clone();
+                    for i in 0..m {
+                        for j in 0..n {
+                            want[i * n + j] +=
+                                be.dot_lanes(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                        }
+                    }
+                    for threads in [1usize, 2, 7] {
+                        let mut got = c0.clone();
+                        with_threads(threads, || matmul_transpose_b(&a, &b, &mut got, m, k, n));
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "m={m} n={n} k={k} threads={threads} backend {}",
+                            be.name()
+                        );
+                    }
+                }
             }
         }
     }

@@ -104,15 +104,34 @@ fn hot_kernels_are_allocation_free_once_warm() {
         matmul_transpose_b(&a, &bt, &mut c, m, k, n);
     });
 
-    let (ch, h, w, kk, stride, pad) = (3usize, 9usize, 9usize, 3usize, 1usize, 1usize);
+    // The 4×4 `dot_lanes` block behind `matmul_transpose_b`, called
+    // directly on the active backend.
+    let be = fabflip_tensor::backend::active();
+    let a4: [&[f32]; 4] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let b4: [&[f32]; 4] = std::array::from_fn(|s| &bt[s * k..(s + 1) * k]);
+    let mut tile_sink = 0.0f32;
+    assert_steady_state_alloc_free("CpuBackend::dot_lanes_4x4", || {
+        tile_sink += be.dot_lanes_4x4(a4, b4)[3][3];
+    });
+    assert!(tile_sink.is_finite());
+
+    // Stride 1 (the copy path) and stride 2 (the strided gather), each
+    // with padding so the zero-filled columns run too.
+    let (ch, h, w, kk, pad) = (3usize, 9usize, 9usize, 3usize, 1usize);
     let img: Vec<f32> = (0..ch * h * w).map(|i| i as f32 * 0.01).collect();
     let mut col = vec![0.0f32; ch * kk * kk * h * w];
     let mut back = vec![0.0f32; ch * h * w];
-    assert_steady_state_alloc_free("im2col/col2im", || {
-        im2col(&img, &mut col, ch, h, w, kk, kk, stride, pad);
-        back.iter_mut().for_each(|v| *v = 0.0);
-        col2im(&col, &mut back, ch, h, w, kk, kk, stride, pad);
-    });
+    for stride in [1usize, 2] {
+        let oh = (h + 2 * pad - kk) / stride + 1;
+        let col = &mut col[..ch * kk * kk * oh * oh];
+        assert_steady_state_alloc_free("im2col", || {
+            im2col(&img, col, ch, h, w, kk, kk, stride, pad);
+        });
+        assert_steady_state_alloc_free("col2im", || {
+            back.iter_mut().for_each(|v| *v = 0.0);
+            col2im(col, &mut back, ch, h, w, kk, kk, stride, pad);
+        });
+    }
 
     let d = 257;
     let n_up = 9;

@@ -212,6 +212,41 @@ fn dot_lanes_bitwise_identical_across_backends() {
     }
 }
 
+/// `dot_lanes_4x4` is sixteen `dot_lanes` chains side by side: on every
+/// backend each block entry is bitwise that backend's per-pair
+/// `dot_lanes`, hence (by the test above) the scalar one. Lengths cover
+/// the empty, tail-only, exact-chunk and chunk-plus-tail cases; the rows
+/// mix subnormals and one infinity so those paths run too.
+#[test]
+fn dot_lanes_4x4_is_bitwise_per_pair_dot_lanes_across_backends() {
+    let scalar = backend::instance(Kind::Scalar);
+    for d in [0usize, 1, 3, 15, 16, 17, 31, 32, 300, 4099] {
+        let rows: Vec<Vec<f32>> = (0..8)
+            .map(|r| {
+                let mut v = fill(110 + r + d as u64, d);
+                for (p, x) in v.iter_mut().enumerate().filter(|(p, _)| p % 7 == 2) {
+                    *x = f32::from_bits(1 + p as u32) * x.signum();
+                }
+                if r == 5 && d > 0 {
+                    v[d / 2] = f32::INFINITY;
+                }
+                v
+            })
+            .collect();
+        let a: [&[f32]; 4] = std::array::from_fn(|r| rows[r].as_slice());
+        let b: [&[f32]; 4] = std::array::from_fn(|s| rows[4 + s].as_slice());
+        let want = a.map(|ar| b.map(|bs| scalar.dot_lanes(ar, bs).to_bits()));
+        for kind in ALL_KINDS {
+            if !kind.supported() {
+                continue;
+            }
+            let be = backend::instance(kind);
+            let got = be.dot_lanes_4x4(a, b).map(|row| row.map(f32::to_bits));
+            assert_eq!(got, want, "dot_lanes_4x4 d={d} backend {}", be.name());
+        }
+    }
+}
+
 /// The elementwise `*_assign` kernels are bitwise identical across
 /// backends: each output coordinate is an independent mul/add/sqrt chain
 /// with no reassociation, so SIMD lanes compute exactly the scalar FLOPs.
