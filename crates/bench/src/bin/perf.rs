@@ -20,15 +20,18 @@
 //!
 //! The full run also reports the per-backend GEMM section (every
 //! supported `fabflip_tensor::backend` at 256/1024), backend × thread
-//! GEMM scaling, and the per-backend `vecops` reduction microbench at
-//! d = 256/4096/65536 (DESIGN.md §4f).
+//! GEMM scaling, the per-backend `vecops` reduction microbench at
+//! d = 256/4096/65536 (DESIGN.md §4f), and the checkpoint layer
+//! (`checkpoint`: encode, checksum and durable save of the serve
+//! deployment's write-ahead checkpoint, DESIGN.md §4d).
 //!
 //! `--smoke` runs the dispatch microbench with a reduced dispatch count
-//! plus a reduced n-sweep (n = 50/500) and the Krum distance-tile and
-//! conv weight-gradient tile ratio gates, does not write
-//! `BENCH_kernels.json`, and exits non-zero when the pool is not
-//! measurably faster than per-dispatch spawning, the streaming path
-//! diverges from batch FedAvg, blocked `krum_scores` or the tiled
+//! plus a reduced n-sweep (n = 50/500), the Krum distance-tile and
+//! conv weight-gradient tile ratio gates and a checkpoint round trip,
+//! does not write `BENCH_kernels.json`, and exits non-zero when the pool
+//! is not measurably faster than per-dispatch spawning, the streaming
+//! path diverges from batch FedAvg, a k = 40 checkpoint does not survive
+//! `save` → `load` bit for bit, blocked `krum_scores` or the tiled
 //! `matmul_transpose_b` is not bitwise equal to (or not enough faster
 //! than) its per-pair reference, or (on
 //! SIMD-capable hosts) the detected backend's 1024³ GEMM falls below the
@@ -42,7 +45,8 @@ use fabflip_agg::{
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
-use fabflip_fl::{Codec, TaskKind};
+use fabflip_fl::checkpoint::{self, Checkpoint, InflightSubmission};
+use fabflip_fl::{Codec, FlConfig, RoundRecord, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
@@ -225,8 +229,11 @@ fn bench_matmul_threads() -> Vec<Value> {
 /// Reduction microbench: `dot`/`l2_norm` and their fused delta forms per
 /// backend at paper-relevant vector lengths (a conv layer's filter bank,
 /// a small model, a Cifar-scale model slice).
-fn bench_vecops_reduce() -> Vec<Value> {
+/// Also returns the detected backend's `l2_norm` GB/s at the largest `d`:
+/// the host's streaming-read ceiling.
+fn bench_vecops_reduce() -> (Vec<Value>, f64) {
     let mut rows = Vec::new();
+    let mut stream_gbps = f64::NAN;
     for &d in &[256usize, 4_096, 65_536] {
         let mut rng = StdRng::seed_from_u64(9 + d as u64);
         let x: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -271,6 +278,9 @@ fn bench_vecops_reduce() -> Vec<Value> {
                 gbps(t_dotd, 3.0),
                 gbps(t_l2d, 2.0),
             );
+            if kind == backend::active_kind() {
+                stream_gbps = gbps(t_l2, 1.0);
+            }
             rows.push(serde_json::json!({
                 "backend": kind.name(),
                 "d": d as u64,
@@ -282,7 +292,7 @@ fn bench_vecops_reduce() -> Vec<Value> {
         }
         assert!(sink.is_finite());
     }
-    rows
+    (rows, stream_gbps)
 }
 
 /// One sample's conv lowering and GEMMs at `[cin, hw, hw] → [cout, hw,
@@ -696,6 +706,124 @@ fn conv_gate() -> bool {
     bitwise && fast
 }
 
+/// Model dimension of the Fashion MLP the serve deployment checkpoints.
+const CKPT_DIM: usize = 9_098;
+
+/// The serve engine's write-ahead checkpoint after ten closed rounds with
+/// `k` submissions of the open round in flight, at [`CKPT_DIM`].
+fn wal_checkpoint(cfg: &FlConfig, k: usize) -> Checkpoint {
+    let mut rng = StdRng::seed_from_u64(41 + k as u64);
+    let mut words = || -> Vec<u32> {
+        (0..CKPT_DIM)
+            .map(|_| rng.gen_range(-1.0f32..1.0).to_bits())
+            .collect()
+    };
+    Checkpoint {
+        version: checkpoint::CHECKPOINT_VERSION,
+        fingerprint: checkpoint::fingerprint(cfg),
+        next_round: 10,
+        global_bits: words(),
+        prev_global_bits: Some(words()),
+        rounds: (0..10)
+            .map(|round| RoundRecord {
+                round,
+                accuracy: 0.5,
+                ..RoundRecord::default()
+            })
+            .collect(),
+        pending: Vec::new(),
+        attack_state: Vec::new(),
+        inflight: (0..k)
+            .map(|seq| InflightSubmission {
+                seq: seq as u32,
+                client: seq,
+                malicious: seq % 5 == 0,
+                weight_bits: 1.0f32.to_bits(),
+                payload_bits: words(),
+            })
+            .collect(),
+        inflight_meta: vec![k as u64, 0, 0, 0, 0],
+        checksum: 0,
+    }
+    .seal()
+}
+
+fn ckpt_cfg() -> FlConfig {
+    FlConfig::builder(TaskKind::Fashion).rounds(20).build()
+}
+
+fn ckpt_scratch_dir() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("fabflip-perf-ckpt-{}", std::process::id()))
+}
+
+/// The checkpoint layer at the serve deployment's shape: `encode`,
+/// `body_checksum` and the full durable `save` (one write, two fsyncs,
+/// two renames) for k = 0, 20 and 40 in-flight submissions, in ms and
+/// MB/s, next to the host's streaming-read ceiling (`vecops` `l2_norm`
+/// GB/s at the largest `d` on the detected backend).
+fn bench_checkpoint(ceiling_gbps: f64) -> Value {
+    let cfg = ckpt_cfg();
+    let dir = ckpt_scratch_dir();
+    let mut rows = Vec::new();
+    for k in [0usize, 20, 40] {
+        let c = wal_checkpoint(&cfg, k);
+        let bytes = checkpoint::encode(&c).len();
+        let t_encode = time_best(5, || {
+            std::hint::black_box(checkpoint::encode(&c));
+        });
+        let t_checksum = time_best(5, || {
+            std::hint::black_box(c.body_checksum());
+        });
+        let t_save = time_best(5, || {
+            checkpoint::save(&dir, &c).expect("checkpoint save");
+        });
+        let mbps = |t: f64| bytes as f64 / t / 1e6;
+        println!(
+            "checkpoint k={k} ({:.2} MB): encode {:.3} ms ({:.0} MB/s), checksum {:.3} ms \
+             ({:.0} MB/s), save {:.3} ms ({:.0} MB/s); streaming ceiling {ceiling_gbps:.1} GB/s",
+            bytes as f64 / 1e6,
+            t_encode * 1e3,
+            mbps(t_encode),
+            t_checksum * 1e3,
+            mbps(t_checksum),
+            t_save * 1e3,
+            mbps(t_save),
+        );
+        rows.push(serde_json::json!({
+            "k": k as u64,
+            "d": CKPT_DIM as u64,
+            "bytes": bytes as u64,
+            "encode_ms": t_encode * 1e3,
+            "encode_mbps": mbps(t_encode),
+            "checksum_ms": t_checksum * 1e3,
+            "checksum_mbps": mbps(t_checksum),
+            "save_ms": t_save * 1e3,
+            "save_mbps": mbps(t_save),
+        }));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    serde_json::json!({
+        "streaming_ceiling_gbps": ceiling_gbps,
+        "saves": rows,
+    })
+}
+
+/// Smoke check: a k = 40 serve checkpoint survives `save` → `load` bit
+/// for bit.
+fn checkpoint_gate() -> bool {
+    let cfg = ckpt_cfg();
+    let dir = ckpt_scratch_dir();
+    let c = wal_checkpoint(&cfg, 40);
+    let ok = checkpoint::save(&dir, &c).is_ok() && checkpoint::load(&dir, &cfg) == Some(c);
+    std::fs::remove_dir_all(&dir).ok();
+    if ok {
+        println!("checkpoint gate: k=40 save -> load round-trips bitwise");
+    } else {
+        eprintln!("FAIL: a k=40 checkpoint does not round-trip through save -> load");
+    }
+    ok
+}
+
 /// The §4e n-sweep: per-rule seconds and resident aggregation bytes as
 /// the cohort grows at fixed `d`. The mean family streams (resident
 /// O(shards·d), measured from the live aggregator); the quadratic selection
@@ -998,7 +1126,8 @@ fn main() {
         }
         let _ = bench_n_sweep(true);
         let krum_ok = krum_gate();
-        if !(conv_gate() && krum_ok) {
+        let conv_ok = conv_gate();
+        if !(checkpoint_gate() && conv_ok && krum_ok) {
             std::process::exit(1);
         }
         // SIMD-dispatch gate (DESIGN.md §4f): on hosts where CPUID finds
@@ -1038,7 +1167,8 @@ fn main() {
     let (matmul_backends, _) = bench_matmul_backends(&[256, 1024]);
     let (matmul_rows, speedup_1024) = bench_matmul(&[256, 512, 1024]);
     let matmul_threads = bench_matmul_threads();
-    let vecops_reduce = bench_vecops_reduce();
+    let (vecops_reduce, stream_gbps) = bench_vecops_reduce();
+    let checkpoint = bench_checkpoint(stream_gbps);
     let conv = bench_conv();
     let agg = bench_aggregation(50, 100_000);
     let n_sweep = bench_n_sweep(false);
@@ -1053,6 +1183,7 @@ fn main() {
         "matmul_threads": matmul_threads,
         "vecops_reduce": vecops_reduce,
         "conv": conv,
+        "checkpoint": checkpoint,
         "aggregation": agg,
         "n_sweep": n_sweep,
         "dispatch": dispatch,

@@ -260,7 +260,7 @@ proptest! {
 }
 
 /// Satellite 4 (end-to-end): corrupting the newest checkpoint falls back
-/// to `*.prev.json`; corrupting both restarts from round 0 — and in every
+/// to `*.prev.bin`; corrupting both restarts from round 0 — and in every
 /// case the final transcript is still bitwise identical, just recomputed
 /// from further back. Atomic writes leave no temp litter.
 #[test]
@@ -274,7 +274,7 @@ fn corrupt_checkpoints_degrade_to_recomputation_not_garbage() {
     short.rounds = 2;
     simulate_with(&short, Some(&spec), |_| {}).unwrap();
     let path = path_for(&dir, &fingerprint(&cfg));
-    let prev = path.with_extension("prev.json");
+    let prev = path.with_extension("prev.bin");
     assert!(path.exists(), "current checkpoint written");
     assert!(prev.exists(), "previous checkpoint retained");
     let no_tmp = std::fs::read_dir(&dir)
@@ -285,8 +285,8 @@ fn corrupt_checkpoints_degrade_to_recomputation_not_garbage() {
 
     // Truncate the newest file: the round-1 prev checkpoint takes over,
     // rounds 1 and 2 are recomputed, and the result still matches.
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &text[..text.len() / 3]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
     let mut replayed = Vec::new();
     let resumed = simulate_with(&cfg, Some(&spec), |r| replayed.push(r.round)).unwrap();
     assert_eq!(replayed, vec![1, 2], "resume fell back to the prev file");

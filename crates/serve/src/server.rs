@@ -11,10 +11,12 @@
 //!
 //! * **Durability before acknowledgement** — a submission is answered
 //!   `Accepted` only after it is in the persisted checkpoint's in-flight
-//!   log. A crash between enqueue and persist loses only submissions the
-//!   client still owns (it never saw `Accepted`) and will retry; a crash
-//!   after persist makes the retry a `Duplicate`. Either way the final
-//!   log — sorted by canonical sequence number — is identical.
+//!   log (written and fsynced, file and directory, so the answer
+//!   survives an OS crash as well as a process kill). A crash between
+//!   enqueue and persist loses only submissions the client still owns
+//!   (it never saw `Accepted`) and will retry; a crash after persist
+//!   makes the retry a `Duplicate`. Either way the final log — sorted by
+//!   canonical sequence number — is identical.
 //! * **Bounded queues, explicit backpressure** — the handler→engine
 //!   submission queue is bounded; when full, handlers answer `BUSY` with
 //!   a retry hint instead of queueing unboundedly. The accept side is
@@ -64,7 +66,15 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-impl std::error::Error for ServeError {}
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ServeError::Config(_) => None,
+            ServeError::Io(e) => Some(e),
+            ServeError::Fl(e) => Some(e),
+        }
+    }
+}
 
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> ServeError {
@@ -208,7 +218,8 @@ struct Engine {
     quarantined: usize,
     deadline_at: Option<Instant>,
     done: bool,
-    fatal: Option<String>,
+    /// The error that stopped the engine, as the round close raised it.
+    fatal: Option<FlError>,
 }
 
 impl Engine {
@@ -357,7 +368,7 @@ impl ServeHandle {
         }
         let st = self.inner.lock();
         match &st.fatal {
-            Some(m) => Err(ServeError::Fl(FlError::Checkpoint(m.clone()))),
+            Some(e) => Err(ServeError::Fl(e.clone())),
             None => Ok(st.rounds.clone()),
         }
     }
@@ -725,7 +736,7 @@ fn engine_loop(inner: &Arc<Inner>) {
             if let Some(m) = st.meta {
                 if st.log.len() >= m.expected as usize {
                     if let Err(e) = st.close_round(false) {
-                        st.fatal = Some(e.to_string());
+                        st.fatal = Some(e);
                         inner.request_stop();
                         return;
                     }
@@ -738,7 +749,7 @@ fn engine_loop(inner: &Arc<Inner>) {
                     // Deadline fired with a short (or unannounced)
                     // cohort: close degraded over what was delivered.
                     if let Err(e) = st.close_round(true) {
-                        st.fatal = Some(e.to_string());
+                        st.fatal = Some(e);
                         inner.request_stop();
                         return;
                     }

@@ -4,7 +4,7 @@
 //! degradation of short cohorts, and client BUSY backpressure handling.
 
 use fabflip_agg::DefenseKind;
-use fabflip_fl::{checkpoint, simulate, AttackSpec, Codec, FlConfig, RunResult, TaskKind};
+use fabflip_fl::{checkpoint, simulate, AttackSpec, Codec, FlConfig, FlError, RunResult, TaskKind};
 use fabflip_serve::chaos::{ChaosProfile, ChaosProxy};
 use fabflip_serve::client::{RetryPolicy, ServeClient};
 use fabflip_serve::loadgen::{run_load, LoadGenOptions};
@@ -207,6 +207,33 @@ fn deadline_closes_short_cohorts_degraded() {
         assert!(!r.skipped, "degraded rounds still aggregate: {r:?}");
     }
     assert_eq!(report.omitted as usize, 2 * cfg.rounds);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A round whose close cannot be persisted stops the engine, and `join`
+/// hands back the close's own error: one `checkpoint error:` prefix, not
+/// a second one from re-wrapping its message.
+#[test]
+fn failed_close_reports_the_engine_error_unwrapped() {
+    let cfg = tiny_cfg(15);
+    let dir = test_dir("fatal");
+    let not_a_dir = dir.join("file");
+    std::fs::write(&not_a_dir, b"").expect("plant a file");
+
+    let handle = spawn(serve_opts(cfg, &not_a_dir)).expect("spawn");
+    let mut client = ServeClient::new(
+        handle.addr(),
+        Duration::from_secs(2),
+        wire::DEFAULT_MAX_FRAME,
+        RetryPolicy::default(),
+    );
+    client.meta(0, 0, 0, 0, 0).expect("meta");
+    match handle.join() {
+        Err(ServeError::Fl(FlError::Checkpoint(m))) => {
+            assert!(!m.starts_with("checkpoint error:"), "re-wrapped: {m}");
+        }
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
