@@ -16,13 +16,14 @@ use crate::faults::{streams, sub_seed, ClientFault};
 use crate::metrics::RoundRecord;
 use crate::{FlConfig, FlError};
 use fabflip_agg::{AggError, Defense, Selection};
-use fabflip_attacks::{Attack, AttackContext, TaskInfo};
+use fabflip_attacks::{Attack, AttackContext, AttackError, TaskInfo};
 use fabflip_data::{dirichlet_partition, Dataset};
 use fabflip_nn::losses::{accuracy, softmax_cross_entropy_hard};
 use fabflip_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// Fixed task seed: all runs (clean baseline and attacked) share the same
 /// class prototypes, so `acc_natk` and `acc_max` are comparable.
@@ -98,6 +99,17 @@ enum LocalOutcome {
 }
 
 type ClientOutcome = Result<LocalOutcome, FlError>;
+
+/// The adversary's crafted update and its `ATTACK` stream after the craft.
+type Crafted = (Result<Vec<f32>, AttackError>, StdRng);
+
+/// One unit of a round's staging dispatch.
+enum Unit {
+    /// The local phase of the client at this selection index.
+    Client(usize, ClientOutcome),
+    /// The oracle-free attack's craft.
+    Craft(Crafted),
+}
 
 /// A submission staged for this round's transport. Its position in
 /// [`StagedRound::submissions`] is its canonical sequence number: the
@@ -250,14 +262,23 @@ impl ClientFleet {
     ///
     /// # Errors
     ///
-    /// Propagates training and attack failures.
+    /// Propagates training and attack failures; a failed benign client
+    /// takes precedence over a failed craft, and among clients the first
+    /// in selection order wins.
     pub fn stage_round(
         &mut self,
         round: usize,
         global: &[f32],
         prev_global: Option<&[f32]>,
     ) -> Result<StagedRound, FlError> {
-        let cfg = &self.cfg;
+        let ClientFleet {
+            cfg,
+            train,
+            shards,
+            malicious,
+            attack,
+            task_info,
+        } = self;
         let round_u64 = round as u64;
         let mut round_rng =
             StdRng::seed_from_u64(sub_seed(cfg.seed, streams::CLIENT_SAMPLING, round_u64, 0));
@@ -275,30 +296,57 @@ impl ClientFleet {
         let malicious_sel: Vec<(usize, usize)> = selected
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| self.is_malicious(c))
+            .filter(|&(_, &c)| malicious.binary_search(&c).is_ok())
             .map(|(s, &c)| (s, c))
             .collect();
+        let malicious_selected = malicious_sel.len();
+
+        // Adversarial crafting: one update for all malicious clients, from
+        // this round's `ATTACK` stream. The stream is handed back so the
+        // per-copy Sybil noise continues it.
+        let task = cfg.task;
+        let build_model = move |rng: &mut StdRng| task.build_model(rng);
+        let craft = |attack: &mut dyn Attack, oracle: &[Vec<f32>]| {
+            let ctx = AttackContext {
+                global,
+                prev_global,
+                benign_updates: oracle,
+                n_selected: cfg.clients_per_round,
+                n_malicious_selected: malicious_selected,
+                task: task_info,
+                build_model: &build_model,
+            };
+            let mut arng = StdRng::seed_from_u64(sub_seed(cfg.seed, streams::ATTACK, round_u64, 0));
+            (attack.craft(&ctx, &mut arng), arng)
+        };
+        let attack = attack.as_deref_mut().filter(|_| malicious_selected > 0);
+        // An attack that never reads the benign oracle is crafted as unit 0
+        // of the dispatch that trains the benign clients, so the craft (in
+        // a ZKA round the longest single item) overlaps with training
+        // instead of following it; oracle attacks wait for the cohort.
+        let (early, late) = if cfg.attack.uses_benign_oracle() {
+            (None, attack)
+        } else {
+            (attack.map(Mutex::new), None)
+        };
+        let offset = usize::from(early.is_some());
 
         // Benign local training. Every client already draws from an
-        // independent RNG stream keyed by (seed, round, client), so
-        // clients train in parallel and their updates are merged in
-        // selection order — the transcript is bitwise identical to the
-        // sequential loop (see the determinism contract in
+        // independent RNG stream keyed by (seed, round, client), and the
+        // craft from its own `ATTACK` stream, so all units run in parallel
+        // and merge in unit order — the transcript is bitwise identical to
+        // the sequential loop (see the determinism contract in
         // `fabflip_tensor::par`).
-        let train_ref = &self.train;
-        let shards_ref = &self.shards;
-        let malicious_ref = &self.malicious;
-        let faults_ref = &faults;
-        let outcomes: Vec<ClientOutcome> = fabflip_tensor::par::map_collect(selected.len(), |s| {
+        let local_phase = |s: usize| -> ClientOutcome {
             let client = selected[s];
-            if malicious_ref.binary_search(&client).is_ok() {
+            if malicious.binary_search(&client).is_ok() {
                 return Ok(LocalOutcome::Malicious);
             }
-            let shard = &shards_ref[client];
+            let shard = &shards[client];
             if shard.is_empty() {
                 return Ok(LocalOutcome::Offline);
             }
-            if faults_ref[s] == Some(ClientFault::Dropout) {
+            if faults[s] == Some(ClientFault::Dropout) {
                 // Dropout strikes before local compute: nothing to train.
                 return Ok(LocalOutcome::Dropped);
             }
@@ -308,7 +356,7 @@ impl ClientFleet {
                 round_u64,
                 client as u64,
             ));
-            let w = train_benign_client(cfg, train_ref, shard, global, &mut crng)?;
+            let w = train_benign_client(cfg, train, shard, global, &mut crng)?;
             if w.iter().any(|v| !v.is_finite()) {
                 // Local training diverged (possible once the global model
                 // is poisoned): a real client would fail to submit. Skip
@@ -316,97 +364,95 @@ impl ClientFleet {
                 return Ok(LocalOutcome::Diverged);
             }
             Ok(LocalOutcome::Trained(w, shard.len() as f32))
+        };
+        let units: Vec<Unit> = fabflip_tensor::par::map_collect(offset + selected.len(), |u| {
+            match early.as_ref().filter(|_| u == 0) {
+                Some(slot) => {
+                    // Unit 0 runs once, so this is the only lock: poison
+                    // cannot be observed (a panicking craft re-raises out
+                    // of the dispatch and the mutex dies with this frame).
+                    let mut attack = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                    Unit::Craft(craft(&mut **attack, &[]))
+                }
+                None => Unit::Client(u - offset, local_phase(u - offset)),
+            }
         });
 
         let mut out = StagedRound::default();
         // The adversary's oracle is the benign updates as *computed* — its
         // white-box client-level view, before transport faults strike
         // (dropout happens pre-compute, so dropped clients are absent).
-        let mut benign_updates: Vec<Vec<f32>> = Vec::new();
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            match outcome? {
-                LocalOutcome::Malicious => {}
-                LocalOutcome::Offline => out.offline += 1,
-                LocalOutcome::Diverged => out.diverged += 1,
-                LocalOutcome::Dropped => out.dropped += 1,
-                LocalOutcome::Trained(w, weight) => {
-                    benign_updates.push(w.clone());
+        // The payloads are staged from this same vector after the craft.
+        let mut trained: Vec<Vec<f32>> = Vec::new();
+        let mut trained_at: Vec<(usize, f32)> = Vec::new();
+        let mut crafted = None;
+        for unit in units {
+            match unit {
+                Unit::Craft(c) => crafted = Some(c),
+                Unit::Client(s, outcome) => match outcome? {
+                    LocalOutcome::Malicious => {}
+                    LocalOutcome::Offline => out.offline += 1,
+                    LocalOutcome::Diverged => out.diverged += 1,
+                    LocalOutcome::Dropped => out.dropped += 1,
+                    LocalOutcome::Trained(w, weight) => {
+                        trained.push(w);
+                        trained_at.push((s, weight));
+                    }
+                },
+            }
+        }
+        if let Some(attack) = late {
+            crafted = Some(craft(attack, &trained));
+        }
+
+        out.submissions.reserve(trained.len() + malicious_selected);
+        for (payload, (s, weight)) in trained.into_iter().zip(trained_at) {
+            out.submissions.push(StagedSubmission {
+                fault: faults[s],
+                client: selected[s],
+                malicious: false,
+                weight,
+                payload,
+            });
+        }
+
+        // The crafted update is staged pre-transport (the adversary does
+        // not know the fault schedule; per-copy Sybil noise is drawn in
+        // selection order for every copy, faulted or not, so the draw
+        // sequence matches the fault-free transcript).
+        match crafted {
+            Some((Ok(w_mal), mut arng)) => {
+                for &(s, client) in &malicious_sel {
+                    let mut copy = w_mal.clone();
+                    if cfg.sybil_noise > 0.0 {
+                        // Sec. III-A: independent per-copy noise to break
+                        // Sybil-similarity detection.
+                        use rand::Rng;
+                        for v in &mut copy {
+                            let u1: f32 = arng.gen_range(f32::EPSILON..1.0);
+                            let u2: f32 = arng.gen_range(0.0..1.0);
+                            let n = (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos();
+                            *v += cfg.sybil_noise * n;
+                        }
+                    }
                     out.submissions.push(StagedSubmission {
                         fault: faults[s],
-                        client: selected[s],
-                        malicious: false,
-                        weight,
-                        payload: w,
+                        client,
+                        malicious: true,
+                        weight: cfg.synth_set_size.max(1) as f32,
+                        payload: copy,
                     });
                 }
             }
-        }
-
-        // Adversarial crafting: one update for all malicious clients,
-        // staged pre-transport (the adversary does not know the fault
-        // schedule; per-copy Sybil noise is drawn in selection order for
-        // every copy, faulted or not, so the draw sequence matches the
-        // fault-free transcript).
-        let malicious_selected = malicious_sel.len();
-        if malicious_selected > 0 {
-            if let Some(attack) = self.attack.as_mut() {
-                let empty: Vec<Vec<f32>> = Vec::new();
-                let oracle: &[Vec<f32>] = if cfg.attack.uses_benign_oracle() {
-                    &benign_updates
-                } else {
-                    &empty
-                };
-                let task = cfg.task;
-                let build_model = move |rng: &mut StdRng| task.build_model(rng);
-                let ctx = AttackContext {
-                    global,
-                    prev_global,
-                    benign_updates: oracle,
-                    n_selected: cfg.clients_per_round,
-                    n_malicious_selected: malicious_selected,
-                    task: &self.task_info,
-                    build_model: &build_model,
-                };
-                let mut arng =
-                    StdRng::seed_from_u64(sub_seed(cfg.seed, streams::ATTACK, round_u64, 0));
-                match attack.craft(&ctx, &mut arng) {
-                    Ok(w_mal) => {
-                        for &(s, client) in &malicious_sel {
-                            let mut copy = w_mal.clone();
-                            if cfg.sybil_noise > 0.0 {
-                                // Sec. III-A: independent per-copy noise to
-                                // break Sybil-similarity detection.
-                                use rand::Rng;
-                                for v in &mut copy {
-                                    let u1: f32 = arng.gen_range(f32::EPSILON..1.0);
-                                    let u2: f32 = arng.gen_range(0.0..1.0);
-                                    let n = (-2.0 * u1.ln()).sqrt()
-                                        * (std::f32::consts::TAU * u2).cos();
-                                    *v += cfg.sybil_noise * n;
-                                }
-                            }
-                            out.submissions.push(StagedSubmission {
-                                fault: faults[s],
-                                client,
-                                malicious: true,
-                                weight: cfg.synth_set_size.max(1) as f32,
-                                payload: copy,
-                            });
-                        }
-                    }
-                    // An oracle-dependent attack cannot act in a round
-                    // whose oracle is empty or unusable: malicious clients
-                    // stay silent.
-                    Err(fabflip_attacks::AttackError::NeedsBenignUpdates(_)) => {
-                        out.silent += malicious_selected;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            } else {
-                // No attack configured: sampled malicious clients submit
-                // nothing (the clean-baseline behaviour, now accounted).
+            // An oracle-dependent attack cannot act in a round whose oracle
+            // is empty or unusable: malicious clients stay silent.
+            Some((Err(AttackError::NeedsBenignUpdates(_)), _)) => {
                 out.silent += malicious_selected;
             }
+            Some((Err(e), _)) => return Err(e.into()),
+            // No attack configured: sampled malicious clients submit
+            // nothing (the clean-baseline behaviour, now accounted).
+            None => out.silent += malicious_selected,
         }
         Ok(out)
     }

@@ -301,25 +301,59 @@ mod tests {
 
     /// The parallelism/determinism contract end-to-end: a fixed-seed round
     /// transcript (accuracies and final model, bitwise) must not depend on
-    /// the thread budget. Mirrors running once with `FABFLIP_THREADS=1` and
-    /// once with it unset on a multi-core host.
+    /// the thread budget. Mirrors running with `FABFLIP_THREADS` set to 1,
+    /// 2 and 7. Besides the clean run it covers both craft schedules of
+    /// `ClientFleet::stage_round`: ZKA-G and random weights are crafted in
+    /// the same dispatch as benign training (random weights with Sybil
+    /// noise, whose draws continue the craft's RNG after the dispatch), LIE
+    /// after training from the oracle.
     #[test]
     fn transcript_is_thread_count_invariant() {
-        let cfg = tiny_cfg();
+        let with = |attack: AttackSpec, sybil_noise: f32| FlConfig {
+            attack,
+            sybil_noise,
+            defense: DefenseKind::MKrum { f: 1 },
+            ..tiny_cfg()
+        };
+        let cfgs = [
+            tiny_cfg(),
+            with(
+                AttackSpec::ZkaG {
+                    cfg: fabflip::ZkaConfig::fast(),
+                },
+                0.0,
+            ),
+            with(AttackSpec::RandomWeights, 0.02),
+            with(AttackSpec::Lie, 0.0),
+        ];
+        let bits = |r: &crate::RunResult| -> (Vec<u32>, Vec<u32>) {
+            (
+                r.accuracy_trace().iter().map(|a| a.to_bits()).collect(),
+                r.final_model.iter().map(|w| w.to_bits()).collect(),
+            )
+        };
         let prev = fabflip_tensor::par::max_threads();
-        fabflip_tensor::par::set_max_threads(1);
-        let serial = simulate(&cfg).unwrap();
-        fabflip_tensor::par::set_max_threads(4);
-        let parallel = simulate(&cfg).unwrap();
+        for cfg in &cfgs {
+            let runs: Vec<_> = [1, 2, 7]
+                .into_iter()
+                .map(|threads| {
+                    fabflip_tensor::par::set_max_threads(threads);
+                    simulate(cfg).unwrap()
+                })
+                .collect();
+            let label = cfg.attack.label();
+            if cfg.attack != AttackSpec::None {
+                let crafted: usize = runs[0].rounds.iter().map(|x| x.malicious_selected).sum();
+                assert!(crafted > 0, "{label}: no malicious submission staged");
+            }
+            for (threads, r) in [2, 7].into_iter().zip(&runs[1..]) {
+                assert!(
+                    bits(r) == bits(&runs[0]),
+                    "{label}: transcript at {threads} threads differs from 1 thread"
+                );
+            }
+        }
         fabflip_tensor::par::set_max_threads(prev);
-        let acc_bits = |r: &crate::RunResult| -> Vec<u32> {
-            r.accuracy_trace().iter().map(|a| a.to_bits()).collect()
-        };
-        assert_eq!(acc_bits(&serial), acc_bits(&parallel));
-        let model_bits = |r: &crate::RunResult| -> Vec<u32> {
-            r.final_model.iter().map(|w| w.to_bits()).collect()
-        };
-        assert_eq!(model_bits(&serial), model_bits(&parallel));
     }
 
     #[test]

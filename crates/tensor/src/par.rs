@@ -3,11 +3,12 @@
 //! # Parallelism/determinism contract
 //!
 //! Every helper in this module partitions work into *fixed* units (rows,
-//! samples, or fixed-size coordinate chunks) whose boundaries do not depend
-//! on the number of worker threads. Each unit is computed independently and
-//! results are merged in unit order on the calling thread, so every f32
-//! produced under `FABFLIP_THREADS=1` is bitwise identical to the output at
-//! any other thread count.
+//! samples, fixed-size coordinate chunks, or the single indices of
+//! [`map_collect`], such as one FL client or a round's attack craft) whose
+//! boundaries do not depend on the number of worker threads. Each unit is
+//! computed independently and results are merged in unit order on the
+//! calling thread, so every f32 produced under `FABFLIP_THREADS=1` is
+//! bitwise identical to the output at any other thread count.
 //!
 //! The thread budget is resolved once per process, in priority order:
 //! 1. [`set_max_threads`] (e.g. from a CLI flag),
@@ -22,14 +23,16 @@
 //! the contract above: block boundaries are computed by the caller from the
 //! problem shape and thread budget alone, each block's math is a pure
 //! function of its block index, and merge order is by block index — so
-//! which thread runs a block can never affect results. A panic inside any
-//! block is caught, short-circuits the remaining blocks, and is re-thrown
-//! on the calling thread once the dispatch has fully drained; workers
-//! survive the panic and keep serving later dispatches. Shrinking the
-//! budget via [`set_max_threads`] parks surplus workers at their next
-//! dispatch — threads are never killed mid-job. Nested dispatches (from
-//! inside a pool job) run serially on the current thread, which the
-//! contract guarantees is bitwise-equivalent.
+//! which thread runs a block can never affect results. The chunk helpers
+//! hand each worker one contiguous run of chunks; [`map_collect`] makes
+//! every index its own block, so uneven items balance across the pool. A
+//! panic inside any block is caught, short-circuits the remaining blocks,
+//! and is re-thrown on the calling thread once the dispatch has fully
+//! drained; workers survive the panic and keep serving later dispatches.
+//! Shrinking the budget via [`set_max_threads`] parks surplus workers at
+//! their next dispatch — threads are never killed mid-job. Nested
+//! dispatches (from inside a pool job) run serially on the current thread,
+//! which the contract guarantees is bitwise-equivalent.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -356,9 +359,15 @@ fn dispatch(n_blocks: usize, helpers: usize, run: &(dyn Fn(usize) + Sync)) {
 }
 
 /// Runs `f(i)` for `i in 0..n` across the thread budget and returns results
-/// in index order. Work is split into one contiguous index block per
-/// worker; since each `f(i)` depends only on `i`, the output is identical
-/// to the serial `(0..n).map(f).collect()`.
+/// in index order. Each index is its own unit: threads claim indices one
+/// at a time, so items of uneven cost (FL clients with different shard
+/// sizes, a round's attack craft) balance across the pool instead of
+/// leaving a thread idle behind a fixed block. Each result lands in its
+/// index's slot of one preallocated slot array — a call allocates the
+/// same amount for any `n`, never per index. Since each `f(i)` depends
+/// only on `i`, the output is identical to the serial
+/// `(0..n).map(f).collect()`, which is also the order `f` runs in under a
+/// budget of one thread.
 pub fn map_collect<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -368,18 +377,16 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let block = n.div_ceil(threads);
-    let n_blocks = n.div_ceil(block);
-    let slots: Vec<Mutex<Vec<R>>> = (0..n_blocks).map(|_| Mutex::new(Vec::new())).collect();
-    dispatch(n_blocks, threads - 1, &|b| {
-        let lo = b * block;
-        let hi = ((b + 1) * block).min(n);
-        let out: Vec<R> = (lo..hi).map(&f).collect();
-        *lock(&slots[b]) = out;
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    dispatch(n, threads - 1, &|i| {
+        let r = f(i);
+        *lock(&slots[i]) = Some(r);
     });
+    // A completed dispatch ran every index (a panic re-raises above), so
+    // every slot is filled and the output has exactly `n` items.
     slots
         .into_iter()
-        .flat_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .filter_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect()
 }
 

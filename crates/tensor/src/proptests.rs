@@ -527,6 +527,40 @@ mod parallel_equivalence {
             prop_assert_eq!(bits(&c_par), bits(&c_ser));
         }
 
+        /// `map_collect` claims one index at a time. With per-index work
+        /// of uneven cost (0 to ~4 000 multiply-adds, like FL clients of
+        /// different shard sizes), every index runs exactly once and the
+        /// result is the serial map, bit for bit, at every thread count.
+        #[test]
+        fn map_collect_runs_each_uneven_unit_once_in_serial_order(
+            n in 0usize..65, seed in 0u64..1_000_000
+        ) {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let costs: Vec<usize> = fill(seed, n)
+                .iter()
+                .map(|c| ((c.abs() * 64.0) as usize).pow(2))
+                .collect();
+            let work = |i: usize| -> f32 {
+                fill(seed ^ i as u64, costs[i])
+                    .into_iter()
+                    .fold(i as f32, |acc, x| acc.mul_add(0.5, x))
+            };
+            let serial: Vec<f32> = (0..n).map(work).collect();
+            for threads in [1usize, 2, 7] {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got = with_threads(threads, || {
+                    par::map_collect(n, |i| {
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        work(i)
+                    })
+                });
+                prop_assert_eq!(bits(&got), bits(&serial), "threads={}", threads);
+                for (i, r) in runs.iter().enumerate() {
+                    prop_assert_eq!(r.load(Ordering::Relaxed), 1, "index {} threads={}", i, threads);
+                }
+            }
+        }
+
         #[test]
         fn backend_gemm_tile_is_bitwise_identical_across_backends(
             rows in 1usize..5, k in 1usize..40, n in 1usize..90, seed in 0u64..1_000_000

@@ -299,5 +299,23 @@ fn hot_kernels_are_allocation_free_once_warm() {
         converged,
         "parallel kernels kept allocating after 64 warm passes"
     );
+
+    // `map_collect` claims one index at a time but allocates per call (its
+    // slot array and output), never per index: 1 000 indices cost what 10
+    // do. Retried like the steady-state checks above, since the counter
+    // can catch an ambient allocation from elsewhere in the process.
+    let mut sink = 0usize;
+    let mut per_call = |n: usize| {
+        allocs_during(|| {
+            sink += par::map_collect(n, |i| i * 3).len();
+        })
+    };
+    per_call(1000);
+    let counts: Vec<(usize, usize)> = (0..3).map(|_| (per_call(10), per_call(1000))).collect();
+    assert!(
+        counts.iter().any(|&(small, large)| small == large),
+        "map_collect allocations grow with n: (n = 10, n = 1000) per pass {counts:?}"
+    );
+    assert_eq!(sink, 3 * 1010 + 1000);
     par::set_max_threads(1);
 }

@@ -215,7 +215,7 @@ fn transcript_digest(r: &RunResult) -> u64 {
 
 #[test]
 fn transcripts_match_their_pinned_digests() {
-    // Bitwise pins of two small runs: a moved digest means a seed-stream
+    // Bitwise pins of four small runs: a moved digest means a seed-stream
     // id, a defense or the round path changed what the simulator computes.
     let tiny = |attack: AttackSpec, defense: DefenseKind| {
         FlConfig::builder(TaskKind::Fashion)
@@ -242,8 +242,10 @@ fn transcripts_match_their_pinned_digests() {
             },
         })
         .build();
+    let total_of =
+        |r: &RunResult, f: fn(&RoundRecord) -> usize| r.rounds.iter().map(f).sum::<usize>();
     let r = simulate(&faulty).unwrap();
-    let total = |f: fn(&RoundRecord) -> usize| r.rounds.iter().map(f).sum::<usize>();
+    let total = |f: fn(&RoundRecord) -> usize| total_of(&r, f);
     assert!(total(|x| x.dropped) > 0, "no dropout exercised");
     assert!(total(|x| x.stale) > 0, "no stale delivery exercised");
     assert!(
@@ -272,5 +274,43 @@ fn transcripts_match_their_pinned_digests() {
         transcript_digest(&r),
         pinned,
         "FoolsGold/Sybil-noise transcript moved"
+    );
+    // The oracle-free ZKA variants, which `ClientFleet::stage_round`
+    // crafts in the same dispatch as benign training. Both digests are
+    // the same under the scalar, AVX2 and AVX-512 backends, so one pin
+    // serves all.
+    let zka_r = tiny(
+        AttackSpec::ZkaR {
+            cfg: fabflip::ZkaConfig::fast(),
+        },
+        DefenseKind::MKrum { f: 2 },
+    )
+    .build();
+    let r = simulate(&zka_r).unwrap();
+    assert!(
+        total_of(&r, |x| x.malicious_selected) > 0,
+        "ZKA-R never selected"
+    );
+    assert_eq!(
+        transcript_digest(&r),
+        9_324_120_584_643_913_042,
+        "mKrum/ZKA-R transcript moved"
+    );
+    let zka_g = tiny(
+        AttackSpec::ZkaG {
+            cfg: fabflip::ZkaConfig::fast(),
+        },
+        DefenseKind::Median,
+    )
+    .build();
+    let r = simulate(&zka_g).unwrap();
+    assert!(
+        total_of(&r, |x| x.malicious_selected) > 0,
+        "ZKA-G never selected"
+    );
+    assert_eq!(
+        transcript_digest(&r),
+        18_245_075_373_152_991_836,
+        "Median/ZKA-G transcript moved"
     );
 }
