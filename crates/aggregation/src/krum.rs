@@ -1,32 +1,70 @@
 use crate::types::finite_updates;
 use crate::{AggError, Aggregation, Defense, Selection};
 use fabflip_tensor::scratch::{scratch_f32, Purpose};
-use fabflip_tensor::vecops;
+use fabflip_tensor::{par, vecops};
 
 /// Row-block height for the blocked Krum scorer: at most this many
 /// distance rows are resident at once (DESIGN.md §4e).
 pub const KRUM_ROW_BLOCK: usize = 128;
 
+/// Tile entries (`rows × n`) from which [`krum_scores_blocked_into`]
+/// spreads a tile's per-row selection over the `tensor::par` pool. Below
+/// it the sorts are cheaper than waking the pool: the 10- and 40-update
+/// rounds stay serial, a 1 000-update round's 128-row tiles go parallel.
+pub const KRUM_SELECT_PAR_ENTRIES: usize = 1 << 14;
+
 /// Computes Krum scores (Blanchard et al., 2017): for each update, the sum
 /// of squared L2 distances to its `n − f − 2` nearest other updates. Lower
 /// is "more central".
 ///
-/// Evaluated in row blocks of [`KRUM_ROW_BLOCK`] through a
-/// [`Purpose::DistTile`] scratch tile, so resident memory is O(B·n)
-/// instead of the dense O(n²). Each tile is filled by
-/// [`vecops::sq_distance_tile_into`], the 4×4 register-blocked kernel
-/// (parallel over groups of four rows), whose every entry is bitwise
-/// `sq_distance(refs[i], refs[j])`. Bitwise identical to scoring against
-/// the dense matrix: `sq_distance(a, b) == sq_distance(b, a)` exactly
-/// (each lane negates, and IEEE negation and multiplication are exact/
-/// commutative), so computing full rows directly equals the historical
-/// upper-triangle-plus-mirror fill, and the per-row gather → sort → sum
-/// sequence is the same code path as [`krum_scores_into`].
+/// Allocates the returned scores and delegates to
+/// [`krum_scores_blocked_into`].
 ///
 /// # Errors
 ///
 /// Returns [`AggError::TooFewUpdates`] when `n < f + 3`.
 pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
+    let mut scores = vec![0.0f32; refs.len()];
+    krum_scores_blocked_into(refs, f, &mut scores)?;
+    Ok(scores)
+}
+
+/// Allocation-free blocked Krum scorer: writes `scores[i]` for every
+/// update `i` of `refs` (`scores.len() == refs.len()`).
+///
+/// Evaluated in row blocks of [`KRUM_ROW_BLOCK`] through a
+/// [`Purpose::DistTile`] scratch tile, so resident memory is O(B·n)
+/// instead of the dense O(n²) (DESIGN.md §4e). Each tile is filled by
+/// [`vecops::sq_distance_tile_into`], which runs the active backend's
+/// `sq_distance_rows` kernel in parallel groups of four rows (AVX-512:
+/// four rows × 16 columns per register block); every entry is bitwise
+/// `sq_distance(refs[i], refs[j])` on every backend. Then each tile row is
+/// gathered, sorted and prefix-summed into its own `scores[i]`, the rows
+/// spread over the thread pool once the tile holds
+/// [`KRUM_SELECT_PAR_ENTRIES`] entries, each worker sorting in its own
+/// [`Purpose::KrumRow`] scratch; a row's score depends on that row alone,
+/// so the scores are the same at any thread count.
+///
+/// Bitwise identical to scoring against the dense matrix
+/// ([`krum_scores_from_dists`]): `sq_distance(a, b) == sq_distance(b, a)`
+/// exactly (each lane negates, and IEEE negation and multiplication are
+/// exact/commutative), so computing full rows directly equals the
+/// historical upper-triangle-plus-mirror fill, and the per-row gather →
+/// sort → sum sequence is the one [`krum_scores_into`] runs.
+///
+/// # Errors
+///
+/// Returns [`AggError::TooFewUpdates`] when `n < f + 3`.
+///
+/// # Panics
+///
+/// Debug builds panic when `scores.len() != refs.len()`; the update
+/// lengths must agree as for [`vecops::sq_distance_tile_into`].
+pub fn krum_scores_blocked_into(
+    refs: &[&[f32]],
+    f: usize,
+    scores: &mut [f32],
+) -> Result<(), AggError> {
     let n = refs.len();
     if n < f + 3 {
         return Err(AggError::TooFewUpdates {
@@ -35,31 +73,39 @@ pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
             got: n,
         });
     }
+    debug_assert_eq!(scores.len(), n, "krum: one score slot per update");
     let k = n - f - 2;
     let block = KRUM_ROW_BLOCK.min(n);
-    let mut scores = vec![0.0f32; n];
     let mut tile = scratch_f32(Purpose::DistTile, block * n);
-    let mut row = scratch_f32(Purpose::KrumRow, n - 1);
-    let mut lo = 0;
-    while lo < n {
-        let rows = block.min(n - lo);
-        let tile = &mut tile[..rows * n];
+    for (b, out) in scores.chunks_mut(block).enumerate() {
+        let lo = b * block;
+        let Some(tile) = tile.get_mut(..out.len() * n) else {
+            continue;
+        };
         vecops::sq_distance_tile_into(refs, lo, tile);
-        for (r, drow) in tile.chunks(n).enumerate() {
+        let tile = &*tile;
+        let select = |r: usize, score: &mut [f32]| {
             let i = lo + r;
-            let mut w = 0;
-            for (j, &dist) in drow.iter().enumerate() {
-                if j != i {
-                    row[w] = dist;
-                    w += 1;
-                }
+            let mut row = scratch_f32(Purpose::KrumRow, n - 1);
+            let drow = tile.get(r * n..(r + 1) * n).unwrap_or_default();
+            let others = drow.iter().enumerate().filter(|&(j, _)| j != i);
+            for (slot, (_, &dist)) in row.iter_mut().zip(others) {
+                *slot = dist;
             }
             row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            scores[i] = row[..k].iter().sum();
+            if let Some(s) = score.first_mut() {
+                *s = row.iter().take(k).sum();
+            }
+        };
+        if out.len() * n < KRUM_SELECT_PAR_ENTRIES {
+            for (r, score) in out.chunks_mut(1).enumerate() {
+                select(r, score);
+            }
+        } else {
+            par::for_each_chunk_mut(out, 1, select);
         }
-        lo += rows;
     }
-    Ok(scores)
+    Ok(())
 }
 
 /// Krum scores for a `pool` of row/column indices into a precomputed flat

@@ -5,11 +5,14 @@
 //! One `#[test]` in its own binary on purpose: `par::set_max_threads` is
 //! process-global, so concurrent tests would race on it.
 
-use fabflip_agg::{krum_scores, Aggregation, Bulyan, Defense, MultiKrum, KRUM_ROW_BLOCK};
+use fabflip_agg::{
+    krum_scores, Aggregation, Bulyan, Defense, MultiKrum, KRUM_ROW_BLOCK, KRUM_SELECT_PAR_ENTRIES,
+};
 use fabflip_tensor::par;
 
 /// Cohort size: above `KRUM_ROW_BLOCK` (two tiles) and not a multiple of
-/// the 4-row kernel block, so row remainders run too.
+/// the 4-row kernel block, so row remainders run too. The first tile's
+/// selection runs on the pool, the second one's serially.
 const N: usize = 150;
 /// Update length: not a multiple of 4 (lane tails run), and large enough
 /// that both the Krum tile (`KRUM_ROW_BLOCK·N·D`) and the dense upper
@@ -18,6 +21,10 @@ const D: usize = 99;
 const F: usize = 30;
 const _: () = assert!(N > KRUM_ROW_BLOCK && !N.is_multiple_of(4) && !D.is_multiple_of(4));
 const _: () = assert!(N * (N - 1) / 2 * D >= 1 << 20 && KRUM_ROW_BLOCK * N * D >= 1 << 20);
+const _: () = assert!(
+    KRUM_ROW_BLOCK * N >= KRUM_SELECT_PAR_ENTRIES
+        && (N - KRUM_ROW_BLOCK) * N < KRUM_SELECT_PAR_ENTRIES
+);
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()

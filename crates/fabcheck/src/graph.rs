@@ -97,8 +97,10 @@ pub const HOT_ENTRIES: &[&str] = &[
     "tensor::quant::i8_encode_into",
     "tensor::quant::i8_decode_into",
     "tensor::quant::decode_into",
-    // Aggregation score/coordinate kernels.
+    // Aggregation score/coordinate kernels: the dense-matrix Krum scorer
+    // and the blocked one (distance tiles plus the parallel selection).
     "aggregation::krum::krum_scores_into",
+    "aggregation::krum::krum_scores_blocked_into",
     "aggregation::bulyan::bulyan_coordinate_chunk",
     // Streaming ingest: one call per submitted update (§4e). The tensor
     // kernels it calls (`vecops::l2_norm_delta`) are NOT listed — they

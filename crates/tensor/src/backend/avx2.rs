@@ -14,13 +14,13 @@
 //! rounding bitwise.
 
 use std::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-    _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_sqrt_ps,
-    _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehl_ps,
-    _mm_shuffle_ps,
+    __m256, _mm256_add_ps, _mm256_castps128_ps256, _mm256_castps256_ps128, _mm256_extractf128_ps,
+    _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
+    _mm256_set_m128, _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps,
+    _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps,
 };
 
-use super::{CpuBackend, DOT_BLOCK, MR};
+use super::{CpuBackend, DIST_ROWS, DOT_BLOCK, MR};
 
 /// The AVX2 + FMA backend (unit struct; dispatched as `&'static dyn`).
 pub(super) struct Avx2;
@@ -231,6 +231,104 @@ fn dot_lanes_2x2(a: [&[f32]; 2], b: [&[f32]; 2]) -> [[f32; 2]; 2] {
         }
     }
     out
+}
+
+/// Columns per register block of [`sq_distance_rows`]: two column groups
+/// of two, one accumulator per row and group (8 of the 16 `ymm`
+/// registers).
+const DIST_COLS: usize = 4;
+
+/// One `DIST_ROWS × 2G` block of squared distances (`G ≤ 2` groups of two
+/// columns; `cols.len() ≤ 2G`). Each `ymm` holds two pairs, one per
+/// 128-bit half: a row's 4-float chunk fills both halves and two
+/// columns' chunks go one per half, so half `k` of accumulator `(r, g)`
+/// is pair `(r, 2g + k)`'s four lane sums — exactly `sq_distance_t`'s
+/// `s0..s3`. A separate `sub`, `mul` and `add` per chunk (never FMA)
+/// keeps every lane's rounding, and the fold `((s0+s1)+(s2+s3))+tail`
+/// runs per pair in scalar, so each entry is bitwise
+/// `sq_distance(rows[r], cols[c])`. A partial last group repeats the
+/// block's last column; that lane pair is computed and dropped.
+#[target_feature(enable = "avx2")]
+fn sq_distance_block<const G: usize>(
+    rows: [&[f32]; DIST_ROWS],
+    cols: &[&[f32]],
+) -> [[f32; DIST_COLS]; DIST_ROWS] {
+    let cs: [[&[f32]; 2]; G] = std::array::from_fn(|g| {
+        std::array::from_fn(|k| cols.get(2 * g + k).or(cols.last()).copied().unwrap_or(&[]))
+    });
+    let len = rows
+        .iter()
+        .chain(cs.iter().flatten())
+        .map(|v| v.len())
+        .min()
+        .unwrap_or(0);
+    let chunks = len / 4;
+    let rp = rows.map(<[f32]>::as_ptr);
+    let cp = cs.map(|g| g.map(<[f32]>::as_ptr));
+    let mut acc = [[_mm256_setzero_ps(); G]; DIST_ROWS];
+    for q in 0..chunks {
+        let off = 4 * q;
+        let mut y = [_mm256_setzero_ps(); G];
+        for (yg, [c0, c1]) in y.iter_mut().zip(cp) {
+            // SAFETY(bound: off + 4 <= len <= every column's length): q <
+            // len/4 with `len` the shortest slice of the block.
+            unsafe {
+                let v = _mm256_castps128_ps256(_mm_loadu_ps(c0.wrapping_add(off)));
+                *yg = _mm256_insertf128_ps::<1>(v, _mm_loadu_ps(c1.wrapping_add(off)));
+            }
+        }
+        for (acc_r, p) in acc.iter_mut().zip(rp) {
+            // SAFETY(bound: off + 4 <= len <= every row's length): q <
+            // len/4 with `len` the shortest slice of the block.
+            let xr = unsafe { _mm_loadu_ps(p.wrapping_add(off)) };
+            let x = _mm256_set_m128(xr, xr);
+            for (a, yg) in acc_r.iter_mut().zip(y) {
+                let d = _mm256_sub_ps(x, yg);
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(d, d));
+            }
+        }
+    }
+    let tail = chunks * 4;
+    let mut out = [[0.0f32; DIST_COLS]; DIST_ROWS];
+    for ((out_r, acc_r), row) in out.iter_mut().zip(acc).zip(rows) {
+        for ((out_g, a), cg) in out_r.chunks_exact_mut(2).zip(acc_r).zip(&cs) {
+            let mut halves = [0.0f32; 8];
+            // SAFETY(bound: halves.len() == 8): one 8-lane store into an
+            // 8-float local.
+            unsafe { _mm256_storeu_ps(halves.as_mut_ptr(), a) };
+            for ((o, s), col) in out_g.iter_mut().zip(halves.chunks_exact(4)).zip(cg) {
+                let mut t = 0.0f32;
+                for (x, y) in row.iter().skip(tail).zip(col.iter().skip(tail)) {
+                    let d = x - y;
+                    t += d * d;
+                }
+                if let [s0, s1, s2, s3] = *s {
+                    *o = ((s0 + s1) + (s2 + s3)) + t;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Squared-distance rows in register blocks of `DIST_ROWS ×` [`DIST_COLS`]
+/// (8 accumulators); a last block of one or two columns uses one group.
+#[target_feature(enable = "avx2")]
+fn sq_distance_rows(rows: [&[f32]; DIST_ROWS], cols: &[&[f32]], out: [&mut [f32]; DIST_ROWS]) {
+    let mut out = out;
+    for (b, block) in cols.chunks(DIST_COLS).enumerate() {
+        let (j, w) = (b * DIST_COLS, block.len());
+        let dists = if w > 2 {
+            sq_distance_block::<2>(rows, block)
+        } else {
+            sq_distance_block::<1>(rows, block)
+        };
+        for (dst, drow) in out.iter_mut().zip(&dists) {
+            if let (Some(dst), Some(src)) = (dst.get_mut(j..j + w), drow.get(..w)) {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
 }
 
 /// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
@@ -585,6 +683,17 @@ impl CpuBackend for Avx2 {
         };
         let row = |[x, y]: [f32; 2], [z, w]: [f32; 2]| [x, y, z, w];
         [row(tl0, tr0), row(tl1, tr1), row(bl0, br0), row(bl1, br1)]
+    }
+
+    fn sq_distance_rows(
+        &self,
+        rows: [&[f32]; DIST_ROWS],
+        cols: &[&[f32]],
+        out: [&mut [f32]; DIST_ROWS],
+    ) {
+        // SAFETY(feature: avx2,fma): detected by the dispatcher before this
+        // backend was handed out.
+        unsafe { sq_distance_rows(rows, cols, out) }
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {

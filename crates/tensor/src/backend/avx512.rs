@@ -7,13 +7,14 @@
 //! everything stays inside the F subset (no DQ/BW requirements).
 
 use std::arch::x86_64::{
-    __m512, __mmask16, _mm256_add_ps, _mm256_castpd_ps, _mm512_add_ps, _mm512_castps_pd,
-    _mm512_extractf64x4_pd, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps,
-    _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_sqrt_ps,
-    _mm512_storeu_ps, _mm512_sub_ps,
+    __m512, __mmask16, _mm256_add_ps, _mm256_castpd_ps, _mm512_add_ps, _mm512_broadcast_f32x4,
+    _mm512_castps128_ps512, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps,
+    _mm512_insertf32x4, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_sqrt_ps, _mm512_storeu_ps,
+    _mm512_sub_ps, _mm_loadu_ps,
 };
 
-use super::{CpuBackend, DOT_BLOCK, MR};
+use super::{CpuBackend, DIST_ROWS, DOT_BLOCK, MR};
 
 /// The AVX-512F backend (unit struct; dispatched as `&'static dyn`).
 pub(super) struct Avx512;
@@ -236,6 +237,105 @@ fn dot_lanes_4x4(a: [&[f32]; DOT_BLOCK], b: [&[f32]; DOT_BLOCK]) -> [[f32; DOT_B
         }
     }
     out
+}
+
+/// Columns per register block of [`sq_distance_rows`]: four column
+/// groups of four, one accumulator per row and group.
+const DIST_COLS: usize = 16;
+
+/// One `DIST_ROWS × 4G` block of squared distances (`G ≤ 4` groups of
+/// four columns; `cols.len() ≤ 4G`). Each `zmm` holds four pairs, one per
+/// 128-bit quarter: a row's 4-float chunk is broadcast to all quarters and
+/// four columns' chunks are inserted one per quarter, so quarter `k` of
+/// accumulator `(r, g)` is pair `(r, 4g + k)`'s four lane sums — exactly
+/// `sq_distance_t`'s `s0..s3`. A separate `sub`, `mul` and `add` per chunk
+/// (never FMA) keeps every lane's rounding, and the fold
+/// `((s0+s1)+(s2+s3))+tail` runs per pair in scalar, so each entry is
+/// bitwise `sq_distance(rows[r], cols[c])`. A partial last group repeats
+/// the block's last column; those lanes are computed and dropped.
+#[target_feature(enable = "avx512f")]
+fn sq_distance_block<const G: usize>(
+    rows: [&[f32]; DIST_ROWS],
+    cols: &[&[f32]],
+) -> [[f32; DIST_COLS]; DIST_ROWS] {
+    let cs: [[&[f32]; 4]; G] = std::array::from_fn(|g| {
+        std::array::from_fn(|k| cols.get(4 * g + k).or(cols.last()).copied().unwrap_or(&[]))
+    });
+    let len = rows
+        .iter()
+        .chain(cs.iter().flatten())
+        .map(|v| v.len())
+        .min()
+        .unwrap_or(0);
+    let chunks = len / 4;
+    let rp = rows.map(<[f32]>::as_ptr);
+    let cp = cs.map(|g| g.map(<[f32]>::as_ptr));
+    let mut acc = [[_mm512_setzero_ps(); G]; DIST_ROWS];
+    for q in 0..chunks {
+        let off = 4 * q;
+        let mut y = [_mm512_setzero_ps(); G];
+        for (yg, [c0, c1, c2, c3]) in y.iter_mut().zip(cp) {
+            // SAFETY(bound: off + 4 <= len <= every column's length): q <
+            // len/4 with `len` the shortest slice of the block.
+            unsafe {
+                let v = _mm512_castps128_ps512(_mm_loadu_ps(c0.wrapping_add(off)));
+                let v = _mm512_insertf32x4::<1>(v, _mm_loadu_ps(c1.wrapping_add(off)));
+                let v = _mm512_insertf32x4::<2>(v, _mm_loadu_ps(c2.wrapping_add(off)));
+                *yg = _mm512_insertf32x4::<3>(v, _mm_loadu_ps(c3.wrapping_add(off)));
+            }
+        }
+        for (acc_r, p) in acc.iter_mut().zip(rp) {
+            // SAFETY(bound: off + 4 <= len <= every row's length): q <
+            // len/4 with `len` the shortest slice of the block.
+            let x = _mm512_broadcast_f32x4(unsafe { _mm_loadu_ps(p.wrapping_add(off)) });
+            for (a, yg) in acc_r.iter_mut().zip(y) {
+                let d = _mm512_sub_ps(x, yg);
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(d, d));
+            }
+        }
+    }
+    let tail = chunks * 4;
+    let mut out = [[0.0f32; DIST_COLS]; DIST_ROWS];
+    for ((out_r, acc_r), row) in out.iter_mut().zip(acc).zip(rows) {
+        for ((out_g, a), cg) in out_r.chunks_exact_mut(4).zip(acc_r).zip(&cs) {
+            let mut quarters = [0.0f32; 16];
+            // SAFETY(bound: quarters.len() == 16): one 16-lane store into
+            // a 16-float local.
+            unsafe { _mm512_storeu_ps(quarters.as_mut_ptr(), a) };
+            for ((o, s), col) in out_g.iter_mut().zip(quarters.chunks_exact(4)).zip(cg) {
+                let mut t = 0.0f32;
+                for (x, y) in row.iter().skip(tail).zip(col.iter().skip(tail)) {
+                    let d = x - y;
+                    t += d * d;
+                }
+                if let [s0, s1, s2, s3] = *s {
+                    *o = ((s0 + s1) + (s2 + s3)) + t;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Squared-distance rows in register blocks of `DIST_ROWS ×` [`DIST_COLS`]
+/// (16 accumulators); the last block narrows to the groups it needs.
+#[target_feature(enable = "avx512f")]
+fn sq_distance_rows(rows: [&[f32]; DIST_ROWS], cols: &[&[f32]], out: [&mut [f32]; DIST_ROWS]) {
+    let mut out = out;
+    for (b, block) in cols.chunks(DIST_COLS).enumerate() {
+        let (j, w) = (b * DIST_COLS, block.len());
+        let dists = match w.div_ceil(4) {
+            4 => sq_distance_block::<4>(rows, block),
+            3 => sq_distance_block::<3>(rows, block),
+            2 => sq_distance_block::<2>(rows, block),
+            _ => sq_distance_block::<1>(rows, block),
+        };
+        for (dst, drow) in out.iter_mut().zip(&dists) {
+            if let (Some(dst), Some(src)) = (dst.get_mut(j..j + w), drow.get(..w)) {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
 }
 
 /// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
@@ -579,6 +679,17 @@ impl CpuBackend for Avx512 {
         // SAFETY(feature: avx512f): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_lanes_4x4(a, b) }
+    }
+
+    fn sq_distance_rows(
+        &self,
+        rows: [&[f32]; DIST_ROWS],
+        cols: &[&[f32]],
+        out: [&mut [f32]; DIST_ROWS],
+    ) {
+        // SAFETY(feature: avx512f): detected by the dispatcher before this
+        // backend was handed out.
+        unsafe { sq_distance_rows(rows, cols, out) }
     }
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {

@@ -2,7 +2,8 @@
 //!
 //! The hot inner loops of [`crate::matmul`] and [`crate::vecops`] — the
 //! GEMM register tile, the 16-lane dot kernel and its 4×4 block, the
-//! serial reductions and the element-wise chunk primitives — live behind
+//! Krum/Bulyan squared-distance rows, the serial reductions and the
+//! element-wise chunk primitives — live behind
 //! the [`CpuBackend`] trait with three implementations:
 //!
 //! * **scalar** — the portable kernels, extracted verbatim from the
@@ -35,7 +36,11 @@
 //!   [`DOT_LANES`]-lane accumulator array and its binary combining tree
 //!   map exactly onto one 512-bit or two 256-bit registers) and its
 //!   block form [`CpuBackend::dot_lanes_4x4`] (sixteen such chains side
-//!   by side, each entry bitwise the per-pair call), and every
+//!   by side, each entry bitwise the per-pair call),
+//!   [`CpuBackend::sq_distance_rows`] (each entry keeps
+//!   `vecops::sq_distance`'s four lane chains of separate sub/mul/add and
+//!   its fixed fold; the wide backends hold one pair's four lanes per
+//!   128-bit quarter of a register), and every
 //!   element-wise primitive (`add_assign`, `scale_assign`,
 //!   `sq_dev_assign`, `scale_sqrt_assign`, `axpy_assign` — independent
 //!   per-coordinate op chains; the SIMD impls use separate mul/add, never
@@ -98,6 +103,12 @@ pub const DOT_LANES: usize = 16;
 /// Rows and columns of one [`CpuBackend::dot_lanes_4x4`] block.
 pub const DOT_BLOCK: usize = 4;
 
+/// Rows of one [`CpuBackend::sq_distance_rows`] call: the group of
+/// distance rows every backend fills together, and the parallel unit of
+/// the Krum/Bulyan distance tiles. Shared by every backend so the tiles'
+/// partition into work units never depends on the ISA.
+pub const DIST_ROWS: usize = 4;
+
 /// One CPU microkernel implementation. All methods are safe to call on
 /// any host *through the handles this module hands out* — an instance for
 /// an ISA is only ever constructed after feature detection succeeds.
@@ -155,6 +166,22 @@ pub trait CpuBackend: Send + Sync {
         a: [&[f32]; DOT_BLOCK],
         b: [&[f32]; DOT_BLOCK],
     ) -> [[f32; DOT_BLOCK]; DOT_BLOCK];
+
+    /// Squared-distance rows: `out[r][c] = sq_distance(rows[r], cols[c])`
+    /// for every `c < cols.len()`, each entry bitwise equal to the
+    /// per-pair `vecops::sq_distance` on every backend. Every pair keeps
+    /// that function's four lane chains (separate `sub`, `mul`, `add` per
+    /// element, never a fused multiply-add) and its fold
+    /// `((s0+s1)+(s2+s3))+tail`; a backend only chooses how many pairs run
+    /// side by side. All row and column slices have the same length and
+    /// every `out[r]` holds at least `cols.len()` entries; entries past
+    /// `cols.len()` are left untouched.
+    fn sq_distance_rows(
+        &self,
+        rows: [&[f32]; DIST_ROWS],
+        cols: &[&[f32]],
+        out: [&mut [f32]; DIST_ROWS],
+    );
 
     /// Dot product. Scalar: the historical serial single-accumulator
     /// `Σ xᵢ·yᵢ`. Wide backends: fixed vector-lane accumulation —

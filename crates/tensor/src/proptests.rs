@@ -605,6 +605,35 @@ mod parallel_equivalence {
         }
 
         #[test]
+        fn backend_sq_distance_rows_is_bitwise_per_pair_across_backends(
+            d in 0usize..100, ncols in 1usize..40, scale in -30i32..31, seed in 0u64..1_000_000
+        ) {
+            use crate::backend::{self, ALL_KINDS};
+            let m = 10f32.powi(scale);
+            let vs: Vec<Vec<f32>> = (0..4 + ncols as u64)
+                .map(|u| fill(seed ^ (u << 20), d).iter().map(|x| x * m).collect())
+                .collect();
+            let rows: [&[f32]; 4] = std::array::from_fn(|r| vs[r].as_slice());
+            let cols: Vec<&[f32]> = vs[4..].iter().map(Vec::as_slice).collect();
+            let want: Vec<Vec<u32>> = rows
+                .iter()
+                .map(|r| cols.iter().map(|c| vecops::sq_distance(r, c).to_bits()).collect())
+                .collect();
+            for kind in ALL_KINDS {
+                if !kind.supported() {
+                    continue;
+                }
+                let be = backend::instance(kind);
+                let mut out = vec![vec![f32::NAN; ncols]; 4];
+                if let [o0, o1, o2, o3] = &mut out[..] {
+                    be.sq_distance_rows(rows, &cols, [o0, o1, o2, o3]);
+                }
+                let got: Vec<Vec<u32>> = out.iter().map(|o| bits(o)).collect();
+                prop_assert_eq!(&got, &want, "backend {}", be.name());
+            }
+        }
+
+        #[test]
         fn backend_elementwise_primitives_are_bitwise_identical(
             d in 1usize..70, seed in 0u64..1_000_000, alpha in -2.0f32..2.0
         ) {
@@ -707,6 +736,17 @@ mod parallel_equivalence {
             let ser_d = vecops::pairwise_sq_distances_serial(&refs);
             for (rp, rs) in par_d.iter().zip(&ser_d) {
                 prop_assert_eq!(bits(rp), bits(rs));
+            }
+            // Bulyan's dense stage 1 under each backend's distance rows.
+            let ser_flat: Vec<u32> = ser_d.iter().flat_map(|r| bits(r)).collect();
+            for kind in crate::backend::ALL_KINDS {
+                if !kind.supported() {
+                    continue;
+                }
+                let be = crate::backend::instance(kind);
+                let mut flat = vec![f32::NAN; nv * nv];
+                with_threads(4, || vecops::pairwise_sq_distances_on(be, &refs, &mut flat));
+                prop_assert_eq!(bits(&flat), ser_flat.clone(), "backend {}", be.name());
             }
         }
     }

@@ -110,7 +110,9 @@ pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
 /// Accumulates in four independent lanes combined as
 /// `((s0 + s1) + (s2 + s3)) + tail` — a fixed reduction tree, so results
 /// are deterministic across calls. The register-blocked Krum/Bulyan tile
-/// kernel ([`sq_distance_tile_into`]) reproduces it entry for entry.
+/// kernel ([`sq_distance_tile_into`], through
+/// [`CpuBackend::sq_distance_rows`]) reproduces it entry for entry on
+/// every backend.
 ///
 /// # Panics
 ///
@@ -118,101 +120,6 @@ pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
 pub fn sq_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sq_distance: length mismatch");
     sq_distance_t(a, b)
-}
-
-/// One `chunks_exact(4)` chunk as four lanes (the chunk is exactly four
-/// long, so the fallback arm never runs).
-#[inline(always)]
-fn lanes(c: &[f32]) -> [f32; 4] {
-    match c {
-        [x0, x1, x2, x3] => [*x0, *x1, *x2, *x3],
-        _ => [0.0; 4],
-    }
-}
-
-/// One chunk step of [`sq_distance_t`]'s four lane chains for one pair:
-/// separate `sub`, `mul` and `add` per lane, in the same order.
-#[inline(always)]
-fn sq_lanes_step(s: &mut [f32; 4], x: &[f32; 4], y: &[f32; 4]) {
-    let ([x0, x1, x2, x3], [y0, y1, y2, y3], [s0, s1, s2, s3]) = (x, y, s);
-    let d0 = x0 - y0;
-    let d1 = x1 - y1;
-    let d2 = x2 - y2;
-    let d3 = x3 - y3;
-    *s0 += d0 * d0;
-    *s1 += d1 * d1;
-    *s2 += d2 * d2;
-    *s3 += d3 * d3;
-}
-
-/// The register-blocked distance kernel: entry `(r, c)` is
-/// `sq_distance(rows[r], cols[c])`, bit for bit. Each of the 16 pairs
-/// keeps its own four lane accumulators and runs [`sq_distance_t`]'s exact
-/// per-pair op sequence and final fold `((s0+s1)+(s2+s3))+tail`; blocking
-/// only interleaves the 16 independent chains (so the loop is bound by
-/// add throughput, not latency) and loads each row/column chunk once per
-/// block instead of once per pair. The accumulators are named locals on
-/// purpose: an array of them is not kept in registers.
-fn sq_distance_4x4(rows: [&[f32]; 4], cols: [&[f32]; 4]) -> [[f32; 4]; 4] {
-    let z = [0.0f32; 4];
-    let (mut s00, mut s01, mut s02, mut s03) = (z, z, z, z);
-    let (mut s10, mut s11, mut s12, mut s13) = (z, z, z, z);
-    let (mut s20, mut s21, mut s22, mut s23) = (z, z, z, z);
-    let (mut s30, mut s31, mut s32, mut s33) = (z, z, z, z);
-    let [a0, a1, a2, a3] = rows.map(|v| v.chunks_exact(4));
-    let [b0, b1, b2, b3] = cols.map(|v| v.chunks_exact(4));
-    let ra = [
-        a0.remainder(),
-        a1.remainder(),
-        a2.remainder(),
-        a3.remainder(),
-    ];
-    let rb = [
-        b0.remainder(),
-        b1.remainder(),
-        b2.remainder(),
-        b3.remainder(),
-    ];
-    let (qa, qb) = (a0.zip(a1).zip(a2).zip(a3), b0.zip(b1).zip(b2).zip(b3));
-    for ((((x0, x1), x2), x3), (((y0, y1), y2), y3)) in qa.zip(qb) {
-        let (x0, x1, x2, x3) = (lanes(x0), lanes(x1), lanes(x2), lanes(x3));
-        let (y0, y1, y2, y3) = (lanes(y0), lanes(y1), lanes(y2), lanes(y3));
-        sq_lanes_step(&mut s00, &x0, &y0);
-        sq_lanes_step(&mut s01, &x0, &y1);
-        sq_lanes_step(&mut s02, &x0, &y2);
-        sq_lanes_step(&mut s03, &x0, &y3);
-        sq_lanes_step(&mut s10, &x1, &y0);
-        sq_lanes_step(&mut s11, &x1, &y1);
-        sq_lanes_step(&mut s12, &x1, &y2);
-        sq_lanes_step(&mut s13, &x1, &y3);
-        sq_lanes_step(&mut s20, &x2, &y0);
-        sq_lanes_step(&mut s21, &x2, &y1);
-        sq_lanes_step(&mut s22, &x2, &y2);
-        sq_lanes_step(&mut s23, &x2, &y3);
-        sq_lanes_step(&mut s30, &x3, &y0);
-        sq_lanes_step(&mut s31, &x3, &y1);
-        sq_lanes_step(&mut s32, &x3, &y2);
-        sq_lanes_step(&mut s33, &x3, &y3);
-    }
-    let acc = [
-        [s00, s01, s02, s03],
-        [s10, s11, s12, s13],
-        [s20, s21, s22, s23],
-        [s30, s31, s32, s33],
-    ];
-    let mut out = [[0.0f32; 4]; 4];
-    for ((out_r, acc_r), ta) in out.iter_mut().zip(&acc).zip(ra) {
-        for ((o, s), tb) in out_r.iter_mut().zip(acc_r).zip(rb) {
-            let mut tail = 0.0f32;
-            for (x, y) in ta.iter().zip(tb) {
-                let d = x - y;
-                tail += d * d;
-            }
-            let [s0, s1, s2, s3] = *s;
-            *o = ((s0 + s1) + (s2 + s3)) + tail;
-        }
-    }
-    out
 }
 
 /// `Σᵢ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas — bitwise
@@ -599,9 +506,9 @@ pub fn trimmed_mean_serial(vs: &[&[f32]], trim: usize) -> Vec<f32> {
     out
 }
 
-/// Rows per unit of the blocked distance fill: the height of
-/// [`sq_distance_4x4`]'s register block, and the parallel unit.
-const DIST_GROUP: usize = 4;
+/// Rows per unit of the blocked distance fill: one
+/// [`CpuBackend::sq_distance_rows`] call, and the parallel unit.
+const DIST_GROUP: usize = backend::DIST_ROWS;
 
 /// Fills `out`, up to [`DIST_GROUP`] consecutive rows starting at row `i0`
 /// of the `n × n` squared-distance matrix of `vs` (row-major, `n` columns).
@@ -609,35 +516,36 @@ const DIST_GROUP: usize = 4;
 /// entry with `j ≤ i` is `0.0`; otherwise every off-diagonal entry is
 /// computed and the diagonal is `0.0`.
 ///
-/// A full group of four rows runs [`sq_distance_4x4`] over column blocks
-/// of four, starting at the first column it needs. The last `< 4` columns
-/// and a group of fewer than four rows fall back to [`sq_distance`].
-/// Either way every computed entry is bitwise `sq_distance(vs[i], vs[j])`.
-fn sq_distance_rows(vs: &[&[f32]], i0: usize, upper: bool, out: &mut [f32]) {
+/// A full group of four rows runs the backend's
+/// [`CpuBackend::sq_distance_rows`] over every column from the first one
+/// it needs; a group of fewer than four rows (the last of a tile) falls
+/// back to [`sq_distance`]. Either way every computed entry is bitwise
+/// `sq_distance(vs[i], vs[j])`, on every backend.
+fn fill_distance_group(
+    be: &dyn CpuBackend,
+    vs: &[&[f32]],
+    i0: usize,
+    upper: bool,
+    out: &mut [f32],
+) {
     let n = vs.len();
     let wanted = |i: usize, j: usize| if upper { j > i } else { j != i };
-    // Columns `first..blocked` come from the 4×4 kernel.
     let first = if upper { i0 } else { 0 };
-    let mut blocked = first;
-    let full_group = out.len() == DIST_GROUP * n;
-    if let Some(&[a0, a1, a2, a3]) = vs.get(i0..i0 + DIST_GROUP).filter(|_| full_group) {
-        let cols = vs.get(first..).unwrap_or(&[]);
-        for (cb, block) in cols.chunks_exact(4).enumerate() {
-            let &[b0, b1, b2, b3] = block else {
-                continue;
-            };
-            let j = first + 4 * cb;
-            let dists = sq_distance_4x4([a0, a1, a2, a3], [b0, b1, b2, b3]);
-            for (r, drow) in dists.iter().enumerate() {
-                let Some(dst) = out.get_mut(r * n + j..r * n + j + 4) else {
-                    continue;
-                };
-                for (c, (slot, &v)) in dst.iter_mut().zip(drow).enumerate() {
-                    *slot = if wanted(i0 + r, j + c) { v } else { 0.0 };
-                }
-            }
+    let mut blocked = false;
+    let group = vs
+        .get(i0..i0 + DIST_GROUP)
+        .filter(|_| out.len() == DIST_GROUP * n);
+    if let Some(&[a0, a1, a2, a3]) = group {
+        let mut rows = out
+            .chunks_exact_mut(n)
+            .map(|r| r.get_mut(first..).unwrap_or_default());
+        if let (Some(o0), Some(o1), Some(o2), Some(o3)) =
+            (rows.next(), rows.next(), rows.next(), rows.next())
+        {
+            let cols = vs.get(first..).unwrap_or_default();
+            be.sq_distance_rows([a0, a1, a2, a3], cols, [o0, o1, o2, o3]);
+            blocked = true;
         }
-        blocked = first + (n - first) / 4 * 4;
     }
     for (r, row) in out.chunks_mut(n).enumerate() {
         let i = i0 + r;
@@ -645,26 +553,30 @@ fn sq_distance_rows(vs: &[&[f32]], i0: usize, upper: bool, out: &mut [f32]) {
         // unreachable.
         let vi = vs.get(i).copied().unwrap_or(&[]);
         for (j, (slot, vj)) in row.iter_mut().zip(vs).enumerate() {
-            if (first..blocked).contains(&j) {
-                continue;
+            if !wanted(i, j) {
+                *slot = 0.0;
+            } else if !blocked {
+                *slot = sq_distance(vi, vj);
             }
-            *slot = if wanted(i, j) {
-                sq_distance(vi, vj)
-            } else {
-                0.0
-            };
         }
     }
 }
 
-/// Dispatches [`sq_distance_rows`] over `out` in groups of
+/// Dispatches [`fill_distance_group`] over `out` in groups of
 /// [`DIST_GROUP`] rows from `row_lo`: serially below the work threshold,
 /// group-parallel above it. The group is a fixed unit and every entry is
 /// a pure function of its pair, so the result is the same at any thread
 /// count.
-fn sq_distance_groups(vs: &[&[f32]], row_lo: usize, upper: bool, out: &mut [f32], work: usize) {
+fn sq_distance_groups(
+    be: &dyn CpuBackend,
+    vs: &[&[f32]],
+    row_lo: usize,
+    upper: bool,
+    out: &mut [f32],
+    work: usize,
+) {
     let fill = |g: usize, rows: &mut [f32]| {
-        sq_distance_rows(vs, row_lo + g * DIST_GROUP, upper, rows);
+        fill_distance_group(be, vs, row_lo + g * DIST_GROUP, upper, rows);
     };
     let group = DIST_GROUP * vs.len();
     if work < PAR_ELEMS || par::max_threads() == 1 {
@@ -681,17 +593,29 @@ fn sq_distance_groups(vs: &[&[f32]], row_lo: usize, upper: bool, out: &mut [f32]
 /// row-major, with `0.0` on the diagonal — the distance tile of the
 /// blocked Krum scorer (DESIGN.md §4e). Allocation-free.
 ///
-/// Runs the 4×4 register-blocked kernel (four rows against four columns
-/// per pass, 16 independent accumulator chains); every entry is bitwise
-/// `sq_distance(vs[i], vs[j])`, so the tile equals the corresponding
-/// rows of [`pairwise_sq_distances_into`]'s matrix. Groups of four rows
-/// are dispatched in parallel above the work threshold; the result is
-/// the same at any thread count.
+/// Groups of four rows run the active backend's
+/// [`CpuBackend::sq_distance_rows`] against every column (AVX-512: four
+/// rows × 16 columns per register block, AVX2: four × four, scalar: the
+/// portable 4×4 kernel); every entry is bitwise
+/// `sq_distance(vs[i], vs[j])` on every backend, so the tile equals the
+/// corresponding rows of [`pairwise_sq_distances_into`]'s matrix. Groups
+/// of four rows are dispatched in parallel above the work threshold; the
+/// result is the same at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if vector lengths differ or the tile reaches past row `n`.
 pub fn sq_distance_tile_into(vs: &[&[f32]], row_lo: usize, tile: &mut [f32]) {
+    sq_distance_tile_on(backend::active(), vs, row_lo, tile);
+}
+
+/// [`sq_distance_tile_into`] on a given backend (the per-backend tests).
+pub(crate) fn sq_distance_tile_on(
+    be: &dyn CpuBackend,
+    vs: &[&[f32]],
+    row_lo: usize,
+    tile: &mut [f32],
+) {
     let n = vs.len();
     if n == 0 || tile.is_empty() {
         return;
@@ -699,22 +623,28 @@ pub fn sq_distance_tile_into(vs: &[&[f32]], row_lo: usize, tile: &mut [f32]) {
     debug_assert_eq!(tile.len() % n, 0, "sq_distance_tile: ragged tile");
     let d = vs.first().map_or(0, |v| v.len());
     check_lengths(vs, d, "sq_distance_tile");
-    sq_distance_groups(vs, row_lo, false, tile, tile.len() * d);
+    sq_distance_groups(be, vs, row_lo, false, tile, tile.len() * d);
 }
 
 /// Full pairwise squared-distance matrix, written into `out` as a flat
 /// row-major `n × n` slice (symmetric, zero diagonal), allocation-free.
 ///
-/// The strict upper triangle is filled by the same 4×4 register-blocked
-/// kernel as [`sq_distance_tile_into`] (groups of four rows, parallel
-/// above the work threshold), then mirrored serially. Each entry is
-/// bitwise `sq_distance(vs[i], vs[j])`, so the matrix is bitwise
+/// The strict upper triangle is filled by the same backend kernel as
+/// [`sq_distance_tile_into`] (groups of four rows, parallel above the
+/// work threshold), then mirrored serially. Each entry is bitwise
+/// `sq_distance(vs[i], vs[j])` on every backend, so the matrix is bitwise
 /// identical to [`pairwise_sq_distances_serial`] at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() != vs.len()²` or vector lengths differ.
 pub fn pairwise_sq_distances_into(vs: &[&[f32]], out: &mut [f32]) {
+    pairwise_sq_distances_on(backend::active(), vs, out);
+}
+
+/// [`pairwise_sq_distances_into`] on a given backend (the per-backend
+/// tests).
+pub(crate) fn pairwise_sq_distances_on(be: &dyn CpuBackend, vs: &[&[f32]], out: &mut [f32]) {
     let n = vs.len();
     assert_eq!(out.len(), n * n, "pairwise_sq_distances: out must be n*n");
     let d = vs.first().map_or(0, |v| v.len());
@@ -722,7 +652,7 @@ pub fn pairwise_sq_distances_into(vs: &[&[f32]], out: &mut [f32]) {
     if n == 0 {
         return;
     }
-    sq_distance_groups(vs, 0, true, out, n * (n - 1) / 2 * d);
+    sq_distance_groups(be, vs, 0, true, out, n * (n - 1) / 2 * d);
     // Serial mirror of the upper triangle into the lower; checked access
     // (the bounds are guaranteed by the `n*n` entry assert).
     for i in 0..n {
@@ -956,28 +886,43 @@ mod tests {
             .collect()
     }
 
+    /// Every tile (every `row_lo` and row count) and the dense matrix, on
+    /// every supported backend, against per-pair `sq_distance`. Cohorts of
+    /// 1..=9 cover every rows × columns remainder of the 4-row group and
+    /// the scalar/AVX2 4-column block; 16, 17, 21 and 35 cover whole and
+    /// partial 16-column AVX-512 blocks (a few tiles each).
     #[test]
     fn blocked_distance_kernels_match_per_pair_bitwise() {
         let mut saw_inf = false;
         let mut saw_subnormal = false;
-        for d in [0usize, 1, 3, 4, 5, 8, 17] {
-            for n in 1..=9 {
-                let vs = mixed_magnitudes(n, d);
-                let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
-                let want = |i: usize, j: usize| {
-                    if i == j {
-                        0.0
+        let kinds = crate::backend::ALL_KINDS
+            .into_iter()
+            .filter(|k| k.supported());
+        for be in kinds.map(crate::backend::instance) {
+            for d in [0usize, 1, 3, 4, 5, 8, 17, 65] {
+                for n in (1..=9).chain([16, 17, 21, 35]) {
+                    let vs = mixed_magnitudes(n, d);
+                    let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
+                    let want = |i: usize, j: usize| {
+                        if i == j {
+                            0.0
+                        } else {
+                            sq_distance(refs[i], refs[j])
+                        }
+                    };
+                    // Every row offset (including ones whose rows cross the
+                    // diagonal) and every row count for small cohorts, so
+                    // every rows × cols remainder mod 4 is covered.
+                    let tiles: Vec<(usize, usize)> = if n <= 9 {
+                        (0..n)
+                            .flat_map(|lo| (1..=n - lo).map(move |rows| (lo, rows)))
+                            .collect()
                     } else {
-                        sq_distance(refs[i], refs[j])
-                    }
-                };
-                // Every row offset (including ones whose rows cross the
-                // diagonal) and every row count, so every rows × cols
-                // remainder mod 4 is covered.
-                for row_lo in 0..n {
-                    for rows in 1..=n - row_lo {
+                        vec![(0, 4), (0, n), (3, 5), (n - 6, 6), (n - 4, 4)]
+                    };
+                    for (row_lo, rows) in tiles {
                         let mut tile = vec![f32::NAN; rows * n];
-                        sq_distance_tile_into(&refs, row_lo, &mut tile);
+                        sq_distance_tile_on(be, &refs, row_lo, &mut tile);
                         for (r, row) in tile.chunks(n).enumerate() {
                             for (j, got) in row.iter().enumerate() {
                                 let w = want(row_lo + r, j);
@@ -986,20 +931,26 @@ mod tests {
                                 assert_eq!(
                                     got.to_bits(),
                                     w.to_bits(),
-                                    "tile n={n} d={d} row_lo={row_lo} rows={rows} ({}, {j})",
+                                    "{} tile n={n} d={d} row_lo={row_lo} rows={rows} ({}, {j})",
+                                    be.name(),
                                     row_lo + r
                                 );
                             }
                         }
                     }
-                }
-                let mut dense = vec![f32::NAN; n * n];
-                pairwise_sq_distances_into(&refs, &mut dense);
-                for i in 0..n {
-                    for j in 0..n {
-                        let w = want(i.min(j), i.max(j));
-                        let got = dense[i * n + j];
-                        assert_eq!(got.to_bits(), w.to_bits(), "dense n={n} d={d} ({i}, {j})");
+                    let mut dense = vec![f32::NAN; n * n];
+                    pairwise_sq_distances_on(be, &refs, &mut dense);
+                    for i in 0..n {
+                        for j in 0..n {
+                            let w = want(i.min(j), i.max(j));
+                            let got = dense[i * n + j];
+                            assert_eq!(
+                                got.to_bits(),
+                                w.to_bits(),
+                                "{} dense n={n} d={d} ({i}, {j})",
+                                be.name()
+                            );
+                        }
                     }
                 }
             }

@@ -202,6 +202,14 @@ fn hot_kernels_are_allocation_free_once_warm() {
             .expect("geometry valid");
     });
 
+    // The blocked scorer: distance tiles plus the per-row selection, here
+    // below the parallel-selection threshold (Phase B runs it above).
+    let mut blocked_scores = vec![0.0f32; n_up];
+    assert_steady_state_alloc_free("krum_scores_blocked_into", || {
+        fabflip_agg::krum_scores_blocked_into(&refs, f_byz, &mut blocked_scores)
+            .expect("geometry valid");
+    });
+
     let theta = n_up - 2 * f_byz;
     let beta = theta - 2 * f_byz;
     let sel: Vec<&[f32]> = refs[..theta].to_vec();
@@ -283,12 +291,32 @@ fn hot_kernels_are_allocation_free_once_warm() {
         .collect();
     let par_refs: Vec<&[f32]> = par_updates.iter().map(Vec::as_slice).collect();
     let mut par_out = vec![0.0f32; pd];
+    // A Krum cohort whose first 128-row tile crosses both the distance
+    // fill's parallel threshold (2^20 input floats) and the parallel
+    // selection's, so pool workers warm their own `KrumRow` scratch.
+    const KN: usize = 150;
+    const KD: usize = 64;
+    const _: () = assert!(
+        fabflip_agg::KRUM_ROW_BLOCK * KN * KD >= 1 << 20
+            && fabflip_agg::KRUM_ROW_BLOCK * KN >= fabflip_agg::KRUM_SELECT_PAR_ENTRIES
+    );
+    let krum_updates: Vec<Vec<f32>> = (0..KN)
+        .map(|u| {
+            (0..KD)
+                .map(|i| ((u * KD + i) as f32 * 0.07).sin())
+                .collect()
+        })
+        .collect();
+    let krum_refs: Vec<&[f32]> = krum_updates.iter().map(Vec::as_slice).collect();
+    let mut krum_out = vec![0.0f32; KN];
     let mut converged = false;
     for _ in 0..64 {
         let delta = allocs_during(|| {
             matmul_into(&pa, &pb, &mut pc, pm, pk, pn);
             mean_into(&par_refs, &mut par_out);
             std_dev_into(&par_refs, &mut par_out);
+            fabflip_agg::krum_scores_blocked_into(&krum_refs, 30, &mut krum_out)
+                .expect("geometry valid");
         });
         if delta == 0 {
             converged = true;

@@ -247,6 +247,88 @@ fn dot_lanes_4x4_is_bitwise_per_pair_dot_lanes_across_backends() {
     }
 }
 
+/// Vector `u` of length `d` for the distance-row tests: magnitudes from
+/// ±1e-30 to ±1e30 in four classes by `u % 4` (so some distances are
+/// ordinary, some overflow to `+inf`, some underflow to subnormal or
+/// zero), with every 11th element subnormal and every 13th `±0`.
+fn distance_vector(u: usize, d: usize) -> Vec<f32> {
+    let (lo, hi) = [(-30, -18), (-3, 3), (10, 18), (20, 30)][u % 4];
+    fill(300 + u as u64 * 7919 + d as u64, d)
+        .iter()
+        .enumerate()
+        .map(|(p, &x)| match p % 143 {
+            p if p % 13 == 5 => 0.0f32.copysign(x),
+            p if p % 11 == 7 => f32::from_bits(1 + (p as u32) * 977) * x.signum(),
+            _ => {
+                let e = lo + ((x.abs() * 1e4) as i32).rem_euclid(hi - lo + 1);
+                x.signum() * (1.0 + x.abs()) * 10f32.powi(e)
+            }
+        })
+        .collect()
+}
+
+/// `sq_distance_rows` equals per-pair `vecops::sq_distance` bit for bit
+/// on every backend: lengths around the 4-float chunk and both SIMD
+/// widths up to the Fashion MLP's 9 098, column counts that are not a
+/// multiple of any backend's register block (4 on scalar and AVX2, 16 on
+/// AVX-512), inputs from ±1e-30 to ±1e30 with subnormals and signed
+/// zeros. Output slots past the column run keep their sentinel.
+#[test]
+fn sq_distance_rows_is_bitwise_per_pair_sq_distance_across_backends() {
+    let sentinel = f32::from_bits(0x7FC0_0BAD);
+    let (mut saw_inf, mut saw_subnormal, mut saw_zero) = (false, false, false);
+    for d in [0usize, 1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 1023, 9098] {
+        let vs: Vec<Vec<f32>> = (0..41).map(|u| distance_vector(u, d)).collect();
+        let rows: [&[f32]; 4] = std::array::from_fn(|r| vs[r].as_slice());
+        let all_cols: Vec<&[f32]> = vs[4..].iter().map(Vec::as_slice).collect();
+        for ncols in [1usize, 2, 3, 5, 6, 7, 9, 13, 18, 23, 31, 37] {
+            let cols = &all_cols[..ncols];
+            let want: Vec<Vec<u32>> = rows
+                .iter()
+                .map(|r| {
+                    cols.iter()
+                        .map(|c| vecops::sq_distance(r, c).to_bits())
+                        .collect()
+                })
+                .collect();
+            for w in want.iter().flatten().map(|&b| f32::from_bits(b)) {
+                saw_inf |= w == f32::INFINITY;
+                saw_subnormal |= w.is_subnormal();
+                saw_zero |= w == 0.0 && d > 0;
+            }
+            for kind in ALL_KINDS {
+                if !kind.supported() {
+                    continue;
+                }
+                let be = backend::instance(kind);
+                let mut out = vec![vec![sentinel; ncols + 3]; 4];
+                let [o0, o1, o2, o3] = &mut out[..] else {
+                    unreachable!()
+                };
+                be.sq_distance_rows(rows, cols, [o0, o1, o2, o3]);
+                for (r, (got, want)) in out.iter().zip(&want).enumerate() {
+                    let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        &got_bits[..ncols],
+                        &want[..],
+                        "sq_distance_rows d={d} cols={ncols} row {r} backend {}",
+                        be.name()
+                    );
+                    assert!(
+                        got_bits[ncols..].iter().all(|&b| b == sentinel.to_bits()),
+                        "sq_distance_rows wrote past the column run: d={d} cols={ncols} backend {}",
+                        be.name()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        saw_inf && saw_subnormal && saw_zero,
+        "distances must reach +inf, subnormal and zero: {saw_inf} {saw_subnormal} {saw_zero}"
+    );
+}
+
 /// The elementwise `*_assign` kernels are bitwise identical across
 /// backends: each output coordinate is an independent mul/add/sqrt chain
 /// with no reassociation, so SIMD lanes compute exactly the scalar FLOPs.
