@@ -11,7 +11,8 @@ const PAR_STAGE2_WORK: usize = 1 << 20;
 /// size Bulyan materializes the dense `n × n` distance matrix and re-runs
 /// Krum per selection round — the historical, bitwise-stable path. Above
 /// it, stage 1 degrades to a single blocked Krum ranking (see
-/// [`select_ranked`] and DESIGN.md §4e) so memory stays O(B·n).
+/// [`select_ranked`] and DESIGN.md §4e) so distance memory stays within
+/// the blocked scorer's `max(B·n, n·d)`.
 pub const BULYAN_DENSE_MAX: usize = 512;
 
 /// Smallest tolerated Byzantine count Bulyan can aggregate with. Its last
@@ -111,11 +112,13 @@ fn select_iterative(refs: &[&[f32]], f: usize, theta: usize) -> Result<Vec<usize
 
 /// Large-pool stage-1 degradation (DESIGN.md §4e): one blocked Krum
 /// scoring pass over the full pool, then the θ lowest-score updates by the
-/// deterministic key `(score, index)`. This keeps resident memory at
-/// O(B·n) — the iterative rule needs the dense O(n²) matrix *and* θ ≈ n
-/// re-scoring rounds, both quadratic at million-client scale. The
-/// selection set can differ from the iterative rule's (which re-scores
-/// after each removal); stage 2 is unchanged and exact either way.
+/// deterministic key `(score, index)`. This keeps resident distance
+/// memory within `max(B·n, n·d)`, no more than one row tile or the cohort
+/// itself — the iterative rule needs the dense O(n²) matrix at any `d`
+/// *and* θ ≈ n re-scoring rounds, both quadratic at million-client
+/// scale. The selection set can differ from the iterative rule's (which
+/// re-scores after each removal); stage 2 is unchanged and exact either
+/// way.
 fn select_ranked(refs: &[&[f32]], f: usize, theta: usize) -> Result<Vec<usize>, AggError> {
     let scores = krum_scores(refs, f)?;
     let mut order: Vec<usize> = (0..refs.len()).collect();

@@ -3,15 +3,29 @@ use crate::{AggError, Aggregation, Defense, Selection};
 use fabflip_tensor::scratch::{scratch_f32, Purpose};
 use fabflip_tensor::{par, vecops};
 
-/// Row-block height for the blocked Krum scorer: at most this many
-/// distance rows are resident at once (DESIGN.md §4e).
+/// Row-block height for the blocked Krum scorer when the cohort outgrows
+/// the update length (`n > d`): at most this many distance rows are
+/// resident at once (DESIGN.md §4e).
 pub const KRUM_ROW_BLOCK: usize = 128;
 
 /// Tile entries (`rows × n`) from which [`krum_scores_blocked_into`]
 /// spreads a tile's per-row selection over the `tensor::par` pool. Below
 /// it the sorts are cheaper than waking the pool: the 10- and 40-update
-/// rounds stay serial, a 1 000-update round's 128-row tiles go parallel.
+/// rounds stay serial, a 1 000-update round goes parallel.
 pub const KRUM_SELECT_PAR_ENTRIES: usize = 1 << 14;
+
+/// Distance rows per tile of [`krum_scores_blocked_into`] for `n` updates
+/// of length `d`: all `n` when `n ≤ d` (the `n × n` matrix is then no
+/// larger than the cohort itself, so each pair is computed once), else
+/// [`KRUM_ROW_BLOCK`] capped at `n`. Resident distance memory is
+/// `krum_tile_rows(n, d) · n` floats, never more than `max(B·n, n·d)`.
+pub fn krum_tile_rows(n: usize, d: usize) -> usize {
+    if n <= d {
+        n
+    } else {
+        KRUM_ROW_BLOCK.min(n)
+    }
+}
 
 /// Computes Krum scores (Blanchard et al., 2017): for each update, the sum
 /// of squared L2 distances to its `n − f − 2` nearest other updates. Lower
@@ -32,12 +46,16 @@ pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
 /// Allocation-free blocked Krum scorer: writes `scores[i]` for every
 /// update `i` of `refs` (`scores.len() == refs.len()`).
 ///
-/// Evaluated in row blocks of [`KRUM_ROW_BLOCK`] through a
-/// [`Purpose::DistTile`] scratch tile, so resident memory is O(B·n)
-/// instead of the dense O(n²) (DESIGN.md §4e). Each tile is filled by
-/// [`vecops::sq_distance_tile_into`], which runs the active backend's
-/// `sq_distance_rows` kernel in parallel groups of four rows (AVX-512:
-/// four rows × 16 columns per register block); every entry is bitwise
+/// Evaluated in tiles of [`krum_tile_rows`] distance rows through a
+/// [`Purpose::DistTile`] scratch tile, so resident distance memory is at
+/// most `max(B·n, n·d)`: one row tile, or no more than the cohort itself
+/// (DESIGN.md §4e). When `n ≤ d` the one tile is the whole matrix, filled
+/// by [`vecops::pairwise_sq_distances_into`]: each pair once, in the
+/// upper triangle, then mirrored. Otherwise each [`KRUM_ROW_BLOCK`]-row
+/// tile is filled by [`vecops::sq_distance_tile_into`], every pair of its
+/// rows. Both run the active backend's `sq_distance_rows` kernel in
+/// groups of four rows that threads claim one at a time (AVX-512: four
+/// rows × 16 columns per register block); every entry is bitwise
 /// `sq_distance(refs[i], refs[j])` on every backend. Then each tile row is
 /// gathered, sorted and prefix-summed into its own `scores[i]`, the rows
 /// spread over the thread pool once the tile holds
@@ -46,11 +64,12 @@ pub fn krum_scores(refs: &[&[f32]], f: usize) -> Result<Vec<f32>, AggError> {
 /// so the scores are the same at any thread count.
 ///
 /// Bitwise identical to scoring against the dense matrix
-/// ([`krum_scores_from_dists`]): `sq_distance(a, b) == sq_distance(b, a)`
-/// exactly (each lane negates, and IEEE negation and multiplication are
-/// exact/commutative), so computing full rows directly equals the
-/// historical upper-triangle-plus-mirror fill, and the per-row gather →
-/// sort → sum sequence is the one [`krum_scores_into`] runs.
+/// ([`krum_scores_from_dists`]) in both regimes:
+/// `sq_distance(a, b) == sq_distance(b, a)` exactly (each lane negates,
+/// and IEEE negation and multiplication are exact/commutative), so a row
+/// tile's full rows equal the upper-triangle-plus-mirror fill, and the
+/// per-row gather → sort → sum sequence is the one [`krum_scores_into`]
+/// runs.
 ///
 /// # Errors
 ///
@@ -75,14 +94,18 @@ pub fn krum_scores_blocked_into(
     }
     debug_assert_eq!(scores.len(), n, "krum: one score slot per update");
     let k = n - f - 2;
-    let block = KRUM_ROW_BLOCK.min(n);
+    let block = krum_tile_rows(n, refs.first().map_or(0, |v| v.len()));
     let mut tile = scratch_f32(Purpose::DistTile, block * n);
     for (b, out) in scores.chunks_mut(block).enumerate() {
         let lo = b * block;
         let Some(tile) = tile.get_mut(..out.len() * n) else {
             continue;
         };
-        vecops::sq_distance_tile_into(refs, lo, tile);
+        if out.len() == n {
+            vecops::pairwise_sq_distances_into(refs, tile);
+        } else {
+            vecops::sq_distance_tile_into(refs, lo, tile);
+        }
         let tile = &*tile;
         let select = |r: usize, score: &mut [f32]| {
             let i = lo + r;
@@ -402,6 +425,48 @@ mod tests {
         for (b, d) in blocked.iter().zip(&dense) {
             assert_eq!(b.to_bits(), d.to_bits());
         }
+    }
+
+    /// Both tile regimes against the serial dense matrix: `n` just below,
+    /// at and just above `d` (pair-once, pair-once, row tiles), the
+    /// smallest cohort Krum accepts on either side of `d`, and a cohort
+    /// above `KRUM_ROW_BLOCK` still below `d`.
+    #[test]
+    fn scores_match_serial_dense_matrix_on_both_sides_of_d() {
+        let f = 3;
+        for (n, d) in [
+            (19, 20),
+            (20, 20),
+            (21, 20),
+            (f + 3, 20),
+            (f + 3, 5),
+            (157, 300),
+        ] {
+            let ups: Vec<Vec<f32>> = (0..n)
+                .map(|u| {
+                    (0..d)
+                        .map(|i| ((u * d + i) as f32 * 0.29).sin() * (1 + u % 3) as f32)
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f32]> = ups.iter().map(|u| u.as_slice()).collect();
+            let got = krum_scores(&refs, f).unwrap();
+            let dists: Vec<f32> = vecops::pairwise_sq_distances_serial(&refs).concat();
+            let pool: Vec<usize> = (0..n).collect();
+            let want = krum_scores_from_dists(&dists, n, &pool, f).unwrap();
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "n={n} d={d} score {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_rows_cover_the_matrix_when_n_is_at_most_d() {
+        assert_eq!(krum_tile_rows(993, 9_098), 993);
+        assert_eq!(krum_tile_rows(1_024, 1_024), 1_024);
+        assert_eq!(krum_tile_rows(1_025, 1_024), KRUM_ROW_BLOCK);
+        assert_eq!(krum_tile_rows(40, 10), 40);
+        assert_eq!(krum_tile_rows(5_000, 256), KRUM_ROW_BLOCK);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use error::AggError;
 pub use fedavg::FedAvg;
 pub use foolsgold::{foolsgold_weights, FoolsGold};
 pub use krum::{
-    krum_scores, krum_scores_blocked_into, krum_scores_from_dists, krum_scores_into, Krum,
-    MultiKrum, KRUM_ROW_BLOCK, KRUM_SELECT_PAR_ENTRIES,
+    krum_scores, krum_scores_blocked_into, krum_scores_from_dists, krum_scores_into,
+    krum_tile_rows, Krum, MultiKrum, KRUM_ROW_BLOCK, KRUM_SELECT_PAR_ENTRIES,
 };
 pub use normbound::NormBound;
 pub use statistic::{Median, TrimmedMean};

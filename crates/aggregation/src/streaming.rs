@@ -104,7 +104,8 @@ pub struct StreamingAggregator {
 impl StreamingAggregator {
     /// Whether `kind` has a streaming form. The quadratic selection rules
     /// (Krum/mKrum/Bulyan/FoolsGold) need pairwise geometry and cannot
-    /// stream; they take the blocked O(B·n)-resident kernels instead.
+    /// stream; they take the blocked kernels instead, whose distance
+    /// memory stays within `max(B·n, n·d)`.
     pub fn supports(kind: DefenseKind) -> bool {
         matches!(
             kind,

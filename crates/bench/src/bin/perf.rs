@@ -21,7 +21,9 @@
 //! The full run also reports the per-backend GEMM section (every
 //! supported `fabflip_tensor::backend` at 256/1024), the per-backend
 //! Krum distance-tile fill at the `cohort-fashion` shape (`krum_tile`:
-//! n = 1 000, d = 9 098, 1 thread), backend × thread
+//! n = 1 000, d = 9 098, 1 thread) with the whole Krum scorer at that
+//! shape on 1 and 2 threads, pair-once against row tiles
+//! (`krum_tile.scorer`), backend × thread
 //! GEMM scaling, the per-backend `vecops` reduction microbench at
 //! d = 256/4096/65536 (DESIGN.md §4f), and the checkpoint layer
 //! (`checkpoint`: encode, checksum and durable save of the serve
@@ -34,6 +36,7 @@
 //! when the pool is not measurably faster than per-dispatch spawning,
 //! the streaming path diverges from batch FedAvg, a k = 40 checkpoint
 //! does not survive `save` → `load` bit for bit, blocked `krum_scores`
+//! (in both tile regimes: n ≤ d, each pair once, and n > d, row tiles)
 //! or the tiled `matmul_transpose_b` is not bitwise equal to (or not
 //! enough faster than) its per-pair reference, a backend's Krum tile
 //! differs from the scalar tile or (on a SIMD backend) fills less than
@@ -41,11 +44,15 @@
 //! `FABFLIP_BACKEND` pins a narrower ISA) the detected backend's 1024³
 //! GEMM falls below the committed autovectorized baseline — CI uses
 //! this as a cheap perf/correctness regression gate.
+//!
+//! "Detected" is the widest backend the host supports; "active" is the
+//! one running, which `FABFLIP_BACKEND` may pin narrower. Both are
+//! printed and recorded.
 
 use fabflip::{ZkaConfig, ZkaG, ZkaR};
 use fabflip_agg::{
-    krum_scores, Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median, MultiKrum,
-    NormBound, StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
+    krum_scores, krum_tile_rows, Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median,
+    MultiKrum, NormBound, StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
@@ -54,6 +61,7 @@ use fabflip_fl::{Codec, FlConfig, RoundRecord, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
+use fabflip_tensor::scratch::{scratch_f32, Purpose};
 use fabflip_tensor::{
     col2im, im2col, matmul_into, matmul_into_serial, matmul_transpose_a, matmul_transpose_b, par,
     quant, vecops, Tensor,
@@ -137,12 +145,23 @@ fn bench_matmul(sizes: &[usize]) -> (Vec<Value>, f64) {
     (rows, speedup_1024)
 }
 
+/// The widest backend the host supports, whatever `FABFLIP_BACKEND`
+/// pins: what detection alone would run.
+fn detected_kind() -> Kind {
+    ALL_KINDS
+        .into_iter()
+        .find(|k| k.supported())
+        .unwrap_or(Kind::Scalar)
+}
+
 /// Per-backend serial GEMM throughput (DESIGN.md §4f): every supported
 /// backend at each size, forced via `backend::force` (safe here — the
-/// bench harness is single-threaded). Returns the rows plus the
-/// auto-detected backend's 1024³ GFLOP/s for the smoke gate.
+/// bench harness is single-threaded). Each row flags the host's detected
+/// (widest) backend and the active one. Returns the rows plus the
+/// detected backend's 1024³ GFLOP/s for the smoke gate.
 fn bench_matmul_backends(sizes: &[usize]) -> (Vec<Value>, f64) {
-    let detected = backend::active_kind();
+    let detected = detected_kind();
+    let active = backend::active_kind();
     let mut rows = Vec::new();
     let mut detected_1024 = 0.0f64;
     for &s in sizes {
@@ -167,13 +186,15 @@ fn bench_matmul_backends(sizes: &[usize]) -> (Vec<Value>, f64) {
                 detected_1024 = gflops;
             }
             println!(
-                "matmul {s}x{s}x{s} [{}]: {gflops:.2} GFLOP/s{}",
+                "matmul {s}x{s}x{s} [{}]: {gflops:.2} GFLOP/s{}{}",
                 kind.name(),
-                if kind == detected { " (detected)" } else { "" }
+                if kind == detected { " (detected)" } else { "" },
+                if kind == active { " (active)" } else { "" }
             );
             rows.push(serde_json::json!({
                 "backend": kind.name(),
                 "detected": kind == detected,
+                "active": kind == active,
                 "size": s as u64,
                 "gflops": gflops,
             }));
@@ -233,8 +254,8 @@ fn bench_matmul_threads() -> Vec<Value> {
 /// Reduction microbench: `dot`/`l2_norm` and their fused delta forms per
 /// backend at paper-relevant vector lengths (a conv layer's filter bank,
 /// a small model, a Cifar-scale model slice).
-/// Also returns the detected backend's `l2_norm` GB/s at the largest `d`:
-/// the host's streaming-read ceiling.
+/// Also returns the active backend's `l2_norm` GB/s at the largest `d`:
+/// the streaming-read ceiling of the kernels this run executes.
 fn bench_vecops_reduce() -> (Vec<Value>, f64) {
     let mut rows = Vec::new();
     let mut stream_gbps = f64::NAN;
@@ -498,58 +519,85 @@ fn streaming_gate(d: usize) -> bool {
 }
 
 /// Minimum speed-up of blocked `krum_scores` over the in-run per-pair
-/// reference at n = 1 000, d = 1 024 on one thread. Measured on the
-/// 2-vCPU AVX-512 host (portable SSE2 build): 2.0–2.4×; with the per-pair
-/// loop planted as the tile kernel the same gate measures 1.2–1.4×.
+/// reference in the same tile regime, on one thread. Measured on the
+/// 2-vCPU AVX-512 host (portable build): pair-once 3.4–4.1×, row tiles
+/// 3.7–4.6× (AVX2 pinned 3.2×/3.9×, scalar pinned 2.1×/2.5×). With the
+/// SSE2-only tile kernel the row-tile gate measured 2.0–2.4×, and with
+/// the per-pair loop planted as the tile kernel 1.2–1.4×.
 const KRUM_GATE_MIN_SPEEDUP: f64 = 1.7;
 
-/// The reference the Krum gate times against: `krum_scores`' row-block
-/// loop with each tile filled pair by pair through `vecops::sq_distance`
-/// (the per-pair loop the register-blocked kernel replaced, in the form
-/// the kernel's own remainder path uses), then the same gather, sort and
-/// prefix sum. Returns the scores and the seconds spent in the distance
-/// and the selection phase.
+/// The Krum scorer's per-row selection over one distance tile whose
+/// first row is update `lo` (`n` columns): each row gathered without its
+/// diagonal, sorted, its `k` smallest summed into `out`, rows spread over
+/// the pool as in `krum_scores_blocked_into`.
+fn select_tile_rows(tile: &[f32], lo: usize, n: usize, k: usize, out: &mut [f32]) {
+    par::for_each_chunk_mut(out, 1, |r, score| {
+        let i = lo + r;
+        let mut row = scratch_f32(Purpose::KrumRow, n - 1);
+        let others = tile[r * n..(r + 1) * n]
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i);
+        for (slot, (_, &dist)) in row.iter_mut().zip(others) {
+            *slot = dist;
+        }
+        row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        score[0] = row[..k].iter().sum();
+    });
+}
+
+/// The reference the Krum gate times against: `krum_scores`' tiles (one
+/// tile of the whole matrix when n ≤ d, else `KRUM_ROW_BLOCK`-row tiles)
+/// filled pair by pair through `vecops::sq_distance` (the per-pair loop
+/// the register-blocked kernel replaced, in the form the kernel's own
+/// remainder path uses; the whole matrix each pair once, then mirrored),
+/// then the same gather, sort and prefix sum. Returns the scores and the
+/// seconds spent in the distance and the selection phase.
 fn krum_scores_per_pair(refs: &[&[f32]], f: usize) -> (Vec<f32>, f64, f64) {
     let n = refs.len();
     let k = n - f - 2;
+    let block = krum_tile_rows(n, refs[0].len());
     let mut scores = vec![0.0f32; n];
-    let mut tile = vec![0.0f32; KRUM_ROW_BLOCK * n];
-    let mut row = vec![0.0f32; n - 1];
+    let mut tile = vec![0.0f32; block * n];
     let (mut dist_s, mut select_s) = (0.0, 0.0);
-    for lo in (0..n).step_by(KRUM_ROW_BLOCK) {
-        let tile = &mut tile[..KRUM_ROW_BLOCK.min(n - lo) * n];
+    for (b, out) in scores.chunks_mut(block).enumerate() {
+        let lo = b * block;
+        let tile = &mut tile[..out.len() * n];
         let t = Instant::now();
-        for (r, drow) in tile.chunks_mut(n).enumerate() {
-            let i = lo + r;
-            for (j, (slot, vj)) in drow.iter_mut().zip(refs).enumerate() {
-                *slot = if j == i {
-                    0.0
-                } else {
-                    vecops::sq_distance(refs[i], vj)
-                };
+        if out.len() == n {
+            for i in 0..n {
+                tile[i * n + i] = 0.0;
+                for j in i + 1..n {
+                    let dist = vecops::sq_distance(refs[i], refs[j]);
+                    tile[i * n + j] = dist;
+                    tile[j * n + i] = dist;
+                }
+            }
+        } else {
+            for (r, drow) in tile.chunks_mut(n).enumerate() {
+                let i = lo + r;
+                for (j, (slot, vj)) in drow.iter_mut().zip(refs).enumerate() {
+                    *slot = if j == i {
+                        0.0
+                    } else {
+                        vecops::sq_distance(refs[i], vj)
+                    };
+                }
             }
         }
         let t_sel = Instant::now();
-        for (r, drow) in tile.chunks(n).enumerate() {
-            let i = lo + r;
-            let others = drow.iter().enumerate().filter(|&(j, _)| j != i);
-            for (slot, (_, &dist)) in row.iter_mut().zip(others) {
-                *slot = dist;
-            }
-            row.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            scores[i] = row[..k].iter().sum();
-        }
+        select_tile_rows(tile, lo, n, k, out);
         select_s += t_sel.elapsed().as_secs_f64();
         dist_s += (t_sel - t).as_secs_f64();
     }
     (scores, dist_s, select_s)
 }
 
-/// Ratio gate for the register-blocked Krum distance tiles (DESIGN.md
-/// §4e): on one thread at n = 1 000, d = 1 024, `krum_scores` must match
-/// the per-pair reference bit for bit and beat it by
-/// [`KRUM_GATE_MIN_SPEEDUP`]. Prints the distance and selection phases
-/// separately; the blocked distance phase is the tile fills alone.
+/// Ratio gate for the register-blocked Krum scorer (DESIGN.md §4e), once
+/// per tile regime on one thread: n = 1 000, d = 1 024 (n ≤ d: one tile,
+/// each pair once) and n = 1 100, d = 1 024 (n > d: `KRUM_ROW_BLOCK`-row
+/// tiles). In each, `krum_scores` must match the per-pair reference of
+/// the same regime bit for bit and beat it by [`KRUM_GATE_MIN_SPEEDUP`].
 ///
 /// d = 1 024 rather than 256: at d = 256 one pair is only 64 chunk steps,
 /// the out-of-order core overlaps consecutive pairs of the per-pair loop,
@@ -557,24 +605,33 @@ fn krum_scores_per_pair(refs: &[&[f32]], f: usize) -> (Vec<f32>, f64, f64) {
 /// the per-pair loop planted as the kernel measured up to 1.46× there,
 /// against 1.56–1.89× for the blocked kernel.
 fn krum_gate() -> bool {
-    const N: usize = 1_000;
-    const D: usize = 1_024;
+    let pair_once = krum_gate_case(1_000, 1_024);
+    let row_tiles = krum_gate_case(1_100, 1_024);
+    pair_once && row_tiles
+}
+
+/// One regime of [`krum_gate`]. Prints the distance and selection phases
+/// of both sides; the blocked distance phase is that regime's fill alone
+/// (the triangle and its mirror, or every row tile).
+fn krum_gate_case(n: usize, d: usize) -> bool {
     const F: usize = 10;
-    let mut buf = vec![0.0f32; D];
-    let updates: Vec<Vec<f32>> = (0..N)
+    let mut buf = vec![0.0f32; d];
+    let updates: Vec<Vec<f32>> = (0..n)
         .map(|i| {
             gen_update(&mut buf, i);
             buf.clone()
         })
         .collect();
     let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+    let block = krum_tile_rows(n, d);
+    let regime = if block == n { "pair-once" } else { "row tiles" };
     let prev_budget = par::max_threads();
     par::set_max_threads(1);
     let blocked = krum_scores(&refs, F).expect("krum geometry");
     let (reference, _, _) = krum_scores_per_pair(&refs, F);
     // Best of seven, the three timings interleaved so a noisy stretch of
     // a shared host hits both sides of the ratio.
-    let mut tile = vec![0.0f32; KRUM_ROW_BLOCK * N];
+    let mut tile = vec![0.0f32; block * n];
     let (mut t_ref, mut t_blocked, mut t_dist) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let (mut ref_dist, mut ref_select) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..7 {
@@ -588,9 +645,13 @@ fn krum_gate() -> bool {
             std::hint::black_box(krum_scores(&refs, F).expect("krum geometry"));
         }));
         t_dist = t_dist.min(time_best(1, || {
-            for lo in (0..N).step_by(KRUM_ROW_BLOCK) {
-                let rows = KRUM_ROW_BLOCK.min(N - lo);
-                vecops::sq_distance_tile_into(&refs, lo, &mut tile[..rows * N]);
+            if block == n {
+                vecops::pairwise_sq_distances_into(&refs, &mut tile);
+            } else {
+                for lo in (0..n).step_by(block) {
+                    let rows = block.min(n - lo);
+                    vecops::sq_distance_tile_into(&refs, lo, &mut tile[..rows * n]);
+                }
             }
             std::hint::black_box(&mut tile);
         }));
@@ -598,8 +659,8 @@ fn krum_gate() -> bool {
     par::set_max_threads(prev_budget);
     let speedup = t_ref / t_blocked;
     println!(
-        "krum gate (n={N}, d={D}, 1 thread): per-pair {:.1} ms (distance {:.1} + selection {:.1}), \
-         blocked {:.1} ms (distance {:.1} + selection {:.1}), speed-up {speedup:.2}x",
+        "krum gate {regime} (n={n}, d={d}, 1 thread): per-pair {:.1} ms (distance {:.1} + \
+         selection {:.1}), blocked {:.1} ms (distance {:.1} + selection {:.1}), speed-up {speedup:.2}x",
         t_ref * 1e3,
         ref_dist * 1e3,
         ref_select * 1e3,
@@ -612,15 +673,78 @@ fn krum_gate() -> bool {
         .zip(&reference)
         .all(|(a, b)| a.to_bits() == b.to_bits());
     if !bitwise {
-        eprintln!("FAIL: blocked krum_scores differ from the per-pair reference");
+        eprintln!("FAIL: {regime} krum_scores differ from the per-pair reference");
     }
     if speedup < KRUM_GATE_MIN_SPEEDUP {
         eprintln!(
-            "FAIL: blocked krum_scores speed-up {speedup:.2}x < {KRUM_GATE_MIN_SPEEDUP}x \
+            "FAIL: {regime} krum_scores speed-up {speedup:.2}x < {KRUM_GATE_MIN_SPEEDUP}x \
              vs the per-pair reference"
         );
     }
     bitwise && speedup >= KRUM_GATE_MIN_SPEEDUP
+}
+
+/// `krum_scores` as it ran before its n ≤ d tiles held the whole matrix:
+/// every `KRUM_ROW_BLOCK`-row tile filled by
+/// `vecops::sq_distance_tile_into` (every pair of its rows), then the
+/// scorer's selection. The row-tile side of the `krum_tile.scorer`
+/// comparison.
+fn krum_scores_row_tiles(refs: &[&[f32]], f: usize, tile: &mut [f32], scores: &mut [f32]) {
+    let n = refs.len();
+    for (b, out) in scores.chunks_mut(KRUM_ROW_BLOCK).enumerate() {
+        let lo = b * KRUM_ROW_BLOCK;
+        let tile = &mut tile[..out.len() * n];
+        vecops::sq_distance_tile_into(refs, lo, tile);
+        select_tile_rows(tile, lo, n, n - f - 2, out);
+    }
+}
+
+/// The whole Krum scorer at the `cohort-fashion` shape on 1 and 2
+/// threads: `krum_scores` (n ≤ d, so each pair once over the whole
+/// matrix) against [`krum_scores_row_tiles`]. Best of `reps`, the two
+/// interleaved. Returns one JSON row per thread count and whether the
+/// two scorers agreed bit for bit.
+fn bench_krum_scorer(refs: &[&[f32]], reps: usize) -> (Vec<Value>, bool) {
+    const F: usize = 10;
+    let n = refs.len();
+    let prev_budget = par::max_threads();
+    let mut tile = vec![0.0f32; KRUM_ROW_BLOCK * n];
+    let mut tiled = vec![0.0f32; n];
+    let mut rows = Vec::new();
+    let mut bitwise = true;
+    for threads in [1usize, 2] {
+        par::set_max_threads(threads);
+        let (mut t_pair_once, mut t_row_tiles) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let mut scores = Vec::new();
+            t_pair_once = t_pair_once.min(time_best(1, || {
+                scores = krum_scores(refs, F).expect("krum geometry");
+            }));
+            t_row_tiles = t_row_tiles.min(time_best(1, || {
+                krum_scores_row_tiles(refs, F, &mut tile, &mut tiled);
+            }));
+            bitwise &= scores
+                .iter()
+                .zip(&tiled)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        }
+        println!(
+            "krum scorer (n={n}, d={}, {threads} thread(s)): pair-once {:.1} ms, row tiles {:.1} ms, \
+             {:.2}x",
+            refs[0].len(),
+            t_pair_once * 1e3,
+            t_row_tiles * 1e3,
+            t_row_tiles / t_pair_once
+        );
+        rows.push(serde_json::json!({
+            "threads": threads as u64,
+            "pair_once_ms": t_pair_once * 1e3,
+            "row_tiles_ms": t_row_tiles * 1e3,
+            "row_tiles_over_pair_once": t_row_tiles / t_pair_once,
+        }));
+    }
+    par::set_max_threads(prev_budget);
+    (rows, bitwise)
 }
 
 /// Cohort size and update length of the `cohort-fashion` mKrum round
@@ -642,9 +766,12 @@ const KRUM_TILE_MIN_RATIO: f64 = 1.5;
 /// bench is single-threaded at that point). Best of `reps`, the backends
 /// interleaved per rep so a noisy stretch of a shared host hits all of
 /// them. Every backend's tile must equal the scalar tile bit for bit.
+/// With `scorer`, the section's `scorer` rows also time the whole scorer
+/// on 1 and 2 threads ([`bench_krum_scorer`]), whose two sides must agree
+/// too; without it they are empty.
 /// Returns the JSON section, the active backend's rate over the scalar
-/// rate, and whether the tiles agreed.
-fn bench_krum_tile(reps: usize) -> (Value, f64, bool) {
+/// rate, and whether the tiles (and scorers) agreed.
+fn bench_krum_tile(reps: usize, scorer: bool) -> (Value, f64, bool) {
     let (n, d) = (KRUM_TILE_N, KRUM_TILE_D);
     let rows = KRUM_ROW_BLOCK.min(n);
     let mut buf = vec![0.0f32; d];
@@ -705,6 +832,11 @@ fn bench_krum_tile(reps: usize) -> (Value, f64, bool) {
         }));
     }
     println!("krum tile: {} over scalar {ratio:.2}x", active.name());
+    let (scorer_rows, scorer_bitwise) = if scorer {
+        bench_krum_scorer(&refs, reps)
+    } else {
+        (Vec::new(), true)
+    };
     let section = serde_json::json!({
         "n": n as u64,
         "d": d as u64,
@@ -713,8 +845,9 @@ fn bench_krum_tile(reps: usize) -> (Value, f64, bool) {
         "backends": backends,
         "active": active.name(),
         "active_over_scalar": ratio,
+        "scorer": scorer_rows,
     });
-    (section, ratio, bitwise)
+    (section, ratio, bitwise && scorer_bitwise)
 }
 
 /// Ratio gate for the SIMD distance rows (DESIGN.md §4e/§4f): at the
@@ -724,7 +857,7 @@ fn bench_krum_tile(reps: usize) -> (Value, f64, bool) {
 /// tile [`KRUM_TILE_MIN_RATIO`]× faster than the scalar backend. With the
 /// scalar backend active only equality is gated.
 fn krum_tile_gate() -> bool {
-    let (_, ratio, bitwise) = bench_krum_tile(5);
+    let (_, ratio, bitwise) = bench_krum_tile(5, false);
     if !bitwise {
         eprintln!("FAIL: a backend's Krum distance tile differs from the scalar tile");
     }
@@ -880,7 +1013,7 @@ fn ckpt_scratch_dir() -> std::path::PathBuf {
 /// `body_checksum` and the full durable `save` (one write, two fsyncs,
 /// two renames) for k = 0, 20 and 40 in-flight submissions, in ms and
 /// MB/s, next to the host's streaming-read ceiling (`vecops` `l2_norm`
-/// GB/s at the largest `d` on the detected backend).
+/// GB/s at the largest `d` on the active backend).
 fn bench_checkpoint(ceiling_gbps: f64) -> Value {
     let cfg = ckpt_cfg();
     let dir = ckpt_scratch_dir();
@@ -948,7 +1081,8 @@ fn checkpoint_gate() -> bool {
 /// the cohort grows at fixed `d`. The mean family streams (resident
 /// O(shards·d), measured from the live aggregator); the quadratic selection
 /// family runs the blocked kernels over a materialized cohort (resident
-/// O(B·n + B²), analytic, excluding the inherent n·d input).
+/// O(B·n + B²), analytic, excluding the inherent n·d input; Krum's `B`
+/// is its scorer's tile height, `krum_tile_rows(n, d)`).
 fn bench_n_sweep(smoke: bool) -> Vec<Value> {
     const D: usize = 256;
     const TILE: usize = 128; // FoolsGold FG_TILE (crate-private)
@@ -1036,7 +1170,7 @@ fn bench_n_sweep(smoke: bool) -> Vec<Value> {
             .collect();
         let weights = vec![1.0f32; n];
         let f = 10usize.min(n.saturating_sub(3));
-        let block = KRUM_ROW_BLOCK.min(n);
+        let block = krum_tile_rows(n, D);
         let krum_resident = (block * n + 2 * n) * 4;
         let fg_tile = TILE.min(n);
         let fg_resident = (fg_tile * fg_tile + 4 * n) * 4;
@@ -1256,22 +1390,19 @@ fn main() {
         // autovectorized `target-cpu=native` number — runtime dispatch
         // must not cost throughput vs the old static build. Scalar-only
         // hosts skip the gate (there the portable build is the baseline),
-        // and so does a run whose `FABFLIP_BACKEND` pins a SIMD backend
-        // below the host's widest: the committed number was taken on the
-        // widest ISA, and the pinned backend's kernels are held by the
-        // ratio gates above.
-        let detected = backend::active_kind();
-        let widest = ALL_KINDS
-            .into_iter()
-            .find(|k| k.supported())
-            .unwrap_or(Kind::Scalar);
+        // and so does a run whose `FABFLIP_BACKEND` pins any backend,
+        // scalar included, below the host's widest: the committed number
+        // was taken on the widest ISA, and the pinned backend's kernels
+        // are held by the ratio gates above.
+        let detected = detected_kind();
+        let active = backend::active_kind();
         if detected == Kind::Scalar {
             println!("smoke: scalar-only host, skipping SIMD GEMM gate");
-        } else if detected != widest {
+        } else if active != detected {
             println!(
                 "smoke: backend pinned to {} below the host's {}, skipping SIMD GEMM gate",
-                detected.name(),
-                widest.name()
+                active.name(),
+                detected.name()
             );
         } else {
             let (_, detected_1024) = bench_matmul_backends(&[1024]);
@@ -1291,7 +1422,11 @@ fn main() {
         println!("smoke ok: pool dispatch {speedup:.2}x vs per-dispatch spawn, n-sweep ran");
         return;
     }
-    println!("backend: {} (detected)", backend::active().name());
+    println!(
+        "backend: {} (active), {} (detected)",
+        backend::active().name(),
+        detected_kind().name()
+    );
     println!("threads: {}", par::max_threads());
     if !streaming_gate(256) {
         std::process::exit(1);
@@ -1306,9 +1441,12 @@ fn main() {
     let checkpoint = bench_checkpoint(stream_gbps);
     let conv = bench_conv();
     let agg = bench_aggregation(50, 100_000);
-    let (krum_tile, _, krum_tile_bitwise) = bench_krum_tile(5);
+    let (krum_tile, _, krum_tile_bitwise) = bench_krum_tile(5, true);
     if !krum_tile_bitwise {
-        eprintln!("FAIL: a backend's Krum distance tile differs from the scalar tile");
+        eprintln!(
+            "FAIL: a backend's Krum distance tile differs from the scalar tile, \
+             or pair-once scores from row-tile scores"
+        );
         std::process::exit(1);
     }
     let n_sweep = bench_n_sweep(false);
@@ -1316,7 +1454,8 @@ fn main() {
     let complexity = bench_complexity();
     let out = serde_json::json!({
         "threads": par::max_threads() as u64,
-        "backend_detected": backend::active().name(),
+        "backend_detected": detected_kind().name(),
+        "backend_active": backend::active().name(),
         "matmul": matmul_rows,
         "matmul_1024_speedup_vs_seed": speedup_1024,
         "matmul_backends": matmul_backends,

@@ -23,9 +23,9 @@
 //! the contract above: block boundaries are computed by the caller from the
 //! problem shape and thread budget alone, each block's math is a pure
 //! function of its block index, and merge order is by block index — so
-//! which thread runs a block can never affect results. The chunk helpers
-//! hand each worker one contiguous run of chunks; [`map_collect`] makes
-//! every index its own block, so uneven items balance across the pool. A
+//! which thread runs a block can never affect results. Every unit is its
+//! own block — a chunk of the chunk helpers, an index of [`map_collect`] —
+//! so units of uneven cost balance across the pool. A
 //! panic inside any block is caught, short-circuits the remaining blocks,
 //! and is re-thrown on the calling thread once the dispatch has fully
 //! drained; workers survive the panic and keep serving later dispatches.
@@ -390,12 +390,12 @@ where
         .collect()
 }
 
-/// Base pointer of a slice being dispatched as disjoint per-block spans.
+/// Base pointer of a slice being dispatched as disjoint per-chunk spans.
 ///
 /// The allocation-free chunk dispatchers hand workers the slice's base
 /// pointer plus arithmetic instead of a per-dispatch `Vec` of pre-split
-/// subslices. Each block `b` reconstructs exactly the half-open item range
-/// `[b · items_per_block, min((b+1) · items_per_block, len))`; ranges of
+/// subslices. Each chunk `c` reconstructs exactly the half-open item range
+/// `[c · chunk_len, min((c+1) · chunk_len, len))`; ranges of
 /// distinct blocks never overlap and the dispatch protocol keeps the
 /// borrowed slice alive until every block has drained, so the reconstructed
 /// `&mut` subslices are disjoint and valid.
@@ -477,8 +477,10 @@ mod overlap {
 /// `f(chunk_index, chunk)` on each, in parallel. Chunk boundaries depend
 /// only on `chunk_len`, so any per-chunk computation that is a pure
 /// function of `(chunk_index, chunk)` yields thread-count-independent
-/// results. Allocation-free: blocks are carved from the slice's base
-/// pointer (see [`SpanBase`]) rather than collected up front.
+/// results. Threads claim chunks one at a time, so chunks of uneven cost
+/// (the row groups of a distance triangle) balance across the pool.
+/// Allocation-free: chunks are carved from the slice's base pointer (see
+/// [`SpanBase`]) rather than collected up front.
 pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
@@ -493,25 +495,20 @@ where
         }
         return;
     }
-    // Hand each block a contiguous run of whole chunks.
-    let chunks_per_worker = n_chunks.div_ceil(threads);
-    let items_per_worker = chunks_per_worker * chunk_len;
     let len = data.len();
     let base = SpanBase(data.as_mut_ptr());
-    dispatch(n_chunks.div_ceil(chunks_per_worker), threads - 1, &|b| {
-        let lo = b * items_per_worker;
-        let hi = (lo + items_per_worker).min(len);
+    dispatch(n_chunks, threads - 1, &|c| {
+        let lo = c * chunk_len;
+        let hi = (lo + chunk_len).min(len);
         #[cfg(debug_assertions)]
         let _guard = overlap::register(base.ptr() as usize, lo, hi);
-        // SAFETY(bound: lo <= hi && hi <= len): block `b`'s exclusive range
-        // of `data`, held borrowed until all blocks drain (`SpanBase`);
+        // SAFETY(bound: lo <= hi && hi <= len): chunk `c`'s exclusive range
+        // of `data`, held borrowed until all chunks drain (`SpanBase`);
         // `wrapping_add`, not `add`, dodges the `Tensor::add` name match.
-        // fabcheck::claim(disjoint): `lo` strides by whole worker spans, so
-        // blocks' `[lo, hi)` ranges partition `data` without overlap.
-        let span = unsafe { std::slice::from_raw_parts_mut(base.ptr().wrapping_add(lo), hi - lo) };
-        for (i, chunk) in span.chunks_mut(chunk_len).enumerate() {
-            f(b * chunks_per_worker + i, chunk);
-        }
+        // fabcheck::claim(disjoint): `lo` strides by whole chunks, so
+        // chunks' `[lo, hi)` ranges partition `data` without overlap.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(base.ptr().wrapping_add(lo), hi - lo) };
+        f(c, chunk);
     });
 }
 
@@ -552,40 +549,32 @@ pub fn for_each_chunk_pair_mut<T, U, F>(
         }
         return;
     }
-    let chunks_per_worker = n_chunks.div_ceil(threads);
-    let (a_items, b_items) = (
-        chunks_per_worker * a_chunk_len,
-        chunks_per_worker * b_chunk_len,
-    );
     let (a_len, b_len) = (a.len(), b.len());
     let base_a = SpanBase(a.as_mut_ptr());
     let base_b = SpanBase(b.as_mut_ptr());
-    dispatch(n_chunks.div_ceil(chunks_per_worker), threads - 1, &|s| {
-        let (a_lo, b_lo) = (s * a_items, s * b_items);
-        let (a_hi, b_hi) = ((a_lo + a_items).min(a_len), (b_lo + b_items).min(b_len));
+    dispatch(n_chunks, threads - 1, &|c| {
+        let (a_lo, b_lo) = (c * a_chunk_len, c * b_chunk_len);
+        let (a_hi, b_hi) = (
+            (a_lo + a_chunk_len).min(a_len),
+            (b_lo + b_chunk_len).min(b_len),
+        );
         #[cfg(debug_assertions)]
         let _guard_a = overlap::register(base_a.ptr() as usize, a_lo, a_hi);
         #[cfg(debug_assertions)]
         let _guard_b = overlap::register(base_b.ptr() as usize, b_lo, b_hi);
-        // SAFETY(bound: a_lo <= a_hi && a_hi <= a_len): block `s`'s
+        // SAFETY(bound: a_lo <= a_hi && a_hi <= a_len): chunk `c`'s
         // exclusive range of `a`, alive for the whole dispatch (`SpanBase`).
-        // fabcheck::claim(disjoint): `a_lo` strides by whole worker spans
-        // (`s * a_items`), so blocks' `[a_lo, a_hi)` ranges are disjoint.
-        let sa =
+        // fabcheck::claim(disjoint): `a_lo` strides by whole chunks
+        // (`c * a_chunk_len`), so chunks' `[a_lo, a_hi)` ranges are disjoint.
+        let ca =
             unsafe { std::slice::from_raw_parts_mut(base_a.ptr().wrapping_add(a_lo), a_hi - a_lo) };
-        // SAFETY(bound: b_lo <= b_hi && b_hi <= b_len): block `s`'s
+        // SAFETY(bound: b_lo <= b_hi && b_hi <= b_len): chunk `c`'s
         // exclusive range of `b`, alive for the whole dispatch (`SpanBase`).
-        // fabcheck::claim(disjoint): `b_lo` strides by whole worker spans
-        // (`s * b_items`), so blocks' `[b_lo, b_hi)` ranges are disjoint.
-        let sb =
+        // fabcheck::claim(disjoint): `b_lo` strides by whole chunks
+        // (`c * b_chunk_len`), so chunks' `[b_lo, b_hi)` ranges are disjoint.
+        let cb =
             unsafe { std::slice::from_raw_parts_mut(base_b.ptr().wrapping_add(b_lo), b_hi - b_lo) };
-        for (i, (ca, cb)) in sa
-            .chunks_mut(a_chunk_len)
-            .zip(sb.chunks_mut(b_chunk_len))
-            .enumerate()
-        {
-            f(s * chunks_per_worker + i, ca, cb);
-        }
+        f(c, ca, cb);
     });
 }
 

@@ -628,12 +628,17 @@ pub(crate) fn sq_distance_tile_on(
 
 /// Full pairwise squared-distance matrix, written into `out` as a flat
 /// row-major `n × n` slice (symmetric, zero diagonal), allocation-free.
+/// Each pair is computed once: Krum's scorer when `n ≤ d`, Bulyan's dense
+/// stage 1, Min-Max and Min-Sum all fill their matrices here.
 ///
 /// The strict upper triangle is filled by the same backend kernel as
-/// [`sq_distance_tile_into`] (groups of four rows, parallel above the
-/// work threshold), then mirrored serially. Each entry is bitwise
-/// `sq_distance(vs[i], vs[j])` on every backend, so the matrix is bitwise
-/// identical to [`pairwise_sq_distances_serial`] at any thread count.
+/// [`sq_distance_tile_into`], then mirrored serially. A group of four
+/// rows from row `i₀` covers the `n − i₀` columns right of it, so groups
+/// shrink down the triangle; above the work threshold threads claim them
+/// one at a time, which spreads the triangle evenly over the pool. Each
+/// entry is bitwise `sq_distance(vs[i], vs[j])` on every backend, so the
+/// matrix is bitwise identical to [`pairwise_sq_distances_serial`] at any
+/// thread count.
 ///
 /// # Panics
 ///

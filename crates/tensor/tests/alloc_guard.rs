@@ -203,7 +203,9 @@ fn hot_kernels_are_allocation_free_once_warm() {
     });
 
     // The blocked scorer: distance tiles plus the per-row selection, here
-    // below the parallel-selection threshold (Phase B runs it above).
+    // in its pair-once regime (9 updates of length 257: one tile, the
+    // whole matrix) below the parallel thresholds. Phase B runs both
+    // regimes above them.
     let mut blocked_scores = vec![0.0f32; n_up];
     assert_steady_state_alloc_free("krum_scores_blocked_into", || {
         fabflip_agg::krum_scores_blocked_into(&refs, f_byz, &mut blocked_scores)
@@ -309,6 +311,26 @@ fn hot_kernels_are_allocation_free_once_warm() {
         .collect();
     let krum_refs: Vec<&[f32]> = krum_updates.iter().map(Vec::as_slice).collect();
     let mut krum_out = vec![0.0f32; KN];
+    // The same cohort size with updates longer than the cohort: the
+    // scorer's one tile is the whole matrix, its upper triangle filled by
+    // `pairwise_sq_distances_into` above the distance fill's parallel
+    // threshold, and all KN rows selected on the pool.
+    const KD_PAIR_ONCE: usize = 160;
+    const _: () = assert!(
+        KN <= KD_PAIR_ONCE
+            && KN * (KN - 1) / 2 * KD_PAIR_ONCE >= 1 << 20
+            && KN * KN >= fabflip_agg::KRUM_SELECT_PAR_ENTRIES
+    );
+    let pair_once_updates: Vec<Vec<f32>> = (0..KN)
+        .map(|u| {
+            (0..KD_PAIR_ONCE)
+                .map(|i| ((u * KD_PAIR_ONCE + i) as f32 * 0.05).cos())
+                .collect()
+        })
+        .collect();
+    let pair_once_refs: Vec<&[f32]> = pair_once_updates.iter().map(Vec::as_slice).collect();
+    let mut pair_once_out = vec![0.0f32; KN];
+    let mut pair_once_dists = vec![0.0f32; KN * KN];
     let mut converged = false;
     for _ in 0..64 {
         let delta = allocs_during(|| {
@@ -317,6 +339,9 @@ fn hot_kernels_are_allocation_free_once_warm() {
             std_dev_into(&par_refs, &mut par_out);
             fabflip_agg::krum_scores_blocked_into(&krum_refs, 30, &mut krum_out)
                 .expect("geometry valid");
+            fabflip_agg::krum_scores_blocked_into(&pair_once_refs, 30, &mut pair_once_out)
+                .expect("geometry valid");
+            pairwise_sq_distances_into(&pair_once_refs, &mut pair_once_dists);
         });
         if delta == 0 {
             converged = true;
