@@ -50,7 +50,6 @@ mod foolsgold;
 mod krum;
 mod normbound;
 mod statistic;
-mod streaming;
 mod types;
 
 pub use bulyan::{bulyan_coordinate_chunk, Bulyan, BULYAN_DENSE_MAX, BULYAN_MIN_F};
@@ -63,7 +62,6 @@ pub use krum::{
 };
 pub use normbound::NormBound;
 pub use statistic::{Median, TrimmedMean};
-pub use streaming::{StreamingAggregator, StreamingConfig};
 pub use types::{Aggregation, Defense, DefenseKind, Selection};
 
 #[cfg(test)]

@@ -11,12 +11,10 @@
 //! budget follows `FABFLIP_THREADS` (see README); the dispatch microbench
 //! pins the budget to 4 so it exercises the pool even on small runners.
 //!
-//! The million-client n-sweep (DESIGN.md §4e) times every aggregation
-//! rule as the cohort grows at fixed `d`: the mean family streams through
-//! a [`StreamingAggregator`] (per-rule seconds plus the actual O(shards·d)
-//! resident aggregation state), FedAvg additionally at the f16/i8 wire
-//! codecs, and the quadratic selection family runs the blocked O(B·n)-
-//! resident kernels.
+//! The n-sweep (DESIGN.md §4e) times the quadratic selection rules
+//! (Krum, mKrum, FoolsGold, Bulyan) as the cohort grows at fixed `d`,
+//! through their blocked O(B·n)-resident kernels, and records each
+//! rule's analytic resident aggregation bytes.
 //!
 //! The full run also reports the per-backend GEMM section (every
 //! supported `fabflip_tensor::backend` at 256/1024), the per-backend
@@ -30,15 +28,14 @@
 //! deployment's write-ahead checkpoint, DESIGN.md §4d).
 //!
 //! `--smoke` runs the dispatch microbench with a reduced dispatch count
-//! plus a reduced n-sweep (n = 50/500), the Krum distance-tile, SIMD
-//! Krum tile and conv weight-gradient tile ratio gates and a checkpoint
-//! round trip, does not write `BENCH_kernels.json`, and exits non-zero
-//! when the pool is not measurably faster than per-dispatch spawning,
-//! the streaming path diverges from batch FedAvg, a k = 40 checkpoint
-//! does not survive `save` → `load` bit for bit, blocked `krum_scores`
-//! (in both tile regimes: n ≤ d, each pair once, and n > d, row tiles)
-//! or the tiled `matmul_transpose_b` is not bitwise equal to (or not
-//! enough faster than) its per-pair reference, a backend's Krum tile
+//! plus a reduced n-sweep (n = 50), the Krum distance-tile, SIMD Krum
+//! tile and conv weight-gradient tile ratio gates and a checkpoint round
+//! trip, does not write `BENCH_kernels.json`, and exits non-zero when the
+//! pool is not measurably faster than per-dispatch spawning, a k = 40
+//! checkpoint does not survive `save` → `load` bit for bit, blocked
+//! `krum_scores` (in both tile regimes: n ≤ d, each pair once, and n > d,
+//! row tiles) or the tiled `matmul_transpose_b` is not bitwise equal to
+//! (or not enough faster than) its per-pair reference, a backend's Krum tile
 //! differs from the scalar tile or (on a SIMD backend) fills less than
 //! `KRUM_TILE_MIN_RATIO`× faster, or (on SIMD-capable hosts, unless
 //! `FABFLIP_BACKEND` pins a narrower ISA) the detected backend's 1024³
@@ -51,20 +48,20 @@
 
 use fabflip::{ZkaConfig, ZkaG, ZkaR};
 use fabflip_agg::{
-    krum_scores, krum_tile_rows, Bulyan, Defense, DefenseKind, FedAvg, FoolsGold, Krum, Median,
-    MultiKrum, NormBound, StreamingAggregator, StreamingConfig, TrimmedMean, KRUM_ROW_BLOCK,
+    krum_scores, krum_tile_rows, Bulyan, Defense, FedAvg, FoolsGold, Krum, Median, MultiKrum,
+    NormBound, TrimmedMean, KRUM_ROW_BLOCK,
 };
 use fabflip_attacks::TaskInfo;
 use fabflip_data::{Dataset, SynthSpec};
 use fabflip_fl::checkpoint::{self, Checkpoint, InflightSubmission};
-use fabflip_fl::{Codec, FlConfig, RoundRecord, TaskKind};
+use fabflip_fl::{FlConfig, RoundRecord, TaskKind};
 use fabflip_nn::losses::softmax_cross_entropy_hard;
 use fabflip_nn::{Conv2d, Layer};
 use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
 use fabflip_tensor::scratch::{scratch_f32, Purpose};
 use fabflip_tensor::{
     col2im, im2col, matmul_into, matmul_into_serial, matmul_transpose_a, matmul_transpose_b, par,
-    quant, vecops, Tensor,
+    vecops, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -470,52 +467,13 @@ fn bench_aggregation(n: usize, d: usize) -> Vec<Value> {
     rows
 }
 
-/// Deterministic per-client update for the n-sweep, generated on the fly
-/// so the streaming benches never hold an O(n·d) cohort.
+/// Deterministic per-client update for the n-sweep and the Krum benches,
+/// reproducible from the client index alone.
 fn gen_update(buf: &mut [f32], client: usize) {
     let mut rng = StdRng::seed_from_u64(0xBEEF ^ client as u64);
     for v in buf.iter_mut() {
         *v = rng.gen_range(-1.0f32..1.0);
     }
-}
-
-/// Correctness gate for the streaming path, run before its timings mean
-/// anything: streaming FedAvg must match batch FedAvg to rounding and be
-/// bitwise reproducible across replays.
-fn streaming_gate(d: usize) -> bool {
-    let n = 500usize;
-    let mut buf = vec![0.0f32; d];
-    let updates: Vec<Vec<f32>> = (0..n)
-        .map(|i| {
-            gen_update(&mut buf, i);
-            buf.clone()
-        })
-        .collect();
-    let batch = FedAvg::new()
-        .aggregate(&updates, &vec![1.0; n])
-        .expect("batch fedavg");
-    let run = || {
-        let mut agg =
-            StreamingAggregator::new(DefenseKind::FedAvg, d, StreamingConfig::default(), None)
-                .expect("streaming aggregator");
-        for u in &updates {
-            agg.ingest(u, 1.0);
-        }
-        agg.finalize().expect("streaming finalize").model
-    };
-    let (a, b) = (run(), run());
-    let bitwise = a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-    let close = a
-        .iter()
-        .zip(&batch.model)
-        .all(|(x, y)| (x - y).abs() <= 1e-4 * y.abs().max(1.0));
-    if !bitwise {
-        eprintln!("FAIL: streaming FedAvg is not bitwise reproducible across replays");
-    }
-    if !close {
-        eprintln!("FAIL: streaming FedAvg diverged from batch FedAvg beyond rounding");
-    }
-    bitwise && close
 }
 
 /// Minimum speed-up of blocked `krum_scores` over the in-run per-pair
@@ -1078,89 +1036,16 @@ fn checkpoint_gate() -> bool {
 }
 
 /// The §4e n-sweep: per-rule seconds and resident aggregation bytes as
-/// the cohort grows at fixed `d`. The mean family streams (resident
-/// O(shards·d), measured from the live aggregator); the quadratic selection
-/// family runs the blocked kernels over a materialized cohort (resident
-/// O(B·n + B²), analytic, excluding the inherent n·d input; Krum's `B`
-/// is its scorer's tile height, `krum_tile_rows(n, d)`).
+/// the cohort grows at fixed `d`. The quadratic selection family runs the
+/// blocked kernels over a materialized cohort (resident O(B·n + B²),
+/// analytic, excluding the inherent n·d input; Krum's `B` is its scorer's
+/// tile height, `krum_tile_rows(n, d)`).
 fn bench_n_sweep(smoke: bool) -> Vec<Value> {
     const D: usize = 256;
     const TILE: usize = 128; // FoolsGold FG_TILE (crate-private)
-    let stream_ns: &[usize] = if smoke {
-        &[50, 500]
-    } else {
-        &[50, 5_000, 50_000]
-    };
     let quad_ns: &[usize] = if smoke { &[50] } else { &[50, 1_000, 5_000] };
     let mut rows = Vec::new();
-    let scfg = StreamingConfig::default();
-
-    let stream_cases: &[(&str, DefenseKind, Codec)] = &[
-        ("FedAvg", DefenseKind::FedAvg, Codec::F32),
-        ("FedAvg", DefenseKind::FedAvg, Codec::F16),
-        ("FedAvg", DefenseKind::FedAvg, Codec::I8),
-        ("TRmean", DefenseKind::TrMean { trim: 2 }, Codec::F32),
-        ("Median", DefenseKind::Median, Codec::F32),
-        (
-            "NormBound",
-            DefenseKind::NormBound {
-                max_norm_milli: 1000,
-            },
-            Codec::F32,
-        ),
-    ];
-    let reference = vec![0.1f32; D];
     let mut buf = vec![0.0f32; D];
-    let mut decoded = vec![0.0f32; D];
-    // The mean family's server state is O(shards·d): residency must be
-    // byte-identical at every n, or streaming has silently re-grown with
-    // the cohort.
-    let mut mean_resident: Option<usize> = None;
-    for &n in stream_ns {
-        for &(label, kind, codec) in stream_cases {
-            let reps = if n >= 5_000 { 1 } else { 2 };
-            let mut resident = 0usize;
-            let t = time_best(reps, || {
-                let r = matches!(kind, DefenseKind::NormBound { .. }).then(|| reference.clone());
-                let mut agg =
-                    StreamingAggregator::new(kind, D, scfg, r).expect("streaming aggregator");
-                for i in 0..n {
-                    gen_update(&mut buf, i);
-                    if codec.is_f32() {
-                        agg.ingest(&buf, 1.0);
-                    } else {
-                        quant::decode_into(&quant::encode(codec, &buf), &mut decoded);
-                        agg.ingest(&decoded, 1.0);
-                    }
-                }
-                resident = agg.resident_bytes();
-                let _ = agg.finalize().expect("streaming finalize");
-            });
-            if !matches!(kind, DefenseKind::TrMean { .. } | DefenseKind::Median) {
-                let expect = *mean_resident.get_or_insert(resident);
-                assert_eq!(
-                    resident, expect,
-                    "mean-family aggregation residency grew with n (n={n})"
-                );
-            }
-            println!(
-                "n-sweep stream {label}/{}: n={n} d={D} {:.1} ms, resident {} B",
-                codec.label(),
-                t * 1e3,
-                resident
-            );
-            rows.push(serde_json::json!({
-                "family": "stream",
-                "rule": label,
-                "codec": codec.label(),
-                "n": n as u64,
-                "d": D as u64,
-                "seconds": t,
-                "resident_bytes": resident as u64,
-            }));
-        }
-    }
-
     for &n in quad_ns {
         let updates: Vec<Vec<f32>> = (0..n)
             .map(|i| {
@@ -1368,14 +1253,11 @@ fn bench_complexity() -> Value {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        // CI regression gate: dispatch overhead + reduced n-sweep with
-        // the streaming correctness checks, no JSON rewrite.
+        // CI regression gate: dispatch overhead, a reduced n-sweep and the
+        // correctness/ratio gates below, no JSON rewrite.
         let (_, speedup) = bench_dispatch(true);
         if speedup < 1.3 {
             eprintln!("FAIL: pool dispatch speedup {speedup:.2}x < 1.3x vs per-dispatch spawn");
-            std::process::exit(1);
-        }
-        if !streaming_gate(256) {
             std::process::exit(1);
         }
         let _ = bench_n_sweep(true);
@@ -1428,9 +1310,6 @@ fn main() {
         detected_kind().name()
     );
     println!("threads: {}", par::max_threads());
-    if !streaming_gate(256) {
-        std::process::exit(1);
-    }
     // Backend comparison first: the committed per-backend GFLOP/s (and
     // the committed gate number they are read against) are captured on a
     // cold package, before the longer sections below pull the clock down.

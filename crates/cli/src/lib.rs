@@ -288,14 +288,18 @@ impl ConfigFlags {
     }
 }
 
-/// Parses a full command line (without the program name).
+/// Parses a full command line (without the program name). `--help` or
+/// `-h` anywhere on the line asks for help (`run --help` included).
 ///
 /// # Errors
 ///
 /// Returns a user-facing message for unknown subcommands, flags or values.
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(Command::Help);
+    }
     match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
+        None | Some("help") => Ok(Command::Help),
         Some("list") => Ok(Command::List),
         Some("run") => {
             let mut cf = ConfigFlags::new();
@@ -592,6 +596,16 @@ mod tests {
     fn help_and_list_and_errors() {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
+        for help in [
+            "--help",
+            "-h",
+            "run --help",
+            "run --rounds 3 -h",
+            "serve -h",
+            "load-gen --help",
+        ] {
+            assert_eq!(parse(&argv(help)).unwrap(), Command::Help, "{help}");
+        }
         assert_eq!(parse(&argv("list")).unwrap(), Command::List);
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("run --rounds")).is_err());

@@ -99,14 +99,12 @@ pub const HOT_ENTRIES: &[&str] = &[
     "tensor::quant::decode_into",
     // Aggregation score/coordinate kernels: the dense-matrix Krum scorer
     // and the blocked one (distance tiles plus the parallel selection).
+    // The tensor helpers they call (`scratch::scratch_f32`) are NOT
+    // listed — they must be proven hot *through* the cross-crate edge,
+    // which is exactly the edge a per-crate graph would miss.
     "aggregation::krum::krum_scores_into",
     "aggregation::krum::krum_scores_blocked_into",
     "aggregation::bulyan::bulyan_coordinate_chunk",
-    // Streaming ingest: one call per submitted update (§4e). The tensor
-    // kernels it calls (`vecops::l2_norm_delta`) are NOT listed — they
-    // must be proven hot *through* the cross-crate edge from this entry,
-    // which is exactly the edge a per-crate graph would miss.
-    "aggregation::streaming::StreamingAggregator::ingest",
     // Layer forward/backward over im2col + GEMM.
     "nn::conv::Conv2d::forward",
     "nn::conv::Conv2d::backward",
@@ -478,7 +476,7 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
                 // the shell would drag `fs`/`net` helpers of the core
                 // into the hot set along false routes. Core functions
                 // the shell calls stay audited through their own
-                // entries (`aggregation::streaming`, `tensor::quant`, …).
+                // entries (`aggregation::krum`, `tensor::quant`, …).
                 if nodes[v].file.starts_with(BLESSED_SERVE_DIR) {
                     continue;
                 }

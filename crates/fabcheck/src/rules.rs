@@ -370,9 +370,11 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
         // Evaluated by `crate::graph` over the whole cross-crate call
         // graph (a guard and its guarded call live in different files).
         Rule::TargetFeatureCallUnguarded => Scope::Off,
-        // Machine-parsed SAFETY claims: only the blessed unsafe homes —
-        // everywhere else `unsafe` is forbidden outright, so there is
-        // nothing to grammar-check.
+        // Machine-parsed SAFETY claims, in the non-test code of the
+        // blessed unsafe homes only. Outside them `unsafe` is not
+        // forbidden: `unsafe-without-safety-comment` is the only rule that
+        // sees it there (test files included, e.g. `alloc_guard.rs`'s
+        // `unsafe impl GlobalAlloc`), and a free-text `// SAFETY:` passes.
         Rule::UnsafeClaimGrammar => {
             if (class.rel.starts_with(BLESSED_SIMD_DIR) || class.rel == BLESSED_THREAD_FILE)
                 && !class.is_test_file

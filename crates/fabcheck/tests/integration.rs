@@ -468,8 +468,8 @@ fn real_root() -> &'static Path {
 }
 
 /// The cross-crate edge, pinned: the `--json` callgraph proves the
-/// `aggregation::streaming::StreamingAggregator::ingest` entry reaches
-/// `tensor::vecops::l2_norm_delta`, which is not itself an entry — the
+/// `aggregation::krum::krum_scores_blocked_into` entry reaches
+/// `tensor::scratch::scratch_f32`, which is not itself an entry — the
 /// chain a per-crate graph could not see.
 #[test]
 fn cross_crate_hot_chain_appears_in_json_callgraph() {
@@ -490,8 +490,8 @@ fn cross_crate_hot_chain_appears_in_json_callgraph() {
     let callgraph = field(&v, "callgraph").expect("callgraph section");
     let entries = names(field(callgraph, "entries").expect("entries"));
     assert!(
-        !entries.contains(&"tensor::vecops::l2_norm_delta"),
-        "l2_norm_delta must be proven hot, not declared"
+        !entries.contains(&"tensor::scratch::scratch_f32"),
+        "scratch_f32 must be proven hot, not declared"
     );
     let Some(serde_json::Value::Seq(hot)) = field(callgraph, "hot") else {
         panic!("hot section");
@@ -500,14 +500,14 @@ fn cross_crate_hot_chain_appears_in_json_callgraph() {
         .iter()
         .find(|h| {
             field(h, "fn").and_then(serde_json::Value::as_str)
-                == Some("tensor::vecops::l2_norm_delta")
+                == Some("tensor::scratch::scratch_f32")
         })
-        .expect("l2_norm_delta is hot");
+        .expect("scratch_f32 is hot");
     assert_eq!(
         names(field(record, "via").expect("via chain")),
         [
-            "aggregation::streaming::StreamingAggregator::ingest",
-            "tensor::vecops::l2_norm_delta"
+            "aggregation::krum::krum_scores_blocked_into",
+            "tensor::scratch::scratch_f32"
         ],
         "route must run from the aggregation entry"
     );
@@ -532,41 +532,40 @@ fn copy_real_tree(tag: &str) -> PathBuf {
     dir
 }
 
-/// Planting an allocation in `tensor::vecops::l2_norm_delta` must flip
+/// Planting an allocation in `tensor::scratch::scratch_f32` must flip
 /// `--ci` to failure with a route from the aggregation entry — the
 /// cross-crate false negative a per-crate graph would ship.
 #[test]
-fn vec_in_l2_norm_delta_flips_ci_from_aggregation_entry() {
+fn vec_in_scratch_f32_flips_ci_from_aggregation_entry() {
     let dir = copy_real_tree("xcrate");
-    let target = dir.join("crates/tensor/src/vecops.rs");
-    let text = std::fs::read_to_string(&target).expect("read vecops.rs");
-    let needle = "pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {";
+    let target = dir.join("crates/tensor/src/scratch.rs");
+    let text = std::fs::read_to_string(&target).expect("read scratch.rs");
+    let needle = "pub fn scratch_f32(purpose: Purpose, len: usize) -> ScratchBuf {";
     let planted = text.replace(
         needle,
-        "pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {\n    \
-         let _grow = vec![0.0f32; a.len()];",
+        "pub fn scratch_f32(purpose: Purpose, len: usize) -> ScratchBuf {\n    \
+         let _grow = vec![0.0f32; len];",
     );
     assert_ne!(
         planted, text,
-        "l2_norm_delta signature moved; update the test"
+        "scratch_f32 signature moved; update the test"
     );
-    std::fs::write(&target, planted).expect("write vecops.rs");
+    std::fs::write(&target, planted).expect("write scratch.rs");
 
     let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
     assert_eq!(code, 1, "planted alloc must fail CI: {stdout}");
     assert!(stdout.contains("alloc-on-hot-path"), "{stdout}");
     assert!(
-        stdout.contains(
-            "aggregation::streaming::StreamingAggregator::ingest → tensor::vecops::l2_norm_delta"
-        ),
+        stdout
+            .contains("aggregation::krum::krum_scores_blocked_into → tensor::scratch::scratch_f32"),
         "route must start at an aggregation entry: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The serve-dir blessing must not blunt the rule for the core: the bad
-/// fixture's `aggregation::streaming::StreamingAggregator::ingest` dials
-/// a `TcpStream`, and that is still an `io-on-hot-path` finding with a
+/// fixture's `aggregation::krum::krum_scores_blocked_into` dials a
+/// `TcpStream`, and that is still an `io-on-hot-path` finding with a
 /// route from the aggregation entry.
 #[test]
 fn stray_tcp_in_aggregation_hot_entry_still_fires_despite_serve_blessing() {
@@ -574,7 +573,7 @@ fn stray_tcp_in_aggregation_hot_entry_still_fires_despite_serve_blessing() {
     let io_hit = report
         .findings
         .iter()
-        .find(|f| f.rule == Rule::IoOnHotPath && f.file == "crates/aggregation/src/streaming.rs")
+        .find(|f| f.rule == Rule::IoOnHotPath && f.file == "crates/aggregation/src/krum.rs")
         .expect("aggregation TcpStream finding");
     assert!(
         io_hit.message.contains("net::TcpStream::connect"),
@@ -584,34 +583,37 @@ fn stray_tcp_in_aggregation_hot_entry_still_fires_despite_serve_blessing() {
     assert!(
         io_hit
             .message
-            .contains("aggregation::streaming::StreamingAggregator::ingest"),
+            .contains("aggregation::krum::krum_scores_blocked_into"),
         "route must name the aggregation entry: {}",
         io_hit.message
     );
 }
 
-/// Planting a `TcpStream` in `StreamingAggregator::ingest` on the real
+/// Planting a `TcpStream` in `krum_scores_blocked_into` on the real
 /// tree must flip `--ci` to failure — the `crates/serve/` blessing is a
 /// directory boundary, not a hole in the aggregation core's purity.
 #[test]
-fn tcp_dial_in_ingest_flips_ci() {
+fn tcp_dial_in_krum_scorer_flips_ci() {
     let dir = copy_real_tree("tcpplant");
-    let target = dir.join("crates/aggregation/src/streaming.rs");
-    let text = std::fs::read_to_string(&target).expect("read streaming.rs");
-    let needle = "pub fn ingest(&mut self, update: &[f32], weight: f32) {";
+    let target = dir.join("crates/aggregation/src/krum.rs");
+    let text = std::fs::read_to_string(&target).expect("read krum.rs");
+    let needle = "pub fn krum_scores_blocked_into(\n    refs: &[&[f32]],\n    f: usize,\n    \
+                  scores: &mut [f32],\n) -> Result<(), AggError> {";
     let planted = text.replace(
         needle,
-        "pub fn ingest(&mut self, update: &[f32], weight: f32) {\n        \
-         let _probe = std::net::TcpStream::connect(\"127.0.0.1:9\");",
+        &format!("{needle}\n    let _probe = std::net::TcpStream::connect(\"127.0.0.1:9\");"),
     );
-    assert_ne!(planted, text, "ingest signature moved; update the test");
-    std::fs::write(&target, planted).expect("write streaming.rs");
+    assert_ne!(
+        planted, text,
+        "krum_scores_blocked_into signature moved; update the test"
+    );
+    std::fs::write(&target, planted).expect("write krum.rs");
 
     let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
     assert_eq!(code, 1, "planted TcpStream must fail CI: {stdout}");
     assert!(stdout.contains("io-on-hot-path"), "{stdout}");
     assert!(
-        stdout.contains("aggregation::streaming::StreamingAggregator::ingest"),
+        stdout.contains("aggregation::krum::krum_scores_blocked_into"),
         "route must name the aggregation entry: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -221,29 +221,6 @@ fn hot_kernels_are_allocation_free_once_warm() {
         fabflip_agg::bulyan_coordinate_chunk(&sel, 0, &mut agg_out, beta, &mut cols3);
     });
 
-    // Streaming ingest: per-update server work must be allocation-free in
-    // steady state. Mean-family folds never allocate; the rank-family
-    // reservoir allocates only while filling to capacity (warm pass).
-    use fabflip_agg::{DefenseKind, StreamingAggregator, StreamingConfig};
-    let scfg = StreamingConfig {
-        shards: 4,
-        reservoir: 3,
-        seed: 0x5EED,
-    };
-    let mut mean_agg =
-        StreamingAggregator::new(DefenseKind::FedAvg, d, scfg, None).expect("streaming fedavg");
-    assert_steady_state_alloc_free("StreamingAggregator::ingest (mean)", || {
-        mean_agg.ingest(refs[0], 1.0);
-    });
-    let mut rank_agg =
-        StreamingAggregator::new(DefenseKind::Median, d, scfg, None).expect("streaming median");
-    for r in &refs {
-        rank_agg.ingest(r, 1.0); // fill past capacity
-    }
-    assert_steady_state_alloc_free("StreamingAggregator::ingest (reservoir)", || {
-        rank_agg.ingest(refs[1], 1.0);
-    });
-
     // Layers return fresh output tensors (escaped sites): their per-call
     // cost must stay O(1) allocations, independent of batch and model.
     use fabflip_nn::{Conv2d, ConvTranspose2d, Layer};
