@@ -3,8 +3,9 @@
 //! column from the checker and maps are `BTreeMap`s.
 
 use crate::graph::HotSummary;
-use crate::ratchet::{json_string, Counts, Regression, UnsafeAudit};
+use crate::ratchet::{json_string, render_counts, Counts, Regression};
 use crate::rules::Finding;
+use crate::UnsafeAudit;
 
 /// Renders one finding like a rustc diagnostic:
 ///
@@ -66,23 +67,9 @@ pub fn render_json(
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("],\n  \"counts\": {");
-    for (ri, (rule, files)) in counts.iter().enumerate() {
-        out.push_str(if ri == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    {}: {{", json_string(rule)));
-        for (fi, (file, n)) in files.iter().enumerate() {
-            out.push_str(if fi == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!("      {}: {n}", json_string(file)));
-        }
-        if !files.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push('}');
-    }
-    if !counts.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n  \"regressions\": [");
+    out.push_str("],\n  \"counts\": ");
+    out.push_str(&render_counts(counts));
+    out.push_str(",\n  \"regressions\": [");
     for (i, r) in regressions.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(

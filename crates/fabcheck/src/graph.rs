@@ -49,12 +49,13 @@
 //! Any other edge could execute AVX code on a CPU without it — UB, not a
 //! crash — so the rule fails `--ci` outright.
 
-use crate::lexer::{lex, Lexed};
+use crate::lexer::Lexed;
 use crate::parser::{parse_tokens, parse_uses, target_feature_fns, Call, CallKind, FnNode};
 use crate::rules::{
-    allow_lines, test_spans, FileClass, Finding, Rule, BLESSED_SERVE_DIR, BLESSED_SIMD_DIR,
-    BLESSED_THREAD_FILE, NUMERIC_CRATES,
+    allow_lines, Finding, Rule, BLESSED_SERVE_DIR, BLESSED_SIMD_DIR, BLESSED_THREAD_FILE,
+    NUMERIC_CRATES,
 };
+use crate::walk::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The kernel entry set: the functions executed O(rounds × clients ×
@@ -86,6 +87,10 @@ pub const HOT_ENTRIES: &[&str] = &[
     "tensor::vecops::median_into",
     "tensor::vecops::trimmed_mean_into",
     "tensor::vecops::pairwise_sq_distances_into",
+    // FoolsGold's reference-centred kernels: every round close runs them
+    // per update (`l2_norm_delta`) and per pair (`dot_delta`).
+    "tensor::vecops::dot_delta",
+    "tensor::vecops::l2_norm_delta",
     // Blocked/tiled O(n²) kernel drivers (§4e): the register-blocked Krum
     // distance tile, and the generic tile FoolsGold's cosine pass uses.
     "tensor::vecops::sq_distance_tile_into",
@@ -308,13 +313,13 @@ fn escapes_of(lexed: &Lexed) -> Escapes {
     }
 }
 
-/// Builds the call graph over `(class, source)` pairs and runs the two
+/// Builds the call graph over the workspace's files and runs the
 /// hot-path rules. Only numeric-crate product code enters the graph:
 /// test code may allocate, and tooling crates (fabcheck itself, bench
 /// harnesses outside [`NUMERIC_CRATES`]) would otherwise be dragged in
 /// by method-name over-approximation (`.parse()` in `par` must not mark
 /// every workspace `parse` method hot).
-pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
+pub fn analyze(files: &[SourceFile]) -> Analysis {
     let mut nodes: Vec<Node> = Vec::new();
     let mut escapes: Vec<Escapes> = Vec::new();
     // Per-file import alias map: in-scope name → expanded path segments
@@ -327,7 +332,8 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
             .map(|(_, dir)| (*dir).to_string())
             .unwrap_or_else(|| seg.to_string())
     };
-    for (file_idx, (class, src)) in files.iter().enumerate() {
+    for (file_idx, file) in files.iter().enumerate() {
+        let class = &file.class;
         // The serving shell joins the graph alongside the numeric crates:
         // its per-submission ingest calls straight into hot fl/tensor
         // kernels, and those cross-crate edges are what keep a stray
@@ -339,8 +345,8 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
             use_maps.push(BTreeMap::new());
             continue;
         }
-        let lexed = lex(src);
-        escapes.push(escapes_of(&lexed));
+        let lexed = &file.lexed;
+        escapes.push(escapes_of(lexed));
         let mut aliases = BTreeMap::new();
         for u in parse_uses(&lexed.tokens) {
             let mut segs = u.segs;
@@ -350,12 +356,11 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
         use_maps.push(aliases);
         // Features by `fn`-keyword line: `target_feature_fns` and
         // `parse_tokens` both anchor on that line, so the join is exact.
-        let tf_by_line: BTreeMap<u32, Vec<String>> = target_feature_fns(&lexed.tokens, src)
+        let tf_by_line: BTreeMap<u32, Vec<String>> = target_feature_fns(&lexed.tokens, &file.src)
             .into_iter()
             .map(|tf| (tf.line, tf.features))
             .collect();
-        let spans = test_spans(&lexed.tokens);
-        for f in parse_tokens(&lexed.tokens, &spans) {
+        for f in parse_tokens(&lexed.tokens, &file.test_spans) {
             if f.is_test {
                 continue;
             }
@@ -689,29 +694,14 @@ pub fn analyze(files: &[(&FileClass, &str)]) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn class(rel: &str) -> FileClass {
-        let mut parts = rel.split('/');
-        let top = parts.next().unwrap_or_default();
-        let krate = parts.next().unwrap_or_default().to_string();
-        FileClass {
-            rel: rel.to_string(),
-            in_crates: top == "crates",
-            crate_name: krate,
-            is_test_file: rel.contains("/tests/"),
-            is_example: rel.contains("/examples/"),
-            is_bin: rel.ends_with("src/main.rs") || rel.contains("/src/bin/"),
-        }
-    }
+    use crate::walk::classify;
 
     fn run(files: &[(&str, &str)]) -> Analysis {
-        let classes: Vec<FileClass> = files.iter().map(|(rel, _)| class(rel)).collect();
-        let pairs: Vec<(&FileClass, &str)> = classes
+        let files: Vec<SourceFile> = files
             .iter()
-            .zip(files.iter())
-            .map(|(c, (_, src))| (c, *src))
+            .map(|(rel, src)| SourceFile::new(classify(rel), src.to_string()))
             .collect();
-        analyze(&pairs)
+        analyze(&files)
     }
 
     fn rule_names(a: &Analysis) -> Vec<&str> {

@@ -152,6 +152,35 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
+/// Token index of the delimiter closing the `(`, `[`, `{` or `<` at
+/// `open`, counting only that delimiter pair. `None` when `open` holds no
+/// opener or the group never closes; callers pick their own fallback.
+pub fn matching_close(toks: &[Token], open: usize) -> Option<usize> {
+    let op = toks.get(open).filter(|t| !t.is_ident)?.text.as_str();
+    let cl = match op {
+        "(" => ")",
+        "[" => "]",
+        "{" => "}",
+        "<" => ">",
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.is_ident {
+            continue;
+        }
+        if t.text == op {
+            depth += 1;
+        } else if t.text == cl {
+            depth -= 1;
+            if depth == 0 {
+                return Some(k);
+            }
+        }
+    }
+    None
+}
+
 fn lex_line_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
     let mut text = String::new();
     while let Some(c) = cur.peek(0) {
@@ -596,6 +625,20 @@ mod tests {
         // A shebang only counts at the very start of the file.
         let mid = lex("let a = 1;\n#!/not/a/shebang");
         assert!(mid.tokens.iter().any(|t| t.text == "#"));
+    }
+
+    #[test]
+    fn matching_close_counts_one_delimiter_pair() {
+        let toks = lex("f(a[0], (b)) { g::<Vec<u8>>() }").tokens;
+        let at = |text: &str| toks.iter().position(|t| t.text == text).expect("token");
+        assert_eq!(matching_close(&toks, at("(")), Some(at("{") - 1));
+        assert_eq!(matching_close(&toks, at("[")), Some(at("]")));
+        assert_eq!(matching_close(&toks, at("{")), Some(toks.len() - 1));
+        assert_eq!(matching_close(&toks, at("<")), Some(at("<") + 5));
+        // Not an opener, out of range, or never closed: no match.
+        assert_eq!(matching_close(&toks, at("f")), None);
+        assert_eq!(matching_close(&toks, toks.len()), None);
+        assert_eq!(matching_close(&lex("f(a").tokens, 1), None);
     }
 
     #[test]

@@ -22,12 +22,18 @@ pub mod ratchet;
 pub mod rules;
 pub mod walk;
 
-use ratchet::{Counts, Regression, UnsafeAudit};
+use ratchet::{Counts, Regression};
 use rules::Finding;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Default baseline filename at the workspace root.
 pub const BASELINE_FILE: &str = "FABCHECK_BASELINE.json";
+
+/// `file → (claimed, total)` unsafe-site coverage: how many `unsafe`
+/// sites in the file claim a SAFETY comment, out of all of them. Reported
+/// by `--json` (the CI job summary tabulates it), never ratcheted.
+pub type UnsafeAudit = BTreeMap<String, (u64, u64)>;
 
 /// Everything one pass over the tree produces.
 #[derive(Debug)]
@@ -51,59 +57,29 @@ pub struct Report {
 }
 
 /// Scans every `.rs` file under `root/crates` and `root/compat`: the
-/// per-file rules, then the workspace call-graph rules over the same
-/// sources.
+/// per-file rules, then the workspace passes and the call-graph rules,
+/// all over the same once-read, once-lexed sources.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the walk.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
     let files = walk::collect(root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for file in &files {
-        sources.push(std::fs::read_to_string(&file.path)?);
-    }
-    let files_checked = files.len();
-
-    let mut findings = Vec::new();
-    let mut counted = Vec::new();
-    let mut take = |finding: Finding| {
-        if finding.rule.is_forbidden() {
-            findings.push(finding);
-        } else {
-            counted.push(finding);
-        }
-    };
-    for (file, src) in files.iter().zip(&sources) {
-        for finding in rules::check_file(&file.class, src) {
-            take(finding);
-        }
-    }
-    let pairs: Vec<(&rules::FileClass, &str)> = files
-        .iter()
-        .zip(&sources)
-        .map(|(f, s)| (&f.class, s.as_str()))
-        .collect();
-    for finding in rules::check_seed_streams(&pairs) {
-        take(finding);
-    }
-    for finding in rules::check_backend_parity(&pairs) {
-        take(finding);
-    }
-    let analysis = graph::analyze(&pairs);
-    for finding in analysis.findings {
-        take(finding);
-    }
+    let mut all = Vec::new();
     let mut unsafe_audit = UnsafeAudit::new();
-    for (class, src) in &pairs {
-        if class.is_test_file {
-            continue;
-        }
-        let (claimed, total) = rules::unsafe_site_audit(src);
-        if total > 0 {
-            unsafe_audit.insert(class.rel.clone(), (claimed, total));
+    for file in &files {
+        let (hits, (claimed, total)) = rules::check_file(file);
+        all.extend(hits);
+        if total > 0 && !file.class.is_test_file {
+            unsafe_audit.insert(file.class.rel.clone(), (claimed, total));
         }
     }
+    all.extend(rules::check_seed_streams(&files));
+    all.extend(rules::check_backend_parity(&files));
+    let analysis = graph::analyze(&files);
+    all.extend(analysis.findings);
+    let (mut findings, mut counted): (Vec<Finding>, Vec<Finding>) =
+        all.into_iter().partition(|f| f.rule.is_forbidden());
 
     // Deterministic diagnostics regardless of rule evaluation order.
     let key = |f: &Finding| (f.file.clone(), f.line, f.col, f.rule.name());
@@ -127,7 +103,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
         counts,
         hot: analysis.summary,
         unsafe_audit,
-        files_checked,
+        files_checked: files.len(),
     })
 }
 
@@ -267,16 +243,16 @@ pub fn run(opts: &Options) -> i32 {
         Ok(b) => b,
         // `--bless` is how an unreadable (e.g. old-schema) baseline gets
         // replaced, and it never compares against the old counts.
-        Err(_) if opts.bless => ratchet::Baseline::default(),
+        Err(_) if opts.bless => Counts::new(),
         Err(e) => {
             eprintln!("fabcheck: {e}");
             return 2;
         }
     };
-    let (regressions, improved) = ratchet::compare(&baseline.counts, &report.counts);
+    let (regressions, improved) = ratchet::compare(&baseline, &report.counts);
 
     if opts.bless {
-        if let Err(e) = ratchet::bless(&baseline_path, &report.counts, &report.unsafe_audit) {
+        if let Err(e) = ratchet::bless(&baseline_path, &report.counts) {
             eprintln!("fabcheck: {e}");
             return 2;
         }

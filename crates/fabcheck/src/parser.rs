@@ -11,7 +11,7 @@
 //! code, never to crashes (and the hot-path rules over-approximate on the
 //! edges that matter; see DESIGN.md §4c).
 
-use crate::lexer::Token;
+use crate::lexer::{matching_close, Token};
 
 /// Reserved words that can never start a call path or be an indexing
 /// receiver. `self`/`Self`/`crate`/`super` are handled separately because
@@ -199,7 +199,7 @@ fn record_use(out: &mut Vec<UseDecl>, alias: String, segs: &[String]) {
 /// features plus enough position data for the rules that consume it — the
 /// `fn` line (joins against [`FnNode::line`] in the call graph) and the
 /// token span of the body (classifies `unsafe` blocks as kernel-interior
-/// for the claim-grammar rule).
+/// for the SAFETY claim grammar).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetFeatureFn {
     /// Function name.
@@ -212,28 +212,6 @@ pub struct TargetFeatureFn {
     /// matching `}`)`. A token at index `k` is inside the body iff
     /// `body.0 < k && k < body.1`.
     pub body: (usize, usize),
-}
-
-/// Index one past the delimiter matching the opener at `open` (which must
-/// hold the `op` token); saturates at the end of the stream when
-/// unbalanced.
-fn skip_delimited(toks: &[Token], open: usize, op: &str, cl: &str) -> usize {
-    let mut depth = 0i64;
-    let mut k = open;
-    while k < toks.len() {
-        if !toks[k].is_ident {
-            if toks[k].text == op {
-                depth += 1;
-            } else if toks[k].text == cl {
-                depth -= 1;
-                if depth == 0 {
-                    return k + 1;
-                }
-            }
-        }
-        k += 1;
-    }
-    k
 }
 
 /// Extracts every `#[target_feature(enable = "…")]` fn item.
@@ -287,14 +265,14 @@ pub fn target_feature_fns(toks: &[Token], src: &str) -> Vec<TargetFeatureFn> {
         let mut j = i + 8;
         loop {
             if is_p(j, "#") && is_p(j + 1, "[") {
-                j = skip_delimited(toks, j + 1, "[", "]");
+                j = matching_close(toks, j + 1).map_or(toks.len(), |k| k + 1);
             } else if toks.get(j).is_some_and(|t| {
                 t.is_ident && matches!(t.text.as_str(), "pub" | "unsafe" | "const" | "extern")
             }) {
                 j += 1;
             } else if is_p(j, "(") {
                 // `pub(crate)` / `pub(super)` visibility scope.
-                j = skip_delimited(toks, j, "(", ")");
+                j = matching_close(toks, j).map_or(toks.len(), |k| k + 1);
             } else {
                 break;
             }
@@ -307,7 +285,7 @@ pub fn target_feature_fns(toks: &[Token], src: &str) -> Vec<TargetFeatureFn> {
         while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
             open += 1;
         }
-        let close = skip_delimited(toks, open, "{", "}").saturating_sub(1);
+        let close = matching_close(toks, open).unwrap_or(toks.len().saturating_sub(1));
         out.push(TargetFeatureFn {
             name: toks[j + 1].text.clone(),
             line: toks[j].line,
@@ -524,22 +502,7 @@ fn skip_turbofish(toks: &[Token], j: usize) -> usize {
     if !(is_p(j, ":") && is_p(j + 1, ":") && is_p(j + 2, "<")) {
         return j;
     }
-    let mut angle = 0i64;
-    let mut k = j + 2;
-    while k < toks.len() {
-        match toks[k].text.as_str() {
-            "<" if !toks[k].is_ident => angle += 1,
-            ">" if !toks[k].is_ident => {
-                angle -= 1;
-                if angle == 0 {
-                    return k + 1;
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    k
+    matching_close(toks, j + 2).map_or(toks.len(), |k| k + 1)
 }
 
 /// Classifies the identifier at `i` inside fn body `node`: a method call

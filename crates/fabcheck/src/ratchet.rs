@@ -1,7 +1,8 @@
 //! The counted-rule ratchet: a committed baseline of `rule × file`
 //! counts. Counts may only shrink — CI fails when any cell grows, and
 //! `fabcheck --bless` rewrites the baseline once counts have been driven
-//! down, locking in the improvement.
+//! down, locking in the improvement. The baseline holds only what
+//! [`compare`] reads: the counts.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -9,33 +10,13 @@ use std::path::Path;
 /// `rule name → file → count`, ordered so serialization is deterministic.
 pub type Counts = BTreeMap<String, BTreeMap<String, u64>>;
 
-/// `file → (claimed, total)` unsafe-site coverage: how many `unsafe`
-/// sites in the file carry a machine-parsed SAFETY claim, out of all of
-/// them. Pinned at bless time so the CI job summary can show coverage
-/// drift alongside the per-rule deltas.
-pub type UnsafeAudit = BTreeMap<String, (u64, u64)>;
-
 /// Baseline file schema version, the only one `--bless` writes and the
-/// only one `load` reads: `{"schema_version": 4, "rules": […],
-/// "counts": {…}, "unsafe_audit": {…}}`. The `"rules"` roster names the
-/// counted rules the baseline was blessed under, so a reviewer (and the
-/// CI delta summary) can tell "rule added since the bless" apart from
-/// "rule was clean at bless time" without replaying history; the
-/// `"unsafe_audit"` coverage map (`file → {"claimed", "total"}`)
-/// snapshots how much of the unsafe surface carried machine-parsed
-/// claims when the baseline was blessed. Any other version is rejected
-/// with a message naming it; `--bless` replaces such a file.
-pub const SCHEMA_VERSION: u64 = 4;
-
-/// A parsed baseline: the ratcheted counts plus the unsafe-audit
-/// coverage snapshot pinned at bless time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Baseline {
-    /// Committed counted-rule tallies the ratchet compares against.
-    pub counts: Counts,
-    /// Committed unsafe-site coverage (informational, not ratcheted).
-    pub unsafe_audit: UnsafeAudit,
-}
+/// only one `load` reads: `{"schema_version": 5, "counts": {…}}`. Every
+/// counted rule has an explicit (possibly empty) cell, so the key set of
+/// `counts` is the roster of counted rules the baseline was blessed
+/// under. Any other version is rejected with a message naming it;
+/// `--bless` replaces such a file.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// One cell whose count exceeds the committed baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +36,11 @@ pub struct Regression {
 ///
 /// # Errors
 ///
-/// Returns a message for unreadable files or malformed JSON.
-pub fn load(path: &Path) -> Result<Baseline, String> {
+/// Returns a message for unreadable files, malformed JSON, or a schema
+/// version other than [`SCHEMA_VERSION`].
+pub fn load(path: &Path) -> Result<Counts, String> {
     if !path.exists() {
-        return Ok(Baseline::default());
+        return Ok(Counts::new());
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
@@ -73,7 +55,7 @@ fn as_u64(v: &serde_json::Value, what: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{what}: expected a non-negative integer"))
 }
 
-fn parse(text: &str) -> Result<Baseline, String> {
+fn parse(text: &str) -> Result<Counts, String> {
     let value: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("{e:?}"))?;
     let top = value.as_map().ok_or("expected a top-level object")?;
     let field = |name: &str| top.iter().find(|(k, _)| k == name).map(|(_, v)| v);
@@ -96,32 +78,8 @@ fn parse(text: &str) -> Result<Baseline, String> {
              v{SCHEMA_VERSION}); re-bless with `fabcheck --bless`"
         ));
     }
-    // The roster is advisory (counts carry explicit zeros for every
-    // counted rule), but a malformed one is still a malformed baseline.
-    match field("rules") {
-        Some(serde_json::Value::Seq(entries)) if entries.iter().all(|e| e.as_str().is_some()) => {}
-        Some(_) => return Err("rules: expected an array of rule names".into()),
-        None => return Err("baseline is missing the \"rules\" roster".into()),
-    }
-    let audit = field("unsafe_audit")
-        .ok_or("baseline is missing the \"unsafe_audit\" coverage map")?
-        .as_map()
-        .ok_or("unsafe_audit: expected an object of file coverage")?;
-    let mut unsafe_audit = UnsafeAudit::new();
-    for (file, cell) in audit {
-        let cell = cell
-            .as_map()
-            .ok_or_else(|| format!("unsafe_audit/{file:?}: expected {{claimed, total}}"))?;
-        let count = |name: &str| -> Result<u64, String> {
-            cell.iter()
-                .find(|(k, _)| k == name)
-                .ok_or_else(|| format!("unsafe_audit/{file:?}: missing {name:?}"))
-                .and_then(|(_, v)| as_u64(v, &format!("unsafe_audit/{file:?}/{name}")))
-        };
-        unsafe_audit.insert(file.clone(), (count("claimed")?, count("total")?));
-    }
-    let rules_value = field("counts").ok_or("baseline is missing the \"counts\" object")?;
-    let rules = rules_value
+    let rules = field("counts")
+        .ok_or("baseline is missing the \"counts\" object")?
         .as_map()
         .ok_or("expected an object of rule counts")?;
     let mut counts = Counts::new();
@@ -135,70 +93,38 @@ fn parse(text: &str) -> Result<Baseline, String> {
         }
         counts.insert(rule.clone(), per_file);
     }
-    Ok(Baseline {
-        counts,
-        unsafe_audit,
-    })
+    Ok(counts)
 }
 
-/// Serializes counts + unsafe-audit coverage as stable, diff-friendly
-/// pretty JSON (always the current [`SCHEMA_VERSION`] shape).
-pub fn render(counts: &Counts, unsafe_audit: &UnsafeAudit) -> String {
-    // v3 roster: the counted rules this baseline was blessed under.
-    // `check_workspace` seeds every counted rule with an explicit (possibly
-    // empty) cell, so the counts' key set *is* the roster at bless time.
-    let roster = counts
-        .keys()
-        .map(|r| json_string(r))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut out = format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"rules\": [{roster}],\n  \"counts\": {{"
-    );
-    if counts.is_empty() {
-        out.push('}');
-    } else {
-        out.push('\n');
-        for (ri, (rule, files)) in counts.iter().enumerate() {
-            out.push_str(&format!("    {}: {{", json_string(rule)));
-            if files.is_empty() {
-                out.push('}');
-            } else {
-                out.push('\n');
-                for (fi, (file, count)) in files.iter().enumerate() {
-                    out.push_str(&format!("      {}: {count}", json_string(file)));
-                    if fi + 1 < files.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                out.push_str("    }");
-            }
-            if ri + 1 < counts.len() {
-                out.push(',');
-            }
-            out.push('\n');
+/// Serializes counts as stable, diff-friendly pretty JSON (always the
+/// current [`SCHEMA_VERSION`] shape).
+pub fn render(counts: &Counts) -> String {
+    format!(
+        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"counts\": {}\n}}\n",
+        render_counts(counts)
+    )
+}
+
+/// The `rule → file → count` object, indented for a top-level key: shared
+/// by the baseline and the `--json` report.
+pub fn render_counts(counts: &Counts) -> String {
+    let mut out = String::from("{");
+    for (ri, (rule, files)) in counts.iter().enumerate() {
+        out.push_str(if ri == 0 { "\n" } else { ",\n" });
+        out.push_str(&format!("    {}: {{", json_string(rule)));
+        for (fi, (file, n)) in files.iter().enumerate() {
+            out.push_str(if fi == 0 { "\n" } else { ",\n" });
+            out.push_str(&format!("      {}: {n}", json_string(file)));
         }
-        out.push_str("  }");
-    }
-    out.push_str(",\n  \"unsafe_audit\": {");
-    if unsafe_audit.is_empty() {
-        out.push('}');
-    } else {
-        out.push('\n');
-        for (fi, (file, (claimed, total))) in unsafe_audit.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {{\"claimed\": {claimed}, \"total\": {total}}}",
-                json_string(file)
-            ));
-            if fi + 1 < unsafe_audit.len() {
-                out.push(',');
-            }
-            out.push('\n');
+        if !files.is_empty() {
+            out.push_str("\n    ");
         }
-        out.push_str("  }");
+        out.push('}');
     }
-    out.push_str("\n}\n");
+    if !counts.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push('}');
     out
 }
 
@@ -207,8 +133,8 @@ pub fn render(counts: &Counts, unsafe_audit: &UnsafeAudit) -> String {
 /// # Errors
 ///
 /// Propagates file-write failures as a message.
-pub fn bless(path: &Path, counts: &Counts, unsafe_audit: &UnsafeAudit) -> Result<(), String> {
-    std::fs::write(path, render(counts, unsafe_audit))
+pub fn bless(path: &Path, counts: &Counts) -> Result<(), String> {
+    std::fs::write(path, render(counts))
         .map_err(|e| format!("cannot write baseline {}: {e}", path.display()))
 }
 
@@ -285,44 +211,18 @@ mod tests {
             ("unwrap-in-lib", "crates/fl/src/sim.rs", 2),
             ("todo-unimplemented", "crates/core/src/lib.rs", 1),
         ]);
-        let text = render(&c, &UnsafeAudit::new());
-        assert_eq!(parse(&text).expect("roundtrip").counts, c);
-        // v4 envelope plus deterministic ordering: rules and files sorted.
+        let text = render(&c);
+        assert_eq!(parse(&text).expect("roundtrip"), c);
+        // v5 envelope plus deterministic ordering: rules and files sorted.
         assert!(text.starts_with(
-            "{\n  \"schema_version\": 4,\n  \"rules\": [\"todo-unimplemented\", \"unwrap-in-lib\"],"
+            "{\n  \"schema_version\": 5,\n  \"counts\": {\n    \"todo-unimplemented\": {"
         ));
-        let first_rule = text.lines().nth(4).expect("rule line");
-        assert!(first_rule.contains("todo-unimplemented"), "{text}");
-    }
-
-    #[test]
-    fn v4_audit_roundtrips_and_is_required() {
-        let mut audit = UnsafeAudit::new();
-        audit.insert("crates/tensor/src/par.rs".into(), (7, 7));
-        audit.insert("crates/tensor/src/backend/avx2.rs".into(), (29, 30));
-        let text = render(&counts(&[("unwrap-in-lib", "a.rs", 1)]), &audit);
-        let b = parse(&text).expect("v4 roundtrip");
-        assert_eq!(b.unsafe_audit, audit);
-        assert!(text.contains("\"unsafe_audit\": {"), "{text}");
-        assert!(
-            text.contains("\"crates/tensor/src/par.rs\": {\"claimed\": 7, \"total\": 7}"),
-            "{text}"
-        );
-        // A v4 envelope without the coverage map is malformed…
-        let err = parse("{\"schema_version\": 4, \"rules\": [], \"counts\": {}}")
-            .expect_err("missing audit");
-        assert!(err.contains("unsafe_audit"), "{err}");
-        // …and so is a coverage cell missing a field.
-        assert!(parse(
-            "{\"schema_version\": 4, \"rules\": [], \"counts\": {}, \
-             \"unsafe_audit\": {\"a.rs\": {\"claimed\": 1}}}"
-        )
-        .is_err());
+        assert!(text.ends_with("\n  }\n}\n"), "{text}");
     }
 
     #[test]
     fn only_the_current_schema_is_read() {
-        // v1 (bare map, no version), v2 and v3 name themselves and point
+        // v1 (bare map, no version) and v2–v4 name themselves and point
         // at --bless; a future version still says it is newer.
         let v1 = "{\"unwrap-in-lib\": {\"crates/nn/src/a.rs\": 2}}";
         let err = parse(v1).expect_err("v1");
@@ -330,30 +230,29 @@ mod tests {
         for (ver, old) in [
             (2, "{\"schema_version\": 2, \"counts\": {}}"),
             (3, "{\"schema_version\": 3, \"rules\": [], \"counts\": {}}"),
+            (
+                4,
+                "{\"schema_version\": 4, \"rules\": [], \"counts\": {}, \"unsafe_audit\": {}}",
+            ),
         ] {
-            let err = parse(old).expect_err("pre-v4");
+            let err = parse(old).expect_err("pre-v5");
             assert!(err.contains(&format!("schema_version {ver} ")), "{err}");
             assert!(err.contains("--bless"), "{err}");
         }
         let err = parse("{\"schema_version\": 99, \"counts\": {}}").expect_err("future");
         assert!(err.contains("newer"), "{err}");
         assert!(parse("{\"schema_version\": -1, \"counts\": {}}").is_err());
-        // A v4 envelope still needs its roster and counts.
-        assert!(parse(
-            "{\"schema_version\": 4, \"rules\": [1], \"counts\": {}, \"unsafe_audit\": {}}"
-        )
-        .is_err());
-        assert!(parse("{\"schema_version\": 4, \"counts\": {}, \"unsafe_audit\": {}}").is_err());
-        assert!(parse("{\"schema_version\": 4, \"rules\": [], \"unsafe_audit\": {}}").is_err());
+        // A v5 envelope still needs its counts.
+        assert!(parse("{\"schema_version\": 5}").is_err());
     }
 
     #[test]
     fn empty_rule_maps_render_inline() {
         let mut c = Counts::new();
         c.insert("unwrap-in-lib".into(), BTreeMap::new());
-        let text = render(&c, &UnsafeAudit::new());
+        let text = render(&c);
         assert!(text.contains("\"unwrap-in-lib\": {}"));
-        assert_eq!(parse(&text).expect("parse").counts, c);
+        assert_eq!(parse(&text).expect("parse"), c);
     }
 
     #[test]
@@ -392,17 +291,12 @@ mod tests {
 
     #[test]
     fn malformed_baseline_is_an_error() {
-        let v4 = |counts: &str| {
-            format!(
-                "{{\"schema_version\": 4, \"rules\": [], \"unsafe_audit\": {{}}, \
-                 \"counts\": {counts}}}"
-            )
-        };
+        let v5 = |counts: &str| format!("{{\"schema_version\": 5, \"counts\": {counts}}}");
         assert!(parse("[1, 2]").is_err());
-        assert!(parse(&v4("{\"r\": 3}")).is_err());
-        assert!(parse(&v4("{\"r\": {\"f\": -1}}")).is_err());
-        assert!(parse(&v4("{\"r\": {\"f\": 1.5}}")).is_err());
-        assert!(parse(&v4("{\"r\": {\"f\": 1}}")).is_ok());
+        assert!(parse(&v5("{\"r\": 3}")).is_err());
+        assert!(parse(&v5("{\"r\": {\"f\": -1}}")).is_err());
+        assert!(parse(&v5("{\"r\": {\"f\": 1.5}}")).is_err());
+        assert!(parse(&v5("{\"r\": {\"f\": 1}}")).is_ok());
     }
 
     #[test]

@@ -10,11 +10,18 @@
 //!   `raw-pointer-outside-par`, `alloc-on-hot-path`, `io-on-hot-path`,
 //!   `seed-stream-registry`, `unordered-float-reduction`,
 //!   `unclaimed-raw-span`, `target-feature-call-unguarded`,
-//!   `unsafe-claim-grammar`, `backend-parity`);
+//!   `backend-parity`);
 //! * **counted** — hits are tallied per `rule × file` and ratcheted
 //!   against `FABCHECK_BASELINE.json`: counts may shrink, never grow
-//!   (`unwrap-in-lib`, `todo-unimplemented`, `panic-on-hot-path`,
-//!   `span-disjointness`).
+//!   (`unwrap-in-lib`, `todo-unimplemented`, `panic-on-hot-path`).
+//!
+//! Two rules check a claim comment twice over. `unsafe-without-safety-comment`
+//! requires every `unsafe` to claim its own SAFETY comment, and in the
+//! non-test code of [`BLESSED_SIMD_DIR`] and [`BLESSED_THREAD_FILE`] that
+//! comment must also parse under the claim grammar and match its site.
+//! `unclaimed-raw-span` requires every `from_raw_parts_mut` to claim its
+//! own `fabcheck::claim(disjoint)` comment naming one of the call's
+//! arguments, and the span's offset must be a recognized partition.
 //!
 //! Matching is whole-identifier over the [`crate::lexer`] token stream, so
 //! comments, strings, `Instantiates`, and `unwrap_or` never false-positive.
@@ -24,8 +31,9 @@
 //! its call sites live in different files. This module hosts their
 //! [`Rule`] identities plus every single-file rule.
 
-use crate::lexer::{lex, Comment, Token};
+use crate::lexer::{matching_close, Comment, Token};
 use crate::parser::{target_feature_fns, TargetFeatureFn};
+use crate::walk::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose float-accumulation order feeds the reproducibility
@@ -92,7 +100,13 @@ pub enum Rule {
     WallclockInKernel,
     /// `env::var` outside the blessed thread-budget modules.
     EnvVarOutsideConfig,
-    /// `unsafe` without a `// SAFETY:` comment just above (or beside) it.
+    /// `unsafe` without a `// SAFETY:` comment just above (or beside) it,
+    /// or, in the non-test code of the blessed unsafe regions
+    /// ([`BLESSED_SIMD_DIR`], [`BLESSED_THREAD_FILE`]), with one that is
+    /// free text, does not parse under the claim grammar
+    /// (`SAFETY(bound: <expr>)` / `SAFETY(feature: <isa,…>)` /
+    /// `SAFETY(sync: <type>)`), or claims the wrong kind for its site
+    /// (e.g. a feature claim on a block doing raw-pointer arithmetic).
     UnsafeWithoutSafetyComment,
     /// `thread::spawn`/`thread::scope`/`thread::Builder` in `crates/`
     /// outside the worker pool (`crates/tensor/src/par.rs`).
@@ -129,7 +143,9 @@ pub enum Rule {
     /// A `from_raw_parts_mut` span not covered by a
     /// `// fabcheck::claim(disjoint): …` annotation naming one of the
     /// call's arguments — the partition argument whose disjointness
-    /// makes the aliasing sound.
+    /// makes the aliasing sound — or whose offset is not a recognized
+    /// non-overlapping pattern (a contiguous `i * chunk` stride,
+    /// optionally `.min(len)`-clamped).
     UnclaimedRawSpan,
     /// `.unwrap()` in non-test library code (counted).
     UnwrapInLib,
@@ -142,18 +158,6 @@ pub enum Rule {
     /// out after `is_x86_feature_detected!` succeeds). Evaluated on the
     /// cross-crate call graph by [`crate::graph`].
     TargetFeatureCallUnguarded,
-    /// A SAFETY comment in the blessed unsafe regions
-    /// ([`BLESSED_SIMD_DIR`], [`BLESSED_THREAD_FILE`]) that is free text,
-    /// does not parse under the claim grammar (`SAFETY(bound: <expr>)` /
-    /// `SAFETY(feature: <isa,…>)` / `SAFETY(sync: <type>)`), or claims
-    /// the wrong kind for its site (e.g. a feature claim on a block doing
-    /// raw-pointer arithmetic).
-    UnsafeClaimGrammar,
-    /// A `fabcheck::claim(disjoint)` whose partition offset is not a
-    /// recognized non-overlapping pattern (a contiguous `i * chunk`
-    /// stride, optionally `.min(len)`-clamped). Counted, not forbidden:
-    /// unrecognized is not proven wrong, so it ratchets as debt.
-    SpanDisjointness,
     /// A `CpuBackend` trait method missing from one of the backend impls
     /// or absent from the cross-backend determinism coverage
     /// (`backend_goldens.rs` / `proptests.rs`). Evaluated workspace-wide
@@ -163,7 +167,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 19] = [
+    pub const ALL: [Rule; 17] = [
         Rule::NondeterministicCollection,
         Rule::EntropyRng,
         Rule::WallclockInKernel,
@@ -180,8 +184,6 @@ impl Rule {
         Rule::UnwrapInLib,
         Rule::TodoUnimplemented,
         Rule::TargetFeatureCallUnguarded,
-        Rule::UnsafeClaimGrammar,
-        Rule::SpanDisjointness,
         Rule::BackendParity,
     ];
 
@@ -204,8 +206,6 @@ impl Rule {
             Rule::UnwrapInLib => "unwrap-in-lib",
             Rule::TodoUnimplemented => "todo-unimplemented",
             Rule::TargetFeatureCallUnguarded => "target-feature-call-unguarded",
-            Rule::UnsafeClaimGrammar => "unsafe-claim-grammar",
-            Rule::SpanDisjointness => "span-disjointness",
             Rule::BackendParity => "backend-parity",
         }
     }
@@ -214,10 +214,7 @@ impl Rule {
     pub fn is_forbidden(self) -> bool {
         !matches!(
             self,
-            Rule::UnwrapInLib
-                | Rule::TodoUnimplemented
-                | Rule::PanicOnHotPath
-                | Rule::SpanDisjointness
+            Rule::UnwrapInLib | Rule::TodoUnimplemented | Rule::PanicOnHotPath
         )
     }
 }
@@ -293,7 +290,10 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
                 Scope::All
             }
         }
-        // Unsafe needs its invariant written down wherever it appears.
+        // Unsafe needs its invariant written down wherever it appears
+        // (test files included, e.g. `alloc_guard.rs`'s `unsafe impl
+        // GlobalAlloc`); [`parses_safety_claims`] narrows the claim
+        // grammar to the blessed unsafe homes.
         Rule::UnsafeWithoutSafetyComment => Scope::All,
         // Thread creation is the pool's monopoly: ad-hoc spawns bypass the
         // budget cap and the fixed-block determinism argument. Tests too —
@@ -344,8 +344,9 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
             }
         }
         // Every raw span in product code must claim its disjointness
-        // argument; raw-pointer confinement already limits this to the
-        // worker pool, so in practice the rule audits `par.rs`.
+        // argument and carve a recognized partition; raw-pointer
+        // confinement already limits this to the worker pool, so in
+        // practice the rule audits `par.rs`.
         Rule::UnclaimedRawSpan => {
             if class.in_crates && !class.is_test_file {
                 Scope::NonTest
@@ -370,43 +371,27 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
         // Evaluated by `crate::graph` over the whole cross-crate call
         // graph (a guard and its guarded call live in different files).
         Rule::TargetFeatureCallUnguarded => Scope::Off,
-        // Machine-parsed SAFETY claims, in the non-test code of the
-        // blessed unsafe homes only. Outside them `unsafe` is not
-        // forbidden: `unsafe-without-safety-comment` is the only rule that
-        // sees it there (test files included, e.g. `alloc_guard.rs`'s
-        // `unsafe impl GlobalAlloc`), and a free-text `// SAFETY:` passes.
-        Rule::UnsafeClaimGrammar => {
-            if (class.rel.starts_with(BLESSED_SIMD_DIR) || class.rel == BLESSED_THREAD_FILE)
-                && !class.is_test_file
-            {
-                Scope::NonTest
-            } else {
-                Scope::Off
-            }
-        }
-        // Verifies existing `claim(disjoint)` annotations wherever the
-        // unclaimed-raw-span rule demands them.
-        Rule::SpanDisjointness => {
-            if class.in_crates && !class.is_test_file {
-                Scope::NonTest
-            } else {
-                Scope::Off
-            }
-        }
         // Workspace-level pass: [`check_backend_parity`] (the trait, the
         // impls, and the coverage files are different files).
         Rule::BackendParity => Scope::Off,
     }
 }
 
+/// Whether `unsafe` sites in this file must carry a claim that parses
+/// under the SAFETY claim grammar (non-test code of the blessed unsafe
+/// homes only; elsewhere a free-text `// SAFETY:` passes).
+fn parses_safety_claims(class: &FileClass) -> bool {
+    (class.rel.starts_with(BLESSED_SIMD_DIR) || class.rel == BLESSED_THREAD_FILE)
+        && !class.is_test_file
+}
+
 /// Returns the names of modules declared `#[cfg(test)] mod name;`
 /// (out-of-line test modules): the walker marks `name.rs` / `name/mod.rs`
 /// next to the declaring file as all-test files.
-pub fn test_only_mods(src: &str) -> Vec<String> {
-    let lexed = lex(src);
+pub fn test_only_mods(tokens: &[Token]) -> Vec<String> {
     let mut out = Vec::new();
-    for (_, end) in cfg_test_attr_ranges(&lexed.tokens) {
-        if let Some(ItemShape::OutOfLineMod(name)) = item_after_attrs(&lexed.tokens, end) {
+    for (_, end) in cfg_test_attr_ranges(tokens) {
+        if let Some(ItemShape::OutOfLineMod(name)) = item_after_attrs(tokens, end) {
             out.push(name);
         }
     }
@@ -441,23 +426,10 @@ fn cfg_test_attr_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
             && tokens[i + 3].text == "("
         {
             // Balanced parens from i+3; look for the ident `test` inside.
-            let mut depth = 0usize;
-            let mut j = i + 3;
-            let mut saw_test = false;
-            while j < tokens.len() {
-                match tokens[j].text.as_str() {
-                    "(" if !tokens[j].is_ident => depth += 1,
-                    ")" if !tokens[j].is_ident => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    "test" if tokens[j].is_ident && depth >= 1 => saw_test = true,
-                    _ => {}
-                }
-                j += 1;
-            }
+            let j = matching_close(tokens, i + 3).unwrap_or(tokens.len());
+            let saw_test = tokens[i + 3..j]
+                .iter()
+                .any(|t| t.is_ident && t.text == "test");
             // Expect the closing `]` right after the paren group.
             if saw_test && j + 1 < tokens.len() && tokens[j + 1].text == "]" {
                 out.push((i, j + 2));
@@ -485,22 +457,7 @@ enum ItemShape {
 fn item_after_attrs(tokens: &[Token], mut from: usize) -> Option<ItemShape> {
     // Skip subsequent attributes: `#[ … ]`.
     while from + 1 < tokens.len() && tokens[from].text == "#" && tokens[from + 1].text == "[" {
-        let mut depth = 0usize;
-        let mut j = from + 1;
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "[" if !tokens[j].is_ident => depth += 1,
-                "]" if !tokens[j].is_ident => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        from = j + 1;
+        from = matching_close(tokens, from + 1)? + 1;
     }
     let header_start = from;
     let mut paren = 0i64;
@@ -526,22 +483,8 @@ fn item_after_attrs(tokens: &[Token], mut from: usize) -> Option<ItemShape> {
                     return None;
                 }
                 "{" if paren == 0 && bracket == 0 => {
-                    let mut depth = 0usize;
-                    let mut k = j;
-                    while k < tokens.len() {
-                        match tokens[k].text.as_str() {
-                            "{" if !tokens[k].is_ident => depth += 1,
-                            "}" if !tokens[k].is_ident => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    return Some(ItemShape::Braced(j, k));
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    return Some(ItemShape::Braced(j, tokens.len().saturating_sub(1)));
+                    let close = matching_close(tokens, j).unwrap_or(tokens.len() - 1);
+                    return Some(ItemShape::Braced(j, close));
                 }
                 _ => {}
             }
@@ -595,27 +538,33 @@ fn mentions_ident(text: &str, ident: &str) -> bool {
     false
 }
 
-/// A `// SAFETY:` / `// SAFETY(kind: …)` comment annotates an `unsafe`
-/// token when it ends on the same line or at most [`SAFETY_WINDOW_LINES`]
-/// lines above it — and each comment annotates exactly **one** `unsafe`.
-/// Claims the nearest eligible unclaimed comment; `claimed` is indexed
-/// parallel to `comments`. Two unsafe blocks can no longer share a
-/// single SAFETY comment: every block documents its own invariant.
-/// Returns the claimed comment's index so the grammar rule can inspect
-/// its content.
-fn claim_safety_comment(
+/// Markers of a SAFETY comment: free text or the claim grammar.
+const SAFETY_NEEDLES: &[&str] = &["SAFETY:", "SAFETY("];
+
+/// Marker of a disjointness claim on a raw span.
+const DISJOINT_NEEDLES: &[&str] = &["fabcheck::claim(disjoint)"];
+
+/// A comment containing one of `needles` annotates a site when it ends
+/// on the same line or at most [`SAFETY_WINDOW_LINES`] lines above it,
+/// and each comment annotates exactly **one** site: this claims the
+/// nearest eligible unclaimed comment (`claimed` is indexed parallel to
+/// `comments`), so two unsafe blocks (or two raw spans) can never share
+/// one comment. Returns the claimed comment's index so the caller can
+/// inspect its content.
+fn claim_comment(
     comments: &[Comment],
     claimed: &mut [bool],
-    unsafe_line: u32,
+    site_line: u32,
+    needles: &[&str],
 ) -> Option<usize> {
     let best = comments
         .iter()
         .enumerate()
         .filter(|(i, c)| {
             !claimed[*i]
-                && (c.text.contains("SAFETY:") || c.text.contains("SAFETY("))
-                && c.line_end <= unsafe_line
-                && c.line_end + SAFETY_WINDOW_LINES >= unsafe_line
+                && needles.iter().any(|n| c.text.contains(n))
+                && c.line_end <= site_line
+                && c.line_end + SAFETY_WINDOW_LINES >= site_line
         })
         .max_by_key(|(_, c)| c.line_end)
         .map(|(i, _)| i);
@@ -717,29 +666,6 @@ enum ExpectedClaim {
     Any,
 }
 
-/// Token index of the `}` matching the `{` at `open` (mirror of
-/// [`matching_paren`]).
-fn matching_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = open;
-    while j < toks.len() {
-        if !toks[j].is_ident {
-            match toks[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Classifies the `unsafe` token at `i`: which claim kind its site
 /// structurally requires. Precedence: target-feature kernel interior,
 /// `unsafe impl`, pointer arithmetic in the block, same-file
@@ -763,7 +689,7 @@ fn expected_claim(toks: &[Token], i: usize, tfs: &[TargetFeatureFn]) -> Expected
     if open >= toks.len() || open > i + 24 {
         return ExpectedClaim::Any;
     }
-    let close = matching_brace(toks, open);
+    let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
     let mut features: BTreeSet<String> = BTreeSet::new();
     for j in open + 1..close {
         if !toks[j].is_ident {
@@ -790,6 +716,57 @@ fn expected_claim(toks: &[Token], i: usize, tfs: &[TargetFeatureFn]) -> Expected
     } else {
         ExpectedClaim::Feature(features.into_iter().collect())
     }
+}
+
+/// Why the claimed SAFETY comment `text` fails the claim grammar at a
+/// site that requires `expected`, or `None` when it passes.
+fn claim_grammar_error(text: &str, expected: &ExpectedClaim) -> Option<String> {
+    let claim = match parse_safety_claim(text) {
+        None => {
+            return Some(
+                "free-text SAFETY comment in a blessed unsafe region; upgrade it to \
+                 the machine-checked claim grammar: `// SAFETY(bound: <len-expr>)`, \
+                 `// SAFETY(feature: <isa,…>)`, or `// SAFETY(sync: <type>)`"
+                    .to_string(),
+            )
+        }
+        Some(Err(why)) => return Some(format!("unparseable SAFETY claim: {why}")),
+        Some(Ok(claim)) => claim,
+    };
+    let wrong_kind = match (expected, &claim) {
+        (ExpectedClaim::Any, _)
+        | (ExpectedClaim::Bound, SafetyClaim::Bound(_))
+        | (ExpectedClaim::Sync, SafetyClaim::Sync(_)) => return None,
+        (ExpectedClaim::Feature(req), SafetyClaim::Feature(got)) => {
+            let missing: Vec<String> = req
+                .iter()
+                .filter(|f| !got.contains(f))
+                .map(|f| format!("`{f}`"))
+                .collect();
+            return (!missing.is_empty()).then(|| {
+                format!(
+                    "the `SAFETY(feature: …)` claim omits {} required by the \
+                     `#[target_feature]` fns this block calls; claim every feature \
+                     the callees enable",
+                    missing.join(", ")
+                )
+            });
+        }
+        (ExpectedClaim::Bound, _) => {
+            "this unsafe region does raw-pointer arithmetic (or sits inside a \
+             `#[target_feature]` kernel) — its claim must be \
+             `SAFETY(bound: <len-expr>)` stating the in-bounds invariant"
+        }
+        (ExpectedClaim::Sync, _) => {
+            "an `unsafe impl` must claim `SAFETY(sync: <type>)` stating why the \
+             type is sound to share across threads"
+        }
+        (ExpectedClaim::Feature(_), _) => {
+            "this block calls `#[target_feature]` fns — its claim must be \
+             `SAFETY(feature: <isa,…>)` naming the detected features"
+        }
+    };
+    Some(wrong_kind.to_string())
 }
 
 /// Whether a token can be an operand of a recognized partition product:
@@ -870,7 +847,7 @@ fn binding_is_block_product(toks: &[Token], off: &str) -> bool {
             return product_expr(&toks[p + 2..stmt_end(toks, p + 2)]);
         }
         if is_p(p, "(") {
-            let close = matching_paren(toks, p);
+            let close = matching_close(toks, p).unwrap_or(toks.len() - 1);
             let elems = arg_ranges(toks, p);
             let Some(pos) = elems
                 .iter()
@@ -913,7 +890,7 @@ fn span_partition_recognized(toks: &[Token], i: usize) -> bool {
         {
             continue;
         }
-        let close = matching_paren(toks, j + 1);
+        let close = matching_close(toks, j + 1).unwrap_or(toks.len() - 1);
         return close == j + 3
             && toks[j + 2].is_ident
             && binding_is_block_product(toks, &toks[j + 2].text);
@@ -921,34 +898,11 @@ fn span_partition_recognized(toks: &[Token], i: usize) -> bool {
     false
 }
 
-/// Token index of the `)` matching the `(` at `open` (or the last token
-/// when unbalanced — robustness over validation, as everywhere here).
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = open;
-    while j < toks.len() {
-        if !toks[j].is_ident {
-            match toks[j].text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Splits the arguments of a call whose `(` sits at `open` into
 /// half-open token-index ranges, one per top-level comma-separated
 /// argument.
 fn arg_ranges(toks: &[Token], open: usize) -> Vec<(usize, usize)> {
-    let close = matching_paren(toks, open);
+    let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
     let mut out = Vec::new();
     let mut depth = 0i64;
     let mut start = open + 1;
@@ -982,23 +936,21 @@ fn is_float_literal(text: &str) -> bool {
 
 /// Runs every applicable rule over one file. `class.is_test_file` must
 /// already account for out-of-line `#[cfg(test)] mod x;` targets (see
-/// [`test_only_mods`]).
-pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
+/// [`test_only_mods`]). Also returns the file's unsafe-site tally
+/// `(claimed, total)`: how many `unsafe` tokens claimed a SAFETY comment,
+/// so "claimed" means exactly what `unsafe-without-safety-comment`
+/// accepts before its grammar check.
+pub fn check_file(file: &SourceFile) -> (Vec<Finding>, (u64, u64)) {
+    let class = &file.class;
     let enabled: Vec<(Rule, Scope)> = Rule::ALL
         .iter()
         .map(|&r| (r, scope(r, class)))
         .filter(|(_, s)| *s != Scope::Off)
         .collect();
-    if enabled.is_empty() {
-        return Vec::new();
-    }
-    let lexed = lex(src);
-    let spans = test_spans(&lexed.tokens);
-    let in_test = |idx: usize| spans.iter().any(|&(a, b)| idx >= a && idx < b);
     let on = |rule: Rule, idx: usize| {
         enabled
             .iter()
-            .any(|&(r, s)| r == rule && (s == Scope::All || !in_test(idx)))
+            .any(|&(r, s)| r == rule && (s == Scope::All || !file.in_test(idx)))
     };
 
     let mut findings = Vec::new();
@@ -1011,13 +963,15 @@ pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
             message,
         });
     };
+    let lexed = &file.lexed;
     let toks = &lexed.tokens;
-    let mut claimed = vec![false; lexed.comments.len()];
-    let mut claim_claimed = vec![false; lexed.comments.len()];
+    let mut claimed_safety = vec![false; lexed.comments.len()];
+    let mut claimed_disjoint = vec![false; lexed.comments.len()];
+    let mut unsafe_sites = (0u64, 0u64);
     let float_allow = allow_lines(&lexed.comments, toks, "unordered_float_reduction");
-    let grammar_on = enabled.iter().any(|&(r, _)| r == Rule::UnsafeClaimGrammar);
-    let tfs = if grammar_on {
-        target_feature_fns(toks, src)
+    let parses_claims = parses_safety_claims(class);
+    let tfs = if parses_claims {
+        target_feature_fns(toks, &file.src)
     } else {
         Vec::new()
     };
@@ -1100,87 +1054,28 @@ pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
                 )
             }
             "unsafe" if on(Rule::UnsafeWithoutSafetyComment, i) => {
-                match claim_safety_comment(&lexed.comments, &mut claimed, t.line) {
-                    None => push(
-                        Rule::UnsafeWithoutSafetyComment,
-                        t,
+                unsafe_sites.1 += 1;
+                let claim =
+                    claim_comment(&lexed.comments, &mut claimed_safety, t.line, SAFETY_NEEDLES);
+                let error = match claim {
+                    None => Some(
                         "`unsafe` without its own `// SAFETY:` comment in the preceding \
                          lines (each unsafe block claims exactly one); document the \
                          invariant that makes this sound"
                             .to_string(),
                     ),
-                    Some(k) if on(Rule::UnsafeClaimGrammar, i) => {
-                        let expected = expected_claim(toks, i, &tfs);
-                        match parse_safety_claim(&lexed.comments[k].text) {
-                            None => push(
-                                Rule::UnsafeClaimGrammar,
-                                t,
-                                "free-text SAFETY comment in a blessed unsafe region; \
-                                 upgrade it to the machine-checked claim grammar: \
-                                 `// SAFETY(bound: <len-expr>)`, \
-                                 `// SAFETY(feature: <isa,…>)`, or \
-                                 `// SAFETY(sync: <type>)`"
-                                    .to_string(),
-                            ),
-                            Some(Err(why)) => push(
-                                Rule::UnsafeClaimGrammar,
-                                t,
-                                format!("unparseable SAFETY claim: {why}"),
-                            ),
-                            Some(Ok(claim)) => match (&expected, &claim) {
-                                (ExpectedClaim::Any, _)
-                                | (ExpectedClaim::Bound, SafetyClaim::Bound(_))
-                                | (ExpectedClaim::Sync, SafetyClaim::Sync(_)) => {}
-                                (ExpectedClaim::Feature(req), SafetyClaim::Feature(got)) => {
-                                    let missing: Vec<&String> =
-                                        req.iter().filter(|f| !got.contains(f)).collect();
-                                    if !missing.is_empty() {
-                                        push(
-                                            Rule::UnsafeClaimGrammar,
-                                            t,
-                                            format!(
-                                                "the `SAFETY(feature: …)` claim omits \
-                                                 {} required by the `#[target_feature]` \
-                                                 fns this block calls; claim every \
-                                                 feature the callees enable",
-                                                missing
-                                                    .iter()
-                                                    .map(|f| format!("`{f}`"))
-                                                    .collect::<Vec<_>>()
-                                                    .join(", ")
-                                            ),
-                                        )
-                                    }
-                                }
-                                (ExpectedClaim::Bound, _) => push(
-                                    Rule::UnsafeClaimGrammar,
-                                    t,
-                                    "this unsafe region does raw-pointer arithmetic \
-                                     (or sits inside a `#[target_feature]` kernel) — \
-                                     its claim must be `SAFETY(bound: <len-expr>)` \
-                                     stating the in-bounds invariant"
-                                        .to_string(),
-                                ),
-                                (ExpectedClaim::Sync, _) => push(
-                                    Rule::UnsafeClaimGrammar,
-                                    t,
-                                    "an `unsafe impl` must claim \
-                                     `SAFETY(sync: <type>)` stating why the type is \
-                                     sound to share across threads"
-                                        .to_string(),
-                                ),
-                                (ExpectedClaim::Feature(_), _) => push(
-                                    Rule::UnsafeClaimGrammar,
-                                    t,
-                                    "this block calls `#[target_feature]` fns — its \
-                                     claim must be `SAFETY(feature: <isa,…>)` naming \
-                                     the detected features"
-                                        .to_string(),
-                                ),
-                            },
+                    Some(k) => {
+                        unsafe_sites.0 += 1;
+                        if parses_claims && !file.in_test(i) {
+                            let expected = expected_claim(toks, i, &tfs);
+                            claim_grammar_error(&lexed.comments[k].text, &expected)
+                        } else {
+                            None
                         }
                     }
-                    Some(_) => {}
+                };
+                if let Some(message) = error {
+                    push(Rule::UnsafeWithoutSafetyComment, t, message);
                 }
             }
             "spawn" | "scope" | "Builder"
@@ -1307,7 +1202,7 @@ pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
                         .get(i + 1)
                         .is_some_and(|x| !x.is_ident && x.text == "(") =>
             {
-                let close = matching_paren(toks, i + 1);
+                let close = matching_close(toks, i + 1).unwrap_or(toks.len() - 1);
                 let mut bars = (i + 2..close).filter(|&j| !toks[j].is_ident && toks[j].text == "|");
                 let params: Vec<&str> = match (bars.next(), bars.next()) {
                     (Some(a), Some(b)) => toks[a + 1..b]
@@ -1335,7 +1230,7 @@ pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
                     let tie_broken = toks
                         .get(j + 1)
                         .is_some_and(|x| !x.is_ident && x.text == "(")
-                        && (j + 2..matching_paren(toks, j + 1))
+                        && (j + 2..matching_close(toks, j + 1).unwrap_or(toks.len() - 1))
                             .any(|k| !toks[k].is_ident && toks[k].text == ",");
                     if !tie_broken {
                         push(
@@ -1354,79 +1249,64 @@ pub fn check_file(class: &FileClass, src: &str) -> Vec<Finding> {
             // Every raw mutable span must claim the partition argument
             // that makes its aliasing sound.
             "from_raw_parts_mut"
-                if (on(Rule::UnclaimedRawSpan, i) || on(Rule::SpanDisjointness, i))
+                if on(Rule::UnclaimedRawSpan, i)
                     && toks
                         .get(i + 1)
                         .is_some_and(|x| !x.is_ident && x.text == "(") =>
             {
-                let close = matching_paren(toks, i + 1);
+                let close = matching_close(toks, i + 1).unwrap_or(toks.len() - 1);
                 let args: Vec<&str> = toks[i + 2..close]
                     .iter()
                     .filter(|x| x.is_ident)
                     .map(|x| x.text.as_str())
                     .collect();
-                let best = lexed
-                    .comments
+                let Some(k) = claim_comment(
+                    &lexed.comments,
+                    &mut claimed_disjoint,
+                    t.line,
+                    DISJOINT_NEEDLES,
+                ) else {
+                    push(
+                        Rule::UnclaimedRawSpan,
+                        t,
+                        "`from_raw_parts_mut` without its own \
+                         `// fabcheck::claim(disjoint): …` annotation in the \
+                         preceding lines (each span claims exactly one); state \
+                         which argument partitions the spans disjointly"
+                            .to_string(),
+                    );
+                    continue;
+                };
+                if !args
                     .iter()
-                    .enumerate()
-                    .filter(|(k, c)| {
-                        !claim_claimed[*k]
-                            && c.text.contains("fabcheck::claim(disjoint)")
-                            && c.line_end <= t.line
-                            && c.line_end + SAFETY_WINDOW_LINES >= t.line
-                    })
-                    .max_by_key(|(_, c)| c.line_end)
-                    .map(|(k, _)| k);
-                match best {
-                    None => {
-                        if on(Rule::UnclaimedRawSpan, i) {
-                            push(
-                                Rule::UnclaimedRawSpan,
-                                t,
-                                "`from_raw_parts_mut` without its own \
-                                 `// fabcheck::claim(disjoint): …` annotation in the \
-                                 preceding lines (each span claims exactly one); state \
-                                 which argument partitions the spans disjointly"
-                                    .to_string(),
-                            )
-                        }
-                    }
-                    Some(k) => {
-                        claim_claimed[k] = true;
-                        if on(Rule::UnclaimedRawSpan, i)
-                            && !args
-                                .iter()
-                                .any(|a| mentions_ident(&lexed.comments[k].text, a))
-                        {
-                            push(
-                                Rule::UnclaimedRawSpan,
-                                t,
-                                "the `fabcheck::claim(disjoint)` annotation names none \
-                                 of this `from_raw_parts_mut` call's arguments; name \
-                                 the partition argument on the claim line itself"
-                                    .to_string(),
-                            )
-                        }
-                        if on(Rule::SpanDisjointness, i) && !span_partition_recognized(toks, i) {
-                            push(
-                                Rule::SpanDisjointness,
-                                t,
-                                "this `claim(disjoint)` span is not carved by a \
-                                 recognized partition pattern (a bare base pointer, or \
-                                 `.add/wrapping_add(off)` with `off` bound to an \
-                                 `index * chunk` product, optionally `.min(…)`-clamped); \
-                                 unverifiable claims ratchet as debt — restructure the \
-                                 offset arithmetic into a block product to discharge it"
-                                    .to_string(),
-                            )
-                        }
-                    }
+                    .any(|a| mentions_ident(&lexed.comments[k].text, a))
+                {
+                    push(
+                        Rule::UnclaimedRawSpan,
+                        t,
+                        "the `fabcheck::claim(disjoint)` annotation names none \
+                         of this `from_raw_parts_mut` call's arguments; name \
+                         the partition argument on the claim line itself"
+                            .to_string(),
+                    )
+                }
+                if !span_partition_recognized(toks, i) {
+                    push(
+                        Rule::UnclaimedRawSpan,
+                        t,
+                        "this `claim(disjoint)` span is not carved by a \
+                         recognized partition pattern (a bare base pointer, or \
+                         `.add/wrapping_add(off)` with `off` bound to an \
+                         `index * chunk` product, optionally `.min(…)`-clamped); \
+                         restructure the offset arithmetic into a block product"
+                            .to_string(),
+                    )
                 }
             }
             _ => {}
         }
     }
-    findings
+    (findings, unsafe_sites)
 }
 
 /// Parses the integer value of a numeric-literal token (decimal or hex,
@@ -1452,18 +1332,18 @@ fn int_value(text: &str) -> Option<u64> {
 /// every non-test `sub_seed(seed, STREAM, …)` call site in `crates/`:
 /// the stream argument must be a path ending in a registered constant —
 /// numeric literals and unregistered names are findings.
-pub fn check_seed_streams(files: &[(&FileClass, &str)]) -> Vec<Finding> {
+pub fn check_seed_streams(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut registry: BTreeSet<String> = BTreeSet::new();
     let mut by_id: BTreeMap<u64, String> = BTreeMap::new();
     let mut registry_file: Option<String> = None;
 
-    for (class, src) in files {
+    for file in files {
+        let class = &file.class;
         if !class.in_crates || class.crate_name != "fl" || class.is_test_file {
             continue;
         }
-        let lexed = lex(src);
-        let toks = &lexed.tokens;
+        let toks = &file.lexed.tokens;
         let mut i = 0;
         while i + 2 < toks.len() {
             if !(toks[i].is_ident
@@ -1550,19 +1430,17 @@ pub fn check_seed_streams(files: &[(&FileClass, &str)]) -> Vec<Finding> {
         }
     }
 
-    for (class, src) in files {
+    for file in files {
+        let class = &file.class;
         if !class.in_crates || class.is_test_file {
             continue;
         }
-        let lexed = lex(src);
-        let toks = &lexed.tokens;
-        let spans = test_spans(toks);
-        let in_test = |idx: usize| spans.iter().any(|&(a, b)| idx >= a && idx < b);
+        let toks = &file.lexed.tokens;
         for (i, t) in toks.iter().enumerate() {
             if !(t.is_ident
                 && t.text == "sub_seed"
                 && toks.get(i + 1).is_some_and(|n| !n.is_ident && n.text == "(")
-                && !in_test(i)
+                && !file.in_test(i)
                 // Skip the definition itself (`fn sub_seed(master, …)`).
                 && !(i >= 1 && toks[i - 1].is_ident && toks[i - 1].text == "fn"))
             {
@@ -1638,16 +1516,17 @@ fn fn_names_in(toks: &[Token], open: usize, close: usize) -> Vec<(String, u32, u
 /// therefore fails `--ci`. Trees without a `CpuBackend` trait are
 /// silently exempt (the fixture workspaces that predate the backend
 /// layer).
-pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
+pub fn check_backend_parity(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Pass 1: the trait declaration and its method roster.
     let mut trait_at: Option<(String, String, String)> = None; // (rel, dir prefix, crate)
     let mut methods: Vec<(String, u32, u32)> = Vec::new();
-    for (class, src) in files {
+    for file in files {
+        let class = &file.class;
         if class.is_test_file || !class.in_crates {
             continue;
         }
-        let toks = lex(src).tokens;
+        let toks = &file.lexed.tokens;
         let mut i = 0;
         while i + 1 < toks.len() {
             if toks[i].is_ident
@@ -1659,8 +1538,8 @@ pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
                 while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
                     open += 1;
                 }
-                let close = matching_brace(&toks, open);
-                methods = fn_names_in(&toks, open + 1, close);
+                let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
+                methods = fn_names_in(toks, open + 1, close);
                 let dir = class
                     .rel
                     .rsplit_once('/')
@@ -1682,18 +1561,20 @@ pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
     // files' identifier sets.
     let mut impls: Vec<(String, String, BTreeSet<String>)> = Vec::new();
     let mut coverage: Vec<(String, BTreeSet<String>)> = Vec::new();
-    for (class, src) in files {
+    for file in files {
+        let class = &file.class;
         // Coverage lives in the trait's own crate — other crates carry
         // proptest modules of their own that say nothing about backends.
         let is_cov = class.crate_name == trait_crate
             && (class.rel.ends_with("tests/backend_goldens.rs")
                 || class.rel.ends_with("src/proptests.rs"));
         if is_cov {
-            let idents = lex(src)
+            let idents = file
+                .lexed
                 .tokens
-                .into_iter()
+                .iter()
                 .filter(|t| t.is_ident)
-                .map(|t| t.text)
+                .map(|t| t.text.clone())
                 .collect();
             coverage.push((class.rel.clone(), idents));
             continue;
@@ -1701,7 +1582,7 @@ pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
         if class.is_test_file || !class.rel.starts_with(&dir) {
             continue;
         }
-        let toks = lex(src).tokens;
+        let toks = &file.lexed.tokens;
         let mut i = 0;
         while i + 3 < toks.len() {
             if !(toks[i].is_ident
@@ -1720,8 +1601,8 @@ pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
             while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
                 open += 1;
             }
-            let close = matching_brace(&toks, open);
-            let names = fn_names_in(&toks, open + 1, close)
+            let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
+            let names = fn_names_in(toks, open + 1, close)
                 .into_iter()
                 .map(|(n, _, _)| n)
                 .collect();
@@ -1766,28 +1647,6 @@ pub fn check_backend_parity(files: &[(&FileClass, &str)]) -> Vec<Finding> {
     findings
 }
 
-/// Per-file unsafe-site audit: (sites with a claimed SAFETY comment,
-/// total `unsafe` tokens). Replays the same one-comment-per-site
-/// claiming the presence rule uses, so "claimed" here means exactly what
-/// `unsafe-without-safety-comment` accepts. Powers the `--json`
-/// `unsafe_audit` section, the baseline's pinned coverage, and the CI
-/// job summary.
-pub fn unsafe_site_audit(src: &str) -> (u64, u64) {
-    let lexed = lex(src);
-    let mut flags = vec![false; lexed.comments.len()];
-    let (mut claimed, mut total) = (0u64, 0u64);
-    for t in lexed.tokens.iter().filter(|t| t.is_ident) {
-        if t.text != "unsafe" {
-            continue;
-        }
-        total += 1;
-        if claim_safety_comment(&lexed.comments, &mut flags, t.line).is_some() {
-            claimed += 1;
-        }
-    }
-    (claimed, total)
-}
-
 /// `--explain <rule>`: the rule's contract and, where one exists, an
 /// example claim. Returns `None` for unknown rule names.
 pub fn explain(name: &str) -> Option<&'static str> {
@@ -1812,10 +1671,19 @@ pub fn explain(name: &str) -> Option<&'static str> {
              arrives through FlConfig/CLI flags."
         }
         "unsafe-without-safety-comment" => {
-            "Every `unsafe` carries its own SAFETY comment within the 5 lines \
-             above it, and no two sites share one. In the blessed unsafe dirs \
-             the comment must additionally parse under the claim grammar \
-             (see unsafe-claim-grammar)."
+            "Every `unsafe` (tests included) carries its own SAFETY comment \
+             within the 5 lines above it, and no two sites share one. In the \
+             non-test code of crates/tensor/src/backend/ and par.rs the \
+             comment must also parse under the claim grammar and match its \
+             site:\n\
+             // SAFETY(bound: q*8 + 8 <= a.len()): pointer arithmetic stays \
+             in bounds (required inside #[target_feature] kernels and at \
+             raw-pointer sites);\n\
+             // SAFETY(feature: avx2,fma): the dispatcher detected these \
+             features before handing this backend out (required on blocks \
+             calling #[target_feature] fns);\n\
+             // SAFETY(sync: JobRef): why the type is sound to send/share \
+             (required on `unsafe impl Send/Sync`)."
         }
         "thread-spawn-outside-par" => {
             "Thread creation is the worker pool's monopoly \
@@ -1854,8 +1722,14 @@ pub fn explain(name: &str) -> Option<&'static str> {
         "unclaimed-raw-span" => {
             "Every from_raw_parts_mut span carries its own \
              `// fabcheck::claim(disjoint): …` naming the partition argument \
-             that makes the aliasing sound.\n\
-             Example: // fabcheck::claim(disjoint): lo strides by worker index."
+             that makes the aliasing sound, and its base offset must be a \
+             recognized partition: a bare base, or `.add/wrapping_add(off)` \
+             with `let off = index * chunk;` (optionally `.min(len)`-clamped, \
+             tuple-lets allowed). Contiguous block products are provably \
+             non-overlapping for distinct indices.\n\
+             Example: let lo = b * items_per_worker; \
+             // fabcheck::claim(disjoint): lo strides by worker index.\n\
+             base.ptr().wrapping_add(lo)"
         }
         "unwrap-in-lib" => {
             "Counted debt: .unwrap() in non-test library code. Prefer \
@@ -1874,28 +1748,6 @@ pub fn explain(name: &str) -> Option<&'static str> {
              other edge could execute illegal instructions on an unsupporting \
              host. Remedy: route the call through backend::active()."
         }
-        "unsafe-claim-grammar" => {
-            "SAFETY comments in crates/tensor/src/backend/ and par.rs must \
-             parse under the claim grammar and match their site:\n\
-             // SAFETY(bound: q*8 + 8 <= a.len()): pointer arithmetic stays \
-             in bounds (required inside #[target_feature] kernels and at \
-             raw-pointer sites);\n\
-             // SAFETY(feature: avx2,fma): the dispatcher detected these \
-             features before handing this backend out (required on blocks \
-             calling #[target_feature] fns);\n\
-             // SAFETY(sync: JobRef): why the type is sound to send/share \
-             (required on `unsafe impl Send/Sync`)."
-        }
-        "span-disjointness" => {
-            "A `fabcheck::claim(disjoint)` is verified against recognized \
-             partition arithmetic: the span's base offset must be a bare base \
-             or `.add/wrapping_add(off)` with `let off = index * chunk;` \
-             (optionally `.min(len)`-clamped, tuple-lets allowed). Contiguous \
-             block products are provably non-overlapping for distinct \
-             indices; anything else ratchets as counted debt.\n\
-             Example: let lo = b * items_per_worker; \
-             base.ptr().wrapping_add(lo)"
-        }
         "backend-parity" => {
             "Every CpuBackend trait method must be implemented by every \
              backend impl in crates/tensor/src/backend/ AND appear in the \
@@ -1910,23 +1762,16 @@ pub fn explain(name: &str) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::walk::classify;
 
-    fn class(rel: &str) -> FileClass {
-        let mut parts = rel.split('/');
-        let top = parts.next().unwrap_or_default();
-        let krate = parts.next().unwrap_or_default().to_string();
-        FileClass {
-            rel: rel.to_string(),
-            in_crates: top == "crates",
-            crate_name: krate,
-            is_test_file: rel.contains("/tests/"),
-            is_example: rel.contains("/examples/"),
-            is_bin: rel.ends_with("src/main.rs") || rel.contains("/src/bin/"),
-        }
+    fn file(rel: &str, src: &str) -> SourceFile {
+        SourceFile::new(classify(rel), src.to_string())
     }
 
     fn run(rel: &str, src: &str) -> Vec<String> {
-        check_file(&class(rel), src)
+        check_file(&file(rel, src))
+            .0
             .into_iter()
             .map(|f| f.rule.name().to_string())
             .collect()
@@ -2159,8 +2004,8 @@ mod tests {
     #[test]
     fn out_of_line_test_mods_are_reported() {
         let src = "#[cfg(test)]\nmod proptests;\npub fn f() {}";
-        assert_eq!(test_only_mods(src), ["proptests"]);
-        assert!(test_only_mods("mod proptests;").is_empty());
+        assert_eq!(test_only_mods(&lex(src).tokens), ["proptests"]);
+        assert!(test_only_mods(&lex("mod proptests;").tokens).is_empty());
     }
 
     #[test]
@@ -2202,15 +2047,20 @@ mod tests {
 
     #[test]
     fn claim_grammar_scoped_to_blessed_dirs() {
-        // Free-text SAFETY: fine outside the blessed dirs, a grammar
-        // finding inside them.
+        // Free-text SAFETY: fine outside the blessed dirs and in test
+        // code, a finding in the blessed dirs' product code.
         let free = "// SAFETY: p is valid per the caller contract.\n\
                     fn f(p: *const u8) { unsafe { p.read() }; }";
-        assert!(run("crates/tensor/src/par.rs", free).contains(&"unsafe-claim-grammar".into()));
-        assert!(
-            run("crates/tensor/src/backend/avx9.rs", free).contains(&"unsafe-claim-grammar".into())
+        let unsafe_hit = vec!["unsafe-without-safety-comment".to_string()];
+        assert_eq!(run("crates/tensor/src/par.rs", free), unsafe_hit);
+        assert_eq!(run("crates/tensor/src/backend/avx9.rs", free), unsafe_hit);
+        assert_eq!(
+            run("crates/nn/src/lib.rs", free),
+            ["raw-pointer-outside-par"]
         );
-        assert!(!run("crates/nn/src/lib.rs", free).contains(&"unsafe-claim-grammar".into()));
+        assert!(run("crates/tensor/tests/backend.rs", free).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{free}\n}}");
+        assert!(run("crates/tensor/src/par.rs", &gated).is_empty());
     }
 
     #[test]
@@ -2223,7 +2073,7 @@ mod tests {
                         }";
         assert_eq!(
             run("crates/tensor/src/backend/avx2.rs", tf_wrong),
-            ["unsafe-claim-grammar"]
+            ["unsafe-without-safety-comment"]
         );
         let tf_right = tf_wrong.replace(
             "// SAFETY(feature: avx2): wrong kind for a kernel interior.",
@@ -2235,7 +2085,7 @@ mod tests {
                          unsafe impl Send for JobRef {}";
         assert_eq!(
             run("crates/tensor/src/par.rs", imp_wrong),
-            ["unsafe-claim-grammar"]
+            ["unsafe-without-safety-comment"]
         );
         let imp_right = "// SAFETY(sync: JobRef): the pointee outlives the job.\n\
                          unsafe impl Send for JobRef {}";
@@ -2249,13 +2099,13 @@ mod tests {
                         unsafe { dot(a) }\n\
                     }";
         let hits = run("crates/tensor/src/backend/avx2.rs", disp);
-        assert_eq!(hits, ["unsafe-claim-grammar"], "{hits:?}");
+        assert_eq!(hits, ["unsafe-without-safety-comment"], "{hits:?}");
         let disp_ok = disp.replace("feature: avx2)", "feature: avx2,fma)");
         assert!(run("crates/tensor/src/backend/avx2.rs", &disp_ok).is_empty());
     }
 
     #[test]
-    fn span_disjointness_verifies_partition_arithmetic() {
+    fn raw_spans_must_carve_recognized_partitions() {
         // Recognized: offset bound to a block product.
         let good = "fn f(base: *mut f32, b: usize, per: usize, hi: usize) {\n\
                     let lo = b * per;\n\
@@ -2274,28 +2124,23 @@ mod tests {
         // Clamped products are recognized.
         let clamped = good.replace("let lo = b * per;", "let lo = (b * per).min(hi);");
         assert!(run("crates/tensor/src/par.rs", clamped.as_str()).is_empty());
-        // A sum offset is NOT a recognized partition: counted debt.
+        // A sum offset is NOT a recognized partition: a finding.
         let bad = good.replace("let lo = b * per;", "let lo = b + per;");
         assert_eq!(
             run("crates/tensor/src/par.rs", bad.as_str()),
-            ["span-disjointness"]
+            ["unclaimed-raw-span"]
         );
-        // An unbound offset name is likewise debt.
+        // An unbound offset name likewise.
         let unbound = good.replace("let lo = b * per;", "");
         assert_eq!(
             run("crates/tensor/src/par.rs", unbound.as_str()),
-            ["span-disjointness"]
+            ["unclaimed-raw-span"]
         );
     }
 
     fn parity_run(files: &[(&str, &str)]) -> Vec<String> {
-        let classes: Vec<FileClass> = files.iter().map(|(rel, _)| class(rel)).collect();
-        let pairs: Vec<(&FileClass, &str)> = classes
-            .iter()
-            .zip(files.iter())
-            .map(|(c, (_, src))| (c, *src))
-            .collect();
-        check_backend_parity(&pairs)
+        let files: Vec<SourceFile> = files.iter().map(|(rel, src)| file(rel, src)).collect();
+        check_backend_parity(&files)
             .into_iter()
             .map(|f| f.message)
             .collect()
@@ -2347,8 +2192,11 @@ mod tests {
     fn unsafe_audit_counts_claimed_sites() {
         let src = "// SAFETY(bound: one): ok.\n\
                    fn f() { unsafe { a() }; unsafe { b() }; }";
-        assert_eq!(unsafe_site_audit(src), (1, 2));
-        assert_eq!(unsafe_site_audit("fn g() {}"), (0, 0));
+        assert_eq!(check_file(&file("compat/a/src/lib.rs", src)).1, (1, 2));
+        assert_eq!(
+            check_file(&file("compat/a/src/lib.rs", "fn g() {}")).1,
+            (0, 0)
+        );
     }
 
     #[test]
@@ -2361,7 +2209,7 @@ mod tests {
             );
         }
         assert!(explain("no-such-rule").is_none());
-        assert!(explain("unsafe-claim-grammar")
+        assert!(explain("unsafe-without-safety-comment")
             .expect("text")
             .contains("SAFETY(bound:"));
     }

@@ -1,9 +1,10 @@
 //! Workspace walker: finds every `.rs` file under `crates/` and `compat/`,
-//! classifies it for the rule engine, and resolves out-of-line
-//! `#[cfg(test)] mod x;` targets in a first pass so `x.rs` / `x/mod.rs`
-//! count as all-test files.
+//! reads and lexes each exactly once, classifies it for the rule engine,
+//! and resolves out-of-line `#[cfg(test)] mod x;` targets so `x.rs` /
+//! `x/mod.rs` count as all-test files.
 
-use crate::rules::{test_only_mods, FileClass};
+use crate::lexer::{lex, Lexed};
+use crate::rules::{test_only_mods, test_spans, FileClass};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -11,13 +12,37 @@ use std::path::{Path, PathBuf};
 /// fabcheck's own deliberately-bad fixture trees.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
-/// A classified source file ready for [`crate::rules::check_file`].
+/// One classified source file, read and lexed once and shared by every
+/// pass (the per-file rules, the workspace passes and the call graph).
 #[derive(Debug)]
-pub struct WorkspaceFile {
-    /// Absolute path on disk.
-    pub path: PathBuf,
+pub struct SourceFile {
     /// Classification (includes the root-relative path).
     pub class: FileClass,
+    /// The file's text (the target-feature parser reads raw lines).
+    pub src: String,
+    /// Tokens and comments of `src`.
+    pub lexed: Lexed,
+    /// Half-open token-index ranges of `#[cfg(test)]`-gated items.
+    pub test_spans: Vec<(usize, usize)>,
+}
+
+impl SourceFile {
+    /// Lexes `src` and finds its `#[cfg(test)]` spans.
+    pub fn new(class: FileClass, src: String) -> SourceFile {
+        let lexed = lex(&src);
+        let test_spans = test_spans(&lexed.tokens);
+        SourceFile {
+            class,
+            src,
+            lexed,
+            test_spans,
+        }
+    }
+
+    /// Whether token `idx` lies inside a `#[cfg(test)]` item.
+    pub fn in_test(&self, idx: usize) -> bool {
+        self.test_spans.iter().any(|&(a, b)| idx >= a && idx < b)
+    }
 }
 
 /// Collects and classifies every checkable source file under
@@ -27,37 +52,36 @@ pub struct WorkspaceFile {
 /// # Errors
 ///
 /// Propagates directory-walk and file-read I/O errors.
-pub fn collect(root: &Path) -> std::io::Result<Vec<WorkspaceFile>> {
-    let mut files: Vec<(PathBuf, String)> = Vec::new();
+pub fn collect(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut paths: Vec<(PathBuf, String)> = Vec::new();
     for top in ["crates", "compat"] {
         let dir = root.join(top);
         if dir.is_dir() {
-            walk_dir(&dir, root, &mut files)?;
+            walk_dir(&dir, root, &mut paths)?;
         }
     }
-    files.sort_by(|a, b| a.1.cmp(&b.1));
+    paths.sort_by(|a, b| a.1.cmp(&b.1));
+    let mut files = Vec::with_capacity(paths.len());
+    for (path, rel) in paths {
+        files.push(SourceFile::new(
+            classify(&rel),
+            std::fs::read_to_string(path)?,
+        ));
+    }
 
-    // First pass: find files that are out-of-line #[cfg(test)] modules.
+    // Files that are out-of-line #[cfg(test)] modules are all-test code.
     let mut test_files: BTreeSet<String> = BTreeSet::new();
-    for (path, rel) in &files {
-        let src = std::fs::read_to_string(path)?;
-        for name in test_only_mods(&src) {
-            let dir = match rel.rfind('/') {
-                Some(idx) => &rel[..idx],
-                None => "",
-            };
+    for file in &files {
+        let dir = file.class.rel.rsplit_once('/').map_or("", |(d, _)| d);
+        for name in test_only_mods(&file.lexed.tokens) {
             test_files.insert(format!("{dir}/{name}.rs"));
             test_files.insert(format!("{dir}/{name}/mod.rs"));
         }
     }
-
-    Ok(files
-        .into_iter()
-        .map(|(path, rel)| {
-            let class = classify(&rel, test_files.contains(&rel));
-            WorkspaceFile { path, class }
-        })
-        .collect())
+    for file in &mut files {
+        file.class.is_test_file |= test_files.contains(&file.class.rel);
+    }
+    Ok(files)
 }
 
 fn walk_dir(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) -> std::io::Result<()> {
@@ -85,8 +109,9 @@ fn walk_dir(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) -> std::i
     Ok(())
 }
 
-/// Classifies a root-relative path (`crates/<name>/…` or `compat/<name>/…`).
-fn classify(rel: &str, is_cfg_test_mod_file: bool) -> FileClass {
+/// Classifies a root-relative path (`crates/<name>/…` or `compat/<name>/…`)
+/// by its location alone; [`collect`] adds the out-of-line test modules.
+pub(crate) fn classify(rel: &str) -> FileClass {
     let parts: Vec<&str> = rel.split('/').collect();
     let in_crates = parts.first() == Some(&"crates");
     let crate_name = parts.get(1).copied().unwrap_or("").to_string();
@@ -97,7 +122,7 @@ fn classify(rel: &str, is_cfg_test_mod_file: bool) -> FileClass {
         rel: rel.to_string(),
         in_crates,
         crate_name,
-        is_test_file: in_dir("tests") || in_dir("benches") || is_cfg_test_mod_file,
+        is_test_file: in_dir("tests") || in_dir("benches"),
         is_example: in_dir("examples"),
         is_bin: rel.ends_with("/src/main.rs") || in_dir("bin"),
     }
@@ -109,16 +134,15 @@ mod tests {
 
     #[test]
     fn classify_kinds() {
-        let c = classify("crates/tensor/src/matmul.rs", false);
+        let c = classify("crates/tensor/src/matmul.rs");
         assert!(c.in_crates && c.crate_name == "tensor");
         assert!(!c.is_test_file && !c.is_bin && !c.is_example);
 
-        assert!(classify("crates/fabcheck/tests/integration.rs", false).is_test_file);
-        assert!(classify("crates/bench/benches/micro.rs", false).is_test_file);
-        assert!(classify("crates/bench/src/bin/perf.rs", false).is_bin);
-        assert!(classify("crates/cli/src/main.rs", false).is_bin);
-        assert!(classify("crates/fl/examples/probe.rs", false).is_example);
-        assert!(!classify("compat/rand/src/lib.rs", false).in_crates);
-        assert!(classify("crates/nn/src/proptests.rs", true).is_test_file);
+        assert!(classify("crates/fabcheck/tests/integration.rs").is_test_file);
+        assert!(classify("crates/bench/benches/micro.rs").is_test_file);
+        assert!(classify("crates/bench/src/bin/perf.rs").is_bin);
+        assert!(classify("crates/cli/src/main.rs").is_bin);
+        assert!(classify("crates/fl/examples/probe.rs").is_example);
+        assert!(!classify("compat/rand/src/lib.rs").in_crates);
     }
 }

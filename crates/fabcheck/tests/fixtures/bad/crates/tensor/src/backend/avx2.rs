@@ -1,4 +1,4 @@
-//! Deliberately bad fixture for `unsafe-claim-grammar`: one free-text
+//! Deliberately bad fixture for the SAFETY claim grammar: one free-text
 //! SAFETY comment inside a `#[target_feature]` kernel (must be a parsed
 //! `bound:` claim) and one wrong-kind claim (a `feature:` claim on a
 //! block that carves pointers and so needs `bound:`). Never compiled —

@@ -1,4 +1,4 @@
-//! Deliberately bad fixture for the span-disjointness audit: raw spans in
+//! Deliberately bad fixture for `unclaimed-raw-span`: raw spans in
 //! the blessed thread file, but one with no `fabcheck::claim(disjoint)`
 //! annotation and one whose claim names none of the call's arguments.
 //! Never compiled — only scanned.
@@ -17,8 +17,8 @@ pub fn split(data: &mut [f32], per: usize) {
 }
 
 /// A claimed-but-unverifiable carve: the offset strides by a *sum*, which
-/// the span-disjointness recognizer cannot prove partitions the slice —
-/// counted debt, not a forbidden finding.
+/// the partition recognizer cannot prove partitions the slice — also an
+/// `unclaimed-raw-span` finding.
 pub fn split_sum(data: &mut [f32], lo: usize, per: usize) {
     let base = data.as_mut_ptr();
     let off = lo + per;

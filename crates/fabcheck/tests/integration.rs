@@ -65,20 +65,11 @@ fn bad_fixture_reports_every_forbidden_rule() {
         "unordered-float-reduction",
         "io-on-hot-path",
         "unclaimed-raw-span",
-        "unsafe-claim-grammar",
         "target-feature-call-unguarded",
         "backend-parity",
     ] {
         assert!(fired.contains(&rule), "missing {rule} in {fired:?}");
     }
-    // Findings carry exact positions: the undocumented unsafe block.
-    let unsafe_hit = report
-        .findings
-        .iter()
-        .find(|f| f.rule == Rule::UnsafeWithoutSafetyComment)
-        .expect("unsafe finding");
-    assert_eq!(unsafe_hit.file, "crates/tensor/src/kernel.rs");
-    assert_eq!(unsafe_hit.line, 12);
     // The reachability finding names the route that makes the site hot.
     let alloc_hit = report
         .findings
@@ -107,23 +98,50 @@ fn bad_fixture_reports_every_forbidden_rule() {
         report.counts["panic-on-hot-path"]["crates/tensor/src/matmul.rs"],
         3
     );
-    // The sum-strided carve in par.rs: claimed disjoint, unprovable.
+    // The sum-strided carve in par.rs: claimed disjoint, unprovable, and
+    // so a forbidden raw-span finding at the call.
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == Rule::UnclaimedRawSpan
+                && f.file == "crates/tensor/src/par.rs"
+                && (f.line, f.col) == (28, 37)
+                && f.message.contains("recognized partition pattern")),
+        "{:?}",
+        report.findings
+    );
+    // Findings carry exact positions: the undocumented unsafe block
+    // (kernel.rs:12) and the free-text or wrong-kind SAFETY claims in the
+    // blessed regions, each at its `unsafe` token.
+    let unsafe_sites: Vec<(&str, u32)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::UnsafeWithoutSafetyComment)
+        .map(|f| (f.file.as_str(), f.line))
+        .collect();
     assert_eq!(
-        report.counts["span-disjointness"]["crates/tensor/src/par.rs"],
-        1
+        unsafe_sites,
+        [
+            ("crates/tensor/src/backend/avx2.rs", 15),
+            ("crates/tensor/src/backend/avx2.rs", 35),
+            ("crates/tensor/src/kernel.rs", 12),
+            ("crates/tensor/src/par.rs", 11),
+            ("crates/tensor/src/par.rs", 15),
+        ]
     );
 }
 
 #[test]
 fn bad_fixture_regresses_against_its_baseline() {
     let report = check_workspace(&fixture("bad")).expect("scan");
-    // The bad baseline was blessed before panic-on-hot-path and
-    // span-disjointness were counted: its roster lacks both rules.
+    // The bad baseline was blessed before panic-on-hot-path was counted:
+    // its counts have no cell for that rule.
     let baseline = ratchet::load(&fixture("bad").join("FABCHECK_BASELINE.json")).expect("baseline");
-    let (regressions, _) = ratchet::compare(&baseline.counts, &report.counts);
+    let (regressions, _) = ratchet::compare(&baseline, &report.counts);
     // unwrap-in-lib grew 1 → 2, todo-unimplemented appeared 0 → 1, and
-    // panic-on-hot-path (0 → 3) and span-disjointness (0 → 1) appeared.
-    assert_eq!(regressions.len(), 4, "{regressions:?}");
+    // panic-on-hot-path (0 → 3) appeared.
+    assert_eq!(regressions.len(), 3, "{regressions:?}");
     assert!(regressions
         .iter()
         .any(|r| r.rule == "unwrap-in-lib" && r.baseline == 1 && r.actual == 2));
@@ -133,9 +151,6 @@ fn bad_fixture_regresses_against_its_baseline() {
     assert!(regressions
         .iter()
         .any(|r| r.rule == "panic-on-hot-path" && r.baseline == 0 && r.actual == 3));
-    assert!(regressions
-        .iter()
-        .any(|r| r.rule == "span-disjointness" && r.baseline == 0 && r.actual == 1));
 }
 
 #[test]
@@ -228,8 +243,8 @@ fn unguarded_target_feature_call_flips_ci() {
 }
 
 /// Acceptance pin: a `fabcheck::claim(disjoint)` carve whose offset the
-/// recognizer cannot prove disjoint (an overlapping sum stride) regresses
-/// the span-disjointness ratchet and flips `--ci` to failure.
+/// recognizer cannot prove disjoint (an overlapping sum stride) is an
+/// `unclaimed-raw-span` finding and flips `--ci` to failure.
 #[test]
 fn unprovable_span_claim_flips_ci() {
     let dir = copy_fixture("clean", "spanclaim");
@@ -250,7 +265,8 @@ fn unprovable_span_claim_flips_ci() {
     std::fs::write(&target, src).expect("write fixture");
     let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
     assert_eq!(code, 1, "stdout: {stdout}");
-    assert!(stdout.contains("span-disjointness"), "{stdout}");
+    assert!(stdout.contains("unclaimed-raw-span"), "{stdout}");
+    assert!(stdout.contains("recognized partition pattern"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -276,13 +292,13 @@ fn backend_parity_gap_fails_ci_with_exact_anchor() {
 /// list the roster and exit 2.
 #[test]
 fn explain_prints_rule_contracts() {
-    let (code, stdout, _) = run_binary(&["--explain", "unsafe-claim-grammar"]);
+    let (code, stdout, _) = run_binary(&["--explain", "unsafe-without-safety-comment"]);
     assert_eq!(code, 0);
     assert!(stdout.contains("SAFETY(bound:"), "{stdout}");
     assert!(stdout.contains("SAFETY(feature:"), "{stdout}");
     let (code, _, stderr) = run_binary(&["--explain", "no-such-rule"]);
     assert_eq!(code, 2);
-    assert!(stderr.contains("unsafe-claim-grammar"), "{stderr}");
+    assert!(stderr.contains("unsafe-without-safety-comment"), "{stderr}");
     assert!(stderr.contains("backend-parity"), "{stderr}");
 }
 
@@ -325,24 +341,26 @@ fn bless_rewrites_baseline_and_future_runs_pass() {
     assert_eq!(code, 1);
     let baseline_path = dir.join("FABCHECK_BASELINE.json");
     let blessed = ratchet::load(&baseline_path).expect("blessed baseline");
-    assert_eq!(blessed.counts["unwrap-in-lib"]["crates/nn/src/lib.rs"], 2);
+    assert_eq!(blessed["unwrap-in-lib"]["crates/nn/src/lib.rs"], 2);
+    assert_eq!(blessed["todo-unimplemented"]["crates/nn/src/lib.rs"], 1);
     assert_eq!(
-        blessed.counts["todo-unimplemented"]["crates/nn/src/lib.rs"],
-        1
-    );
-    assert_eq!(
-        blessed.counts["panic-on-hot-path"]["crates/tensor/src/matmul.rs"],
+        blessed["panic-on-hot-path"]["crates/tensor/src/matmul.rs"],
         3
     );
-    // The blessed baseline is the v4 envelope: roster plus the
-    // unsafe-site coverage map.
+    // The blessed baseline is the v5 envelope: the counts and nothing
+    // the ratchet does not compare.
     let raw = std::fs::read_to_string(&baseline_path).expect("read blessed");
-    assert!(raw.contains("\"schema_version\": 4"), "{raw}");
-    assert!(raw.contains("\"rules\": ["), "{raw}");
-    assert!(raw.contains("\"unsafe_audit\""), "{raw}");
+    assert!(
+        raw.starts_with("{\n  \"schema_version\": 5,\n  \"counts\": {"),
+        "{raw}"
+    );
+    assert!(
+        !raw.contains("\"rules\"") && !raw.contains("unsafe_audit"),
+        "{raw}"
+    );
     // With the counted debt blessed, only the forbidden findings remain.
     let report = check_workspace(&dir).expect("scan");
-    let (regressions, _) = ratchet::compare(&blessed.counts, &report.counts);
+    let (regressions, _) = ratchet::compare(&blessed, &report.counts);
     assert!(regressions.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -353,7 +371,7 @@ fn missing_baseline_fails_closed_on_counted_debt() {
     std::fs::remove_file(dir.join("FABCHECK_BASELINE.json")).expect("remove baseline");
     let report = check_workspace(&dir).expect("scan");
     let baseline = ratchet::load(&dir.join("FABCHECK_BASELINE.json")).expect("empty baseline");
-    let (regressions, _) = ratchet::compare(&baseline.counts, &report.counts);
+    let (regressions, _) = ratchet::compare(&baseline, &report.counts);
     assert!(
         !regressions.is_empty(),
         "counted debt must regress against an absent baseline"
@@ -433,9 +451,10 @@ fn seed_stream_registry_findings_are_position_exact() {
     );
 }
 
-/// Only the v4 baseline schema is read: a clean tree whose baseline is
-/// an older version fails `--ci` with a message naming that version, and
-/// `--bless` replaces it with a v4 baseline the tree then passes.
+/// Only the v5 baseline schema is read: a clean tree whose baseline is
+/// the previous v4 envelope fails `--ci` with a message naming that
+/// version, and `--bless` replaces it with a v5 baseline the tree then
+/// passes.
 #[test]
 fn old_schema_baseline_is_rejected_until_reblessed() {
     let dir = copy_fixture("clean", "oldschema");
@@ -443,17 +462,18 @@ fn old_schema_baseline_is_rejected_until_reblessed() {
     let baseline_path = dir.join("FABCHECK_BASELINE.json");
     std::fs::write(
         &baseline_path,
-        "{\"schema_version\": 2, \"counts\": {\"unwrap-in-lib\": {}}}\n",
+        "{\"schema_version\": 4, \"rules\": [\"unwrap-in-lib\"], \
+         \"counts\": {\"unwrap-in-lib\": {}}, \"unsafe_audit\": {}}\n",
     )
-    .expect("write v2 baseline");
+    .expect("write v4 baseline");
     let (code, _, stderr) = run_binary(&["--ci", "--root", root]);
-    assert_eq!(code, 2, "a v2 baseline must not be read");
-    assert!(stderr.contains("schema_version 2"), "{stderr}");
+    assert_eq!(code, 2, "a v4 baseline must not be read");
+    assert!(stderr.contains("schema_version 4"), "{stderr}");
     assert!(stderr.contains("--bless"), "{stderr}");
     let (code, _, _) = run_binary(&["--bless", "--root", root]);
     assert_eq!(code, 0);
     let after = std::fs::read_to_string(&baseline_path).expect("read");
-    assert!(after.contains("\"schema_version\": 4"), "{after}");
+    assert!(after.contains("\"schema_version\": 5"), "{after}");
     let (code, _, _) = run_binary(&["--ci", "--root", root]);
     assert_eq!(code, 0, "the re-blessed baseline must pass");
     std::fs::remove_dir_all(&dir).ok();
@@ -563,6 +583,72 @@ fn vec_in_scratch_f32_flips_ci_from_aggregation_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// FoolsGold's reference-centred kernels are hot entries: planting an
+/// allocation in `tensor::vecops::l2_norm_delta` flips `--ci` and names
+/// the entry as the route.
+#[test]
+fn vec_in_l2_norm_delta_flips_ci() {
+    let dir = copy_real_tree("normdelta");
+    let target = dir.join("crates/tensor/src/vecops.rs");
+    let text = std::fs::read_to_string(&target).expect("read vecops.rs");
+    let needle = "pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {";
+    let planted = text.replace(
+        needle,
+        &format!("{needle}\n    let _grow = vec![0.0f32; a.len()];"),
+    );
+    assert_ne!(
+        planted, text,
+        "l2_norm_delta signature moved; update the test"
+    );
+    std::fs::write(&target, planted).expect("write vecops.rs");
+
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
+    assert_eq!(code, 1, "planted alloc must fail CI: {stdout}");
+    assert!(
+        stdout.contains("`vec!` allocates on the hot path (tensor::vecops::l2_norm_delta)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("--> crates/tensor/src/vecops.rs:"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `unsafe-without-safety-comment` reaches test files too: deleting the
+/// SAFETY comment above `alloc_guard.rs`'s `unsafe impl GlobalAlloc`
+/// flips `--ci`, although no other rule sees `unsafe` in a test file.
+#[test]
+fn unsafe_impl_in_test_file_needs_its_safety_comment() {
+    let dir = copy_real_tree("allocguard");
+    let target = dir.join("crates/tensor/tests/alloc_guard.rs");
+    let text = std::fs::read_to_string(&target).expect("read alloc_guard.rs");
+    let comment = "// SAFETY: delegates every operation to `System`, which upholds the\n\
+                   // `GlobalAlloc` contract; the added counter bump has no effect on the\n\
+                   // returned memory.\n";
+    let planted = text.replace(comment, "");
+    assert_ne!(
+        planted, text,
+        "the GlobalAlloc SAFETY comment moved; update the test"
+    );
+    std::fs::write(&target, planted).expect("write alloc_guard.rs");
+
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
+    assert_eq!(
+        code, 1,
+        "an undocumented unsafe impl must fail CI: {stdout}"
+    );
+    assert!(
+        stdout.contains("error[fabcheck::unsafe-without-safety-comment]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("--> crates/tensor/tests/alloc_guard.rs:"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The serve-dir blessing must not blunt the rule for the core: the bad
 /// fixture's `aggregation::krum::krum_scores_blocked_into` dials a
 /// `TcpStream`, and that is still an `io-on-hot-path` finding with a
@@ -634,7 +720,7 @@ fn real_workspace_has_no_forbidden_findings() {
         report.findings
     );
     let baseline = ratchet::load(&root.join(fabcheck::BASELINE_FILE)).expect("baseline");
-    let (regressions, _) = ratchet::compare(&baseline.counts, &report.counts);
+    let (regressions, _) = ratchet::compare(&baseline, &report.counts);
     assert!(
         regressions.is_empty(),
         "ratchet regressions: {regressions:#?}"
