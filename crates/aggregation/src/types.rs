@@ -14,13 +14,6 @@ pub enum Selection {
     PerCoordinate,
 }
 
-impl Selection {
-    /// Whether a per-update selection is available (i.e. DPR is defined).
-    pub fn supports_dpr(&self) -> bool {
-        matches!(self, Selection::Chosen(_))
-    }
-}
-
 /// The result of one aggregation round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregation {
@@ -411,11 +404,5 @@ mod tests {
             }
             assert_eq!(kind.for_cohort(0), None);
         }
-    }
-
-    #[test]
-    fn selection_dpr_support() {
-        assert!(Selection::Chosen(vec![0]).supports_dpr());
-        assert!(!Selection::PerCoordinate.supports_dpr());
     }
 }

@@ -96,12 +96,14 @@ pub const HOT_ENTRIES: &[&str] = &[
     "tensor::vecops::sq_distance_tile_into",
     "tensor::vecops::pairwise_tile_into",
     // Quantized-transport wire kernels: encode runs per client per round,
-    // decode per submission on the server ingest path.
+    // decode per submission on the server ingest path, and the in-place
+    // roundtrip on every staged payload under a quantized transport.
     "tensor::quant::f16_encode_into",
     "tensor::quant::f16_decode_into",
     "tensor::quant::i8_encode_into",
     "tensor::quant::i8_decode_into",
     "tensor::quant::decode_into",
+    "tensor::quant::roundtrip_in_place",
     // Aggregation score/coordinate kernels: the dense-matrix Krum scorer
     // and the blocked one (distance tiles plus the parallel selection).
     // The tensor helpers they call (`scratch::scratch_f32`) are NOT

@@ -136,16 +136,6 @@ impl RunResult {
     pub fn skipped_rounds(&self) -> usize {
         self.rounds.iter().filter(|r| r.skipped).count()
     }
-
-    /// First round whose accuracy reaches `threshold`, or `None` — the
-    /// convergence-interference view of an untargeted attack (the paper's
-    /// objective includes "even interfere with its convergence").
-    pub fn rounds_to_reach(&self, threshold: f32) -> Option<usize> {
-        self.rounds
-            .iter()
-            .find(|r| r.accuracy >= threshold)
-            .map(|r| r.round)
-    }
 }
 
 /// Attack success rate (Eq. 4): the accuracy drop caused by the attack,
@@ -219,19 +209,6 @@ mod tests {
         assert_eq!(attack_success_rate(0.8, 0.9), 0.0);
         assert_eq!(attack_success_rate(0.0, 0.5), 0.0);
         assert_eq!(attack_success_rate(0.5, 0.0), 1.0);
-    }
-
-    #[test]
-    fn rounds_to_reach_finds_first_crossing() {
-        let r = result(vec![
-            record(0, 0.2, 0, 0, true),
-            record(1, 0.5, 0, 0, true),
-            record(2, 0.4, 0, 0, true),
-            record(3, 0.6, 0, 0, true),
-        ]);
-        assert_eq!(r.rounds_to_reach(0.5), Some(1));
-        assert_eq!(r.rounds_to_reach(0.55), Some(3));
-        assert_eq!(r.rounds_to_reach(0.9), None);
     }
 
     #[test]

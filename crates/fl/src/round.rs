@@ -234,11 +234,6 @@ impl ClientFleet {
         })
     }
 
-    /// Whether `client` is adversary-controlled.
-    pub fn is_malicious(&self, client: usize) -> bool {
-        self.malicious.binary_search(&client).is_ok()
-    }
-
     /// The attack's opaque cross-round state (`Attack::checkpoint_state`).
     pub fn attack_state(&self) -> Vec<u64> {
         self.attack

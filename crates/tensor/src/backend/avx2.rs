@@ -242,7 +242,7 @@ const DIST_COLS: usize = 4;
 /// columns; `cols.len() ≤ 2G`). Each `ymm` holds two pairs, one per
 /// 128-bit half: a row's 4-float chunk fills both halves and two
 /// columns' chunks go one per half, so half `k` of accumulator `(r, g)`
-/// is pair `(r, 2g + k)`'s four lane sums — exactly `sq_distance_t`'s
+/// is pair `(r, 2g + k)`'s four lane sums — exactly `sq_distance`'s
 /// `s0..s3`. A separate `sub`, `mul` and `add` per chunk (never FMA)
 /// keeps every lane's rounding, and the fold `((s0+s1)+(s2+s3))+tail`
 /// runs per pair in scalar, so each entry is bitwise

@@ -248,7 +248,7 @@ const DIST_COLS: usize = 16;
 /// 128-bit quarter: a row's 4-float chunk is broadcast to all quarters and
 /// four columns' chunks are inserted one per quarter, so quarter `k` of
 /// accumulator `(r, g)` is pair `(r, 4g + k)`'s four lane sums — exactly
-/// `sq_distance_t`'s `s0..s3`. A separate `sub`, `mul` and `add` per chunk
+/// `sq_distance`'s `s0..s3`. A separate `sub`, `mul` and `add` per chunk
 /// (never FMA) keeps every lane's rounding, and the fold
 /// `((s0+s1)+(s2+s3))+tail` runs per pair in scalar, so each entry is
 /// bitwise `sq_distance(rows[r], cols[c])`. A partial last group repeats

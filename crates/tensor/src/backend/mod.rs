@@ -64,11 +64,11 @@
 //! intrinsics and raw-pointer loads in product code
 //! (`raw-pointer-outside-par`); every `unsafe` block carries a
 //! machine-parsed `// SAFETY(bound: …)` / `// SAFETY(feature: …)` claim
-//! naming the bounds or ISA invariant it relies on — presence is enforced
-//! by `unsafe-without-safety-comment`, the claim grammar and claim *kind*
-//! by `unsafe-claim-grammar`, and calls into `#[target_feature]` kernels
-//! by `target-feature-call-unguarded` (only detection-proven call sites,
-//! i.e. these backend methods, may enter them). `backend-parity` checks
+//! naming the bounds or ISA invariant it relies on — presence, the claim
+//! grammar and claim *kind* are enforced by
+//! `unsafe-without-safety-comment`, and calls into `#[target_feature]`
+//! kernels by `target-feature-call-unguarded` (only detection-proven call
+//! sites, i.e. these backend methods, may enter them). `backend-parity` checks
 //! that every [`CpuBackend`] method is implemented by all three backends
 //! and exercised by the cross-backend goldens/proptests. This file is
 //! additionally blessed for `env-var-outside-config` (the single

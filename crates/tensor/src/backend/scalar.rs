@@ -78,7 +78,7 @@ fn lanes(c: &[f32]) -> [f32; 4] {
     }
 }
 
-/// One chunk step of [`sq_distance_t`](crate::vecops::sq_distance_t)'s
+/// One chunk step of [`sq_distance`](crate::vecops::sq_distance)'s
 /// four lane chains for one pair: separate `sub`, `mul` and `add` per
 /// lane, in the same order.
 #[inline(always)]
@@ -97,7 +97,7 @@ fn sq_lanes_step(s: &mut [f32; 4], x: &[f32; 4], y: &[f32; 4]) {
 /// The register-blocked distance kernel: entry `(r, c)` is
 /// `sq_distance(rows[r], cols[c])`, bit for bit. Each of the 16 pairs
 /// keeps its own four lane accumulators and runs
-/// [`sq_distance_t`](crate::vecops::sq_distance_t)'s exact per-pair op
+/// [`sq_distance`](crate::vecops::sq_distance)'s exact per-pair op
 /// sequence and final fold `((s0+s1)+(s2+s3))+tail`; blocking
 /// only interleaves the 16 independent chains (so the loop is bound by
 /// add throughput, not latency) and loads each row/column chunk once per

@@ -451,7 +451,7 @@ mod overlap {
             // panic IS the product (it flags a wrong disjointness claim).
             assert!(
                 !(b == base && lo < h && l < hi),
-                "span-disjointness violation: [{lo}, {hi}) overlaps live [{l}, {h}) on base {base:#x}"
+                "unclaimed-raw-span violation: [{lo}, {hi}) overlaps live [{l}, {h}) on base {base:#x}"
             );
         }
         // fabcheck::allow(alloc_on_hot_path): debug-only shadow registry;

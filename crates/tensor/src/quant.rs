@@ -22,8 +22,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::scratch::{self, Purpose};
-
 /// Wire codec for client→server update payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Codec {
@@ -57,15 +55,11 @@ impl Codec {
 }
 
 /// An IEEE-754 binary16 value stored as raw bits. A transparent newtype
-/// so scratch arenas and wire buffers can pool it as an [`Element`]
-/// without pulling in a half-float arithmetic dependency.
-///
-/// [`Element`]: crate::scratch::Element
+/// so wire buffers can hold it without pulling in a half-float arithmetic
+/// dependency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(transparent)]
 pub struct F16(pub u16);
-
-scratch::impl_element!(F16, F16(0), |v: F16| f16_bits_to_f32(v.0), ARENA_F16);
 
 /// Converts an `f32` to binary16 bits with round-to-nearest-even.
 #[inline]
@@ -172,11 +166,17 @@ pub fn i8_encode_into(v: &[f32], out: &mut [i8]) -> f32 {
         return 0.0;
     }
     for (o, &x) in out.iter_mut().zip(v) {
-        // `as i8` saturates and maps NaN→0, both deterministically; the
-        // clamp keeps the code symmetric in ±127.
-        *o = (x / scale).round().clamp(-127.0, 127.0) as i8;
+        *o = i8_code(x, scale);
     }
     scale
+}
+
+/// The `i8` code of `x` at a nonzero `scale`.
+#[inline]
+fn i8_code(x: f32, scale: f32) -> i8 {
+    // `as i8` saturates and maps NaN→0, both deterministically; the clamp
+    // keeps the code symmetric in ±127.
+    (x / scale).round().clamp(-127.0, 127.0) as i8
 }
 
 /// Decodes symmetric `i8` `enc` at `scale` into `out`.
@@ -270,20 +270,27 @@ pub fn decode(enc: &Encoded) -> Vec<f32> {
 /// Applies the encode→decode roundtrip to `v` in place — what the
 /// simulator's transport stage does to every staged payload when a
 /// non-f32 codec is configured. [`Codec::F32`] is an exact no-op (the
-/// pre-transport bitwise-identity guarantee); the quantized paths stage
-/// through typed scratch arenas, so steady-state rounds allocate nothing.
+/// pre-transport bitwise-identity guarantee); the quantized paths map each
+/// value through its wire form with the same float ops as
+/// `decode(encode(..))`, so they allocate nothing and stage nothing.
 pub fn roundtrip_in_place(codec: Codec, v: &mut [f32]) {
     match codec {
         Codec::F32 => {}
         Codec::F16 => {
-            let mut buf = scratch::scratch_of::<F16>(Purpose::QuantEncode, v.len());
-            f16_encode_into(v, &mut buf);
-            f16_decode_into(&buf, v);
+            for x in v.iter_mut() {
+                *x = f16_bits_to_f32(f32_to_f16_bits(*x));
+            }
         }
         Codec::I8 => {
-            let mut buf = scratch::scratch_of::<i8>(Purpose::QuantEncode, v.len());
-            let scale = i8_encode_into(v, &mut buf);
-            i8_decode_into(&buf, scale, v);
+            let scale = i8_scale(v);
+            if scale == 0.0 {
+                // The all-zero encoding (non-finite or all-zero input).
+                v.fill(0.0);
+            } else {
+                for x in v.iter_mut() {
+                    *x = f32::from(i8_code(*x, scale)) * scale;
+                }
+            }
         }
     }
 }
@@ -387,21 +394,59 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_matches_in_place() {
-        let v: Vec<f32> = (0..257).map(|i| ((i as f32) * 0.37).sin() * 3.0).collect();
-        for codec in [Codec::F32, Codec::F16, Codec::I8] {
-            let enc = encode(codec, &v);
-            assert_eq!(enc.len(), v.len());
-            let via_enum = decode(&enc);
-            let mut in_place = v.clone();
-            roundtrip_in_place(codec, &mut in_place);
-            assert_eq!(
-                via_enum.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                in_place.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "codec={}",
-                codec.label()
-            );
-            if codec == Codec::F32 {
-                assert_eq!(in_place, v);
+        let smooth: Vec<f32> = (0..257).map(|i| ((i as f32) * 0.37).sin() * 3.0).collect();
+        let sub = f32::from_bits(1); // smallest f32 subnormal
+        let sub_max = f32::from_bits(0x007f_ffff); // largest f32 subnormal
+        let edges = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            sub,
+            -sub,
+            sub_max,
+            -sub_max,
+            65504.0,
+            -65504.0,
+            65520.0,
+            -65520.0,
+            3.4e38,
+            -3.4e38,
+            1.0,
+        ];
+        // Each edge value also heads its own vector, so it sets the i8 scale.
+        let mut inputs: Vec<Vec<f32>> = edges.iter().map(|&x| vec![x, 0.5 * x]).collect();
+        inputs.extend([
+            smooth,
+            edges.to_vec(),
+            // Finite edges only: the i8 scale comes from ±3.4e38.
+            edges.iter().copied().filter(|x| x.is_finite()).collect(),
+            // Subnormals and ±0 only: a subnormal max_abs scale.
+            vec![sub, -sub_max, 0.0, -0.0, sub_max],
+            vec![0.0; 9],
+            vec![f32::NAN; 9],
+            vec![1.0, f32::NAN, -1.0],
+        ]);
+        for v in &inputs {
+            for codec in [Codec::F32, Codec::F16, Codec::I8] {
+                let enc = encode(codec, v);
+                assert_eq!(enc.len(), v.len());
+                let via_enum = decode(&enc);
+                let mut in_place = v.clone();
+                roundtrip_in_place(codec, &mut in_place);
+                assert_eq!(
+                    via_enum.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    in_place.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "codec={} v={v:?}",
+                    codec.label()
+                );
+                if codec == Codec::F32 {
+                    assert_eq!(
+                        in_place.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    );
+                }
             }
         }
     }

@@ -7,10 +7,9 @@
 //! steady-state training round performs zero hot-loop allocations after
 //! the first round warms each worker's arena.
 //!
-//! Arenas are generic over the [`Element`] type: `f32` for compute
-//! buffers, [`crate::quant::F16`] / `i8` for quantized-transport staging
-//! (one independent arena array per concrete element type, so mixed-type
-//! checkouts of the same [`Purpose`] never alias).
+//! Every buffer is `f32`: the parameter vectors that training, ZKA
+//! synthesis and robust aggregation work on are all `f32`, so one
+//! `thread_local!` arena array (one slot per [`Purpose`]) serves them all.
 //!
 //! # Ownership rules (DESIGN.md §4b)
 //!
@@ -33,8 +32,7 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
-/// What a scratch buffer is for. One arena slot per variant (per element
-/// type).
+/// What a scratch buffer is for. One arena slot per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Purpose {
     /// Packed GEMM `b`-panel (`matmul` cache blocking).
@@ -60,97 +58,51 @@ pub enum Purpose {
     /// (`vecops::sq_distance_tile_into` and `vecops::pairwise_tile_into`
     /// callers).
     DistTile = 8,
-    /// Quantized-transport encode staging (`quant::roundtrip_in_place`).
-    QuantEncode = 9,
 }
 
 /// Number of [`Purpose`] variants — the arena array length.
-#[doc(hidden)]
-pub const PURPOSES: usize = 10;
+const PURPOSES: usize = 9;
 
-/// An element type that scratch arenas can pool.
-///
-/// Implementations exist for `f32`, `i8`, and [`crate::quant::F16`]; each
-/// concrete type owns an independent `thread_local!` arena array (Rust has
-/// no generic statics), reached through [`Element::with_arena`].
-pub trait Element: Copy + Send + 'static {
-    /// The value [`scratch_zeroed_of`] fills with (the additive identity).
-    const ZERO: Self;
-
-    /// Widens this element to `f32` — the identity for `f32` itself, so
-    /// the generic vecops entry kernels monomorphize to exactly the
-    /// historical f32 float-op sequence (bitwise-identity guarantee).
-    fn to_f32(self) -> f32;
-
-    /// Runs `f` against this type's thread-local arena array. Returns
-    /// `None` only during thread teardown, when the arena is gone.
-    #[doc(hidden)]
-    fn with_arena<R>(f: impl FnOnce(&RefCell<[Vec<Self>; PURPOSES]>) -> R) -> Option<R>;
+std::thread_local! {
+    static ARENA: RefCell<[Vec<f32>; PURPOSES]> = RefCell::new(Default::default());
 }
 
-/// Implements [`Element`] for a concrete type by declaring its private
-/// per-thread arena array. `$to_f32` is the widening closure.
-macro_rules! impl_element {
-    ($t:ty, $zero:expr, $to_f32:expr, $tls:ident) => {
-        ::std::thread_local! {
-            static $tls: ::std::cell::RefCell<[::std::vec::Vec<$t>; $crate::scratch::PURPOSES]> =
-                ::std::cell::RefCell::new(::std::default::Default::default());
-        }
-        impl $crate::scratch::Element for $t {
-            const ZERO: Self = $zero;
-            #[inline(always)]
-            fn to_f32(self) -> f32 {
-                ($to_f32)(self)
-            }
-            fn with_arena<R>(
-                f: impl FnOnce(
-                    &::std::cell::RefCell<[::std::vec::Vec<Self>; $crate::scratch::PURPOSES]>,
-                ) -> R,
-            ) -> ::std::option::Option<R> {
-                $tls.try_with(f).ok()
-            }
-        }
-    };
-}
-pub(crate) use impl_element;
-
-impl_element!(f32, 0.0, |v: f32| v, ARENA_F32);
-impl_element!(i8, 0, |v: i8| f32::from(v), ARENA_I8);
-
-fn take<T: Element>(purpose: Purpose) -> Vec<T> {
-    T::with_arena(|a| std::mem::take(&mut a.borrow_mut()[purpose as usize])).unwrap_or_default()
+fn take(purpose: Purpose) -> Vec<f32> {
+    ARENA
+        .try_with(|a| std::mem::take(&mut a.borrow_mut()[purpose as usize]))
+        .unwrap_or_default()
 }
 
 /// A scratch buffer checked out of the current thread's arena. Derefs to
-/// `[T]` of exactly the requested length; the backing allocation is
+/// `[f32]` of exactly the requested length; the backing allocation is
 /// returned to the arena on drop.
 #[derive(Debug)]
-pub struct ScratchBuf<T: Element = f32> {
+pub struct ScratchBuf {
     purpose: Purpose,
-    buf: Vec<T>,
+    buf: Vec<f32>,
     len: usize,
 }
 
-impl<T: Element> Deref for ScratchBuf<T> {
-    type Target = [T];
+impl Deref for ScratchBuf {
+    type Target = [f32];
 
-    fn deref(&self) -> &[T] {
+    fn deref(&self) -> &[f32] {
         &self.buf[..self.len]
     }
 }
 
-impl<T: Element> DerefMut for ScratchBuf<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
+impl DerefMut for ScratchBuf {
+    fn deref_mut(&mut self) -> &mut [f32] {
         &mut self.buf[..self.len]
     }
 }
 
-impl<T: Element> Drop for ScratchBuf<T> {
+impl Drop for ScratchBuf {
     fn drop(&mut self) {
         let buf = std::mem::take(&mut self.buf);
-        // `with_arena` is `None` during thread teardown (arena gone); a
-        // guard dropped then just frees its buffer instead of panicking.
-        let _ = T::with_arena(|a| {
+        // `try_with` fails during thread teardown (arena gone); a guard
+        // dropped then just frees its buffer instead of panicking.
+        let _ = ARENA.try_with(|a| {
             let slot = &mut a.borrow_mut()[self.purpose as usize];
             // Keep whichever allocation is larger (grow-only pooling;
             // also resolves nested same-purpose guards racing to return).
@@ -163,38 +115,25 @@ impl<T: Element> Drop for ScratchBuf<T> {
 
 /// Borrows a `len`-element scratch buffer with **unspecified contents**.
 /// Only for uses that fully overwrite every element they later read.
-pub fn scratch_of<T: Element>(purpose: Purpose, len: usize) -> ScratchBuf<T> {
-    let mut buf = take::<T>(purpose);
+pub fn scratch_f32(purpose: Purpose, len: usize) -> ScratchBuf {
+    let mut buf = take(purpose);
     if buf.len() < len {
         // fabcheck::allow(alloc_on_hot_path): grow-only arena fill — zero
         // steady-state allocations, witnessed by tensor/tests/alloc_guard.rs.
-        buf.resize(len, T::ZERO);
+        buf.resize(len, 0.0);
     }
     ScratchBuf { purpose, buf, len }
 }
 
-/// Borrows a `len`-element scratch buffer guaranteed to be all
-/// [`Element::ZERO`]. Required for accumulation targets (`+=` kernels).
-pub fn scratch_zeroed_of<T: Element>(purpose: Purpose, len: usize) -> ScratchBuf<T> {
-    let mut buf = take::<T>(purpose);
+/// Borrows a `len`-element scratch buffer guaranteed to be all zeros.
+/// Required for accumulation targets (`+=` kernels).
+pub fn scratch_zeroed(purpose: Purpose, len: usize) -> ScratchBuf {
+    let mut buf = take(purpose);
     buf.clear();
     // fabcheck::allow(alloc_on_hot_path): grow-only arena fill — the clear
     // keeps capacity, so a warm arena re-zeroes without allocating.
-    buf.resize(len, T::ZERO);
+    buf.resize(len, 0.0);
     ScratchBuf { purpose, buf, len }
-}
-
-/// Borrows a `len`-element `f32` scratch buffer with **unspecified
-/// contents**. Only for uses that fully overwrite every element they later
-/// read.
-pub fn scratch_f32(purpose: Purpose, len: usize) -> ScratchBuf {
-    scratch_of::<f32>(purpose, len)
-}
-
-/// Borrows a `len`-element `f32` scratch buffer guaranteed to be all
-/// zeros. Required for accumulation targets (`+=` kernels).
-pub fn scratch_zeroed(purpose: Purpose, len: usize) -> ScratchBuf {
-    scratch_zeroed_of::<f32>(purpose, len)
 }
 
 #[cfg(test)]
@@ -202,7 +141,7 @@ mod tests {
     use super::*;
 
     fn f32_capacity(purpose: Purpose) -> usize {
-        f32::with_arena(|a| a.borrow()[purpose as usize].capacity()).unwrap()
+        ARENA.with(|a| a.borrow()[purpose as usize].capacity())
     }
 
     #[test]
@@ -269,18 +208,5 @@ mod tests {
             assert_ne!(outer.as_ptr(), inner.as_ptr());
         }
         assert_eq!(outer[0], 3.0);
-    }
-
-    #[test]
-    fn typed_arenas_are_independent_per_element_type() {
-        let mut qf = scratch_zeroed_of::<f32>(Purpose::QuantEncode, 8);
-        let mut qi = scratch_zeroed_of::<i8>(Purpose::QuantEncode, 8);
-        qf[0] = 1.5;
-        qi[0] = -7;
-        assert_eq!(qf[0], 1.5);
-        assert_eq!(qi[0], -7);
-        drop(qi);
-        let qi2 = scratch_zeroed_of::<i8>(Purpose::QuantEncode, 4);
-        assert!(qi2.iter().all(|&v| v == 0));
     }
 }

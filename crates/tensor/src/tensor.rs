@@ -332,18 +332,6 @@ impl Tensor {
         best
     }
 
-    /// Clamps every element into `[lo, hi]` in place.
-    pub fn clamp_in_place(&mut self, lo: f32, hi: f32) {
-        for a in &mut self.data {
-            *a = a.clamp(lo, hi);
-        }
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|a| !a.is_finite())
-    }
-
     /// Extracts sample `i` of a batched tensor whose first axis is the batch.
     ///
     /// # Errors
@@ -522,21 +510,6 @@ mod tests {
         let back = Tensor::concat_batch(&[s0, s1]).unwrap();
         assert_eq!(back, t);
         assert!(Tensor::concat_batch(&[]).is_err());
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut t = Tensor::zeros(vec![3]);
-        assert!(!t.has_non_finite());
-        t.data_mut()[1] = f32::INFINITY;
-        assert!(t.has_non_finite());
-    }
-
-    #[test]
-    fn clamp() {
-        let mut t = Tensor::from_vec(vec![3], vec![-2.0, 0.5, 3.0]).unwrap();
-        t.clamp_in_place(-1.0, 1.0);
-        assert_eq!(t.data(), &[-1.0, 0.5, 1.0]);
     }
 
     #[test]

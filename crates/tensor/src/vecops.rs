@@ -28,23 +28,15 @@
 
 use crate::backend::{self, CpuBackend};
 use crate::par;
-use crate::scratch::{scratch_f32, Element, Purpose};
+use crate::scratch::{scratch_f32, Purpose};
 
 /// Work threshold (total input floats) below which the set-reductions stay
 /// on the calling thread.
 const PAR_ELEMS: usize = 1 << 20;
 
-/// Dot product of two equally long slices of any [`Element`] type, widened
-/// to `f32` per element — the serial single-accumulator reference order.
-/// The scalar backend's [`dot`] is bitwise identical to the `f32`
-/// monomorphization of this.
-pub fn dot_t<T: Element>(a: &[T], b: &[T]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x.to_f32() * y.to_f32()).sum()
-}
-
 /// Dot product of two equally long slices, on the active backend
-/// (per-backend fixed accumulation order; scalar ≡ [`dot_t`] bitwise).
+/// (per-backend fixed accumulation order; the scalar backend keeps the
+/// serial single-accumulator order).
 ///
 /// # Panics
 ///
@@ -54,55 +46,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     backend::active().dot(a, b)
 }
 
-/// Euclidean norm of a slice of any [`Element`] type (widened per
-/// element) — the serial single-accumulator reference order. The scalar
-/// backend's [`l2_norm`] is bitwise identical to the `f32`
-/// monomorphization of this.
-pub fn l2_norm_t<T: Element>(a: &[T]) -> f32 {
-    a.iter()
-        .map(|x| {
-            let v = x.to_f32();
-            v * v
-        })
-        // fabcheck::allow(unordered_float_reduction): this is the blessed fixed-order serial kernel itself
-        .sum::<f32>()
-        .sqrt()
-}
-
 /// Euclidean norm, on the active backend (per-backend fixed accumulation
-/// order; scalar ≡ [`l2_norm_t`] bitwise).
+/// order; the scalar backend keeps the serial single-accumulator order).
 pub fn l2_norm(a: &[f32]) -> f32 {
     backend::active().sq_norm(a).sqrt()
-}
-
-/// Squared Euclidean distance between two equally long slices of any
-/// [`Element`] type, widened to `f32` per element. Same fixed four-lane
-/// reduction tree as [`sq_distance`], which is its `f32` monomorphization.
-pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "sq_distance: length mismatch");
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    // `chunks_exact` + slice patterns keep the four-lane shape with no
-    // bounds checks (and no panic sites for the hot-path ratchet).
-    let (qa, qb) = (a.chunks_exact(4), b.chunks_exact(4));
-    let (ra, rb) = (qa.remainder(), qb.remainder());
-    for (ca, cb) in qa.zip(qb) {
-        if let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (ca, cb) {
-            let d0 = a0.to_f32() - b0.to_f32();
-            let d1 = a1.to_f32() - b1.to_f32();
-            let d2 = a2.to_f32() - b2.to_f32();
-            let d3 = a3.to_f32() - b3.to_f32();
-            s0 += d0 * d0;
-            s1 += d1 * d1;
-            s2 += d2 * d2;
-            s3 += d3 * d3;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (x, y) in ra.iter().zip(rb) {
-        let d = x.to_f32() - y.to_f32();
-        tail += d * d;
-    }
-    ((s0 + s1) + (s2 + s3)) + tail
 }
 
 /// Squared Euclidean distance between two vectors.
@@ -119,7 +66,29 @@ pub fn sq_distance_t<T: Element>(a: &[T], b: &[T]) -> f32 {
 /// Panics if the lengths differ.
 pub fn sq_distance(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "sq_distance: length mismatch");
-    sq_distance_t(a, b)
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+    // `chunks_exact` + slice patterns keep the four-lane shape with no
+    // bounds checks (and no panic sites for the hot-path ratchet).
+    let (qa, qb) = (a.chunks_exact(4), b.chunks_exact(4));
+    let (ra, rb) = (qa.remainder(), qb.remainder());
+    for (ca, cb) in qa.zip(qb) {
+        if let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (ca, cb) {
+            let d0 = a0 - b0;
+            let d1 = a1 - b1;
+            let d2 = a2 - b2;
+            let d3 = a3 - b3;
+            s0 += d0 * d0;
+            s1 += d1 * d1;
+            s2 += d2 * d2;
+            s3 += d3 * d3;
+        }
+    }
+    let mut tail = 0.0f32;
+    for (x, y) in ra.iter().zip(rb) {
+        let d = x - y;
+        tail += d * d;
+    }
+    ((s0 + s1) + (s2 + s3)) + tail
 }
 
 /// `Σᵢ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas — bitwise
@@ -824,23 +793,16 @@ mod tests {
     }
 
     #[test]
-    fn generic_kernels_match_serial_reference_bitwise() {
+    fn scalar_backend_matches_serial_reference_bitwise() {
         let a: Vec<f32> = (0..131).map(|i| ((i as f32) * 0.31).sin() * 2.0).collect();
         let b: Vec<f32> = (0..131).map(|i| ((i as f32) * 0.17).cos() * 3.0).collect();
-        // The generic kernels are the serial reference order — the scalar
-        // backend reproduces them bitwise (the public entries run on the
-        // active backend, which may reassociate).
+        // The scalar backend keeps the serial single-accumulator order (the
+        // public entries run on the active backend, which may reassociate).
         let serial_dot: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         let serial_sq: f32 = a.iter().map(|x| x * x).sum();
-        assert_eq!(dot_t::<f32>(&a, &b).to_bits(), serial_dot.to_bits());
-        assert_eq!(l2_norm_t::<f32>(&a).to_bits(), serial_sq.sqrt().to_bits());
         let scalar = backend::instance(backend::Kind::Scalar);
         assert_eq!(scalar.dot(&a, &b).to_bits(), serial_dot.to_bits());
         assert_eq!(scalar.sq_norm(&a).to_bits(), serial_sq.to_bits());
-        assert_eq!(
-            sq_distance(&a, &b).to_bits(),
-            sq_distance_t::<f32>(&a, &b).to_bits()
-        );
     }
 
     #[test]

@@ -186,11 +186,15 @@ fn hot_kernels_are_allocation_free_once_warm() {
     let mut f16_buf = vec![quant::F16(0); d];
     let mut i8_buf = vec![0i8; d];
     let mut dec = vec![0.0f32; d];
-    assert_steady_state_alloc_free("quant f16/i8 encode+decode", || {
+    assert_steady_state_alloc_free("quant f16/i8 encode+decode+roundtrip", || {
         quant::f16_encode_into(refs[0], &mut f16_buf);
         quant::f16_decode_into(&f16_buf, &mut dec);
         let scale = quant::i8_encode_into(refs[0], &mut i8_buf);
         quant::i8_decode_into(&i8_buf, scale, &mut dec);
+        dec.copy_from_slice(refs[0]);
+        quant::roundtrip_in_place(quant::Codec::F16, &mut dec);
+        dec.copy_from_slice(refs[0]);
+        quant::roundtrip_in_place(quant::Codec::I8, &mut dec);
     });
 
     let f_byz = 2;
