@@ -1637,7 +1637,7 @@ pub fn check_backend_parity(files: &[SourceFile]) -> Vec<Finding> {
                     col: *col,
                     message: format!(
                         "`CpuBackend::{name}` never appears in the cross-backend \
-                         coverage file `{file}`; add it to the bitwise/ULP parity \
+                         coverage file `{file}`; add it to the bitwise parity \
                          tests so backend divergence is caught"
                     ),
                 });

@@ -5,13 +5,15 @@
 //! `#[target_feature]` kernel below is reachable only on hosts that
 //! execute it legally.
 //!
-//! Determinism: the GEMM tile and `dot_lanes` reproduce the scalar
-//! backend's per-element operation chains exactly (see the module docs in
-//! `backend/mod.rs`); the serial reductions (`dot`, `sq_norm`, `*_delta`)
-//! use a fixed four-register lane layout folded by a fixed tree —
-//! deterministic for this backend, ≈1 ULP-scaled from scalar. Element-wise
-//! primitives use separate mul/add (no fused contraction), matching scalar
-//! rounding bitwise.
+//! Determinism: every kernel reproduces the scalar backend's operation
+//! chains exactly (see the module docs in `backend/mod.rs`). The GEMM tile
+//! keeps each element's FMA chain, `dot_lanes` and `dot`/`dot_delta` hold
+//! each 16-lane accumulator as two 8-lane halves, and the element-wise
+//! primitives use separate mul/add (no fused contraction).
+//!
+//! Every SIMD loop over several slices is sized from the shortest one it
+//! loads, so a length mismatch (which the trait's callers rule out, and
+//! debug builds assert) can never read or write past a slice.
 
 use std::arch::x86_64::{
     __m256, _mm256_add_ps, _mm256_castps128_ps256, _mm256_castps256_ps128, _mm256_extractf128_ps,
@@ -151,12 +153,12 @@ fn tile<const R: usize>(
 /// step and [`hsum8`] the rest of the tree — bitwise equal to scalar.
 #[target_feature(enable = "avx2,fma")]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    let chunks = a.len() / 16;
+    let chunks = a.len().min(b.len()) / 16;
     let (ap, bp) = (a.as_ptr(), b.as_ptr());
     let mut acc0 = _mm256_setzero_ps();
     let mut acc1 = _mm256_setzero_ps();
     for q in 0..chunks {
-        // SAFETY(bound: q*16 + 16 <= a.len() == b.len()): q < len/16, so
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len())): q < min/16, so
         // all four 8-lane loads are in-bounds.
         unsafe {
             acc0 = _mm256_fmadd_ps(
@@ -331,77 +333,71 @@ fn sq_distance_rows(rows: [&[f32]; DIST_ROWS], cols: &[&[f32]], out: [&mut [f32]
     }
 }
 
-/// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
-/// 8-lane FMA accumulators striped over 8-element blocks (`block q →
-/// acc[q & 3]`), folded `(0+1) + (2+3)` then [`hsum8`], scalar FMA tail.
-/// Fixed order for this backend; reassociated relative to scalar.
+/// `dot`'s one accumulation order on every backend (the scalar backend's
+/// `striped`): four 16-lane FMA accumulators striped over 16-float blocks
+/// (`block q → acc[q & 3]`), each held as two 8-lane halves (`lo` = lanes
+/// 0..8, `hi` = lanes 8..16; eight `ymm` registers), folded `(0+1) + (2+3)`
+/// per half, then `lo + hi` and [`hsum8`] — the 16-lane halving tree, as in
+/// [`dot_lanes`] — then a scalar FMA tail. Bitwise the scalar and AVX-512
+/// `dot`.
 #[target_feature(enable = "avx2,fma")]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let blocks = a.len() / 8;
+    let blocks = a.len().min(b.len()) / 16;
     let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = [_mm256_setzero_ps(); 4];
+    let mut acc = [[_mm256_setzero_ps(); 2]; 4];
     for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= a.len() == b.len()): q < len/8, so both
-        // 8-lane loads are in-bounds.
-        let (av, bv) = unsafe {
+        let o = q * 16;
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len())): q < min/16, so
+        // all four 8-lane loads are in-bounds.
+        let (a0, a1, b0, b1) = unsafe {
             (
-                _mm256_loadu_ps(ap.wrapping_add(q * 8)),
-                _mm256_loadu_ps(bp.wrapping_add(q * 8)),
+                _mm256_loadu_ps(ap.wrapping_add(o)),
+                _mm256_loadu_ps(ap.wrapping_add(o + 8)),
+                _mm256_loadu_ps(bp.wrapping_add(o)),
+                _mm256_loadu_ps(bp.wrapping_add(o + 8)),
             )
         };
-        acc[q & 3] = _mm256_fmadd_ps(av, bv, acc[q & 3]);
+        let [lo, hi] = acc[q & 3];
+        acc[q & 3] = [_mm256_fmadd_ps(a0, b0, lo), _mm256_fmadd_ps(a1, b1, hi)];
     }
-    let v = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-    let mut s = hsum8(v);
-    for (x, y) in a.iter().skip(blocks * 8).zip(b.iter().skip(blocks * 8)) {
+    let mut s = fold_striped(acc);
+    let tail = blocks * 16;
+    for (x, y) in a.iter().skip(tail).zip(b.iter().skip(tail)) {
         s = x.mul_add(*y, s);
-    }
-    s
-}
-
-/// Same lane layout as [`dot`] with `x·x` terms.
-#[target_feature(enable = "avx2,fma")]
-fn sq_norm(a: &[f32]) -> f32 {
-    let blocks = a.len() / 8;
-    let ap = a.as_ptr();
-    let mut acc = [_mm256_setzero_ps(); 4];
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= a.len()): q < len/8, so the 8-lane load
-        // is in-bounds.
-        let av = unsafe { _mm256_loadu_ps(ap.wrapping_add(q * 8)) };
-        acc[q & 3] = _mm256_fmadd_ps(av, av, acc[q & 3]);
-    }
-    let v = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-    let mut s = hsum8(v);
-    for x in a.iter().skip(blocks * 8) {
-        s = x.mul_add(*x, s);
     }
     s
 }
 
 /// [`dot`]'s exact structure on on-the-fly deltas — each `xᵢ−rᵢ` rounds
 /// identically whether or not it is materialized, so this is bitwise
-/// `dot(a−r, b−r)` for this backend.
+/// `dot(a−r, b−r)`.
 #[target_feature(enable = "avx2,fma")]
 fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
-    let blocks = a.len() / 8;
+    let blocks = a.len().min(b.len()).min(r.len()) / 16;
     let (ap, bp, rp) = (a.as_ptr(), b.as_ptr(), r.as_ptr());
-    let mut acc = [_mm256_setzero_ps(); 4];
+    let mut acc = [[_mm256_setzero_ps(); 2]; 4];
     for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= a.len() == b.len() == r.len()): q <
-        // len/8, so all three 8-lane loads are in-bounds.
-        let (av, bv, rv) = unsafe {
+        let o = q * 16;
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len(), r.len())): q <
+        // min/16, so all six 8-lane loads are in-bounds.
+        let (a0, a1, b0, b1, r0, r1) = unsafe {
             (
-                _mm256_loadu_ps(ap.wrapping_add(q * 8)),
-                _mm256_loadu_ps(bp.wrapping_add(q * 8)),
-                _mm256_loadu_ps(rp.wrapping_add(q * 8)),
+                _mm256_loadu_ps(ap.wrapping_add(o)),
+                _mm256_loadu_ps(ap.wrapping_add(o + 8)),
+                _mm256_loadu_ps(bp.wrapping_add(o)),
+                _mm256_loadu_ps(bp.wrapping_add(o + 8)),
+                _mm256_loadu_ps(rp.wrapping_add(o)),
+                _mm256_loadu_ps(rp.wrapping_add(o + 8)),
             )
         };
-        acc[q & 3] = _mm256_fmadd_ps(_mm256_sub_ps(av, rv), _mm256_sub_ps(bv, rv), acc[q & 3]);
+        let [lo, hi] = acc[q & 3];
+        acc[q & 3] = [
+            _mm256_fmadd_ps(_mm256_sub_ps(a0, r0), _mm256_sub_ps(b0, r0), lo),
+            _mm256_fmadd_ps(_mm256_sub_ps(a1, r1), _mm256_sub_ps(b1, r1), hi),
+        ];
     }
-    let v = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-    let mut s = hsum8(v);
-    let tail = blocks * 8;
+    let mut s = fold_striped(acc);
+    let tail = blocks * 16;
     for ((x, y), cv) in a
         .iter()
         .skip(tail)
@@ -413,43 +409,25 @@ fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
     s
 }
 
-/// [`sq_norm`]'s exact structure on on-the-fly deltas — bitwise
-/// `sq_norm(a−r)` for this backend.
-#[target_feature(enable = "avx2,fma")]
-fn sq_norm_delta(a: &[f32], r: &[f32]) -> f32 {
-    let blocks = a.len() / 8;
-    let (ap, rp) = (a.as_ptr(), r.as_ptr());
-    let mut acc = [_mm256_setzero_ps(); 4];
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= a.len() == r.len()): q < len/8, so both
-        // 8-lane loads are in-bounds.
-        let (av, rv) = unsafe {
-            (
-                _mm256_loadu_ps(ap.wrapping_add(q * 8)),
-                _mm256_loadu_ps(rp.wrapping_add(q * 8)),
-            )
-        };
-        let d = _mm256_sub_ps(av, rv);
-        acc[q & 3] = _mm256_fmadd_ps(d, d, acc[q & 3]);
-    }
-    let v = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-    let mut s = hsum8(v);
-    for (x, cv) in a.iter().skip(blocks * 8).zip(r.iter().skip(blocks * 8)) {
-        let d = x - cv;
-        s = d.mul_add(d, s);
-    }
-    s
+/// [`dot`]'s fold of the four striped accumulators: `(0+1) + (2+3)` per
+/// half, then `lo + hi` and [`hsum8`].
+#[target_feature(enable = "avx2")]
+fn fold_striped(acc: [[__m256; 2]; 4]) -> f32 {
+    let [[lo0, hi0], [lo1, hi1], [lo2, hi2], [lo3, hi3]] = acc;
+    let lo = _mm256_add_ps(_mm256_add_ps(lo0, lo1), _mm256_add_ps(lo2, lo3));
+    let hi = _mm256_add_ps(_mm256_add_ps(hi0, hi1), _mm256_add_ps(hi2, hi3));
+    hsum8(_mm256_add_ps(lo, hi))
 }
 
 /// `out[i] += src[i]`, 8 lanes at a time — independent per-coordinate
 /// adds, bitwise equal to scalar.
 #[target_feature(enable = "avx2")]
 fn add_assign(out: &mut [f32], src: &[f32]) {
-    let blocks = out.len() / 8;
+    let blocks = out.len().min(src.len()) / 8;
     let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= out.len() == src.len()): q < len/8, so
-        // the 8-lane load/store pair stays in-bounds.
+        // SAFETY(bound: q*8 + 8 <= min(out.len(), src.len())): q < min/8,
+        // so the 8-lane load/store pair stays in-bounds.
         unsafe {
             let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
             _mm256_storeu_ps(
@@ -492,11 +470,11 @@ fn scale_assign(out: &mut [f32], alpha: f32) {
 /// variance-accumulate rounding, bitwise equal to scalar.
 #[target_feature(enable = "avx2")]
 fn sq_dev_assign(out: &mut [f32], v: &[f32], m: &[f32]) {
-    let blocks = out.len() / 8;
+    let blocks = out.len().min(v.len()).min(m.len()) / 8;
     let (op, vp, mp) = (out.as_mut_ptr(), v.as_ptr(), m.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= out.len() == v.len() == m.len()): q <
-        // len/8, so every 8-lane access stays in-bounds.
+        // SAFETY(bound: q*8 + 8 <= min(out.len(), v.len(), m.len())): q <
+        // min/8, so every 8-lane access stays in-bounds.
         unsafe {
             let d = _mm256_sub_ps(
                 _mm256_loadu_ps(vp.wrapping_add(q * 8)),
@@ -544,12 +522,12 @@ fn scale_sqrt_assign(out: &mut [f32], alpha: f32) {
 /// scalar `axpy_in_place`.
 #[target_feature(enable = "avx2")]
 fn axpy_assign(out: &mut [f32], alpha: f32, src: &[f32]) {
-    let blocks = out.len() / 8;
+    let blocks = out.len().min(src.len()) / 8;
     let av = _mm256_set1_ps(alpha);
     let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= out.len() == src.len()): q < len/8, so
-        // the 8-lane load/store pair stays in-bounds.
+        // SAFETY(bound: q*8 + 8 <= min(out.len(), src.len())): q < min/8,
+        // so the 8-lane load/store pair stays in-bounds.
         unsafe {
             let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
             _mm256_storeu_ps(
@@ -703,25 +681,12 @@ impl CpuBackend for Avx2 {
         unsafe { dot(a, b) }
     }
 
-    fn sq_norm(&self, a: &[f32]) -> f32 {
-        // SAFETY(feature: avx2,fma): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_norm(a) }
-    }
-
     fn dot_delta(&self, a: &[f32], b: &[f32], r: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), r.len());
         // SAFETY(feature: avx2,fma): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_delta(a, b, r) }
-    }
-
-    fn sq_norm_delta(&self, a: &[f32], r: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), r.len());
-        // SAFETY(feature: avx2,fma): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_norm_delta(a, r) }
     }
 
     fn add_assign(&self, out: &mut [f32], src: &[f32]) {

@@ -2,7 +2,8 @@
 //!
 //! Only constructed by the dispatcher after
 //! `is_x86_feature_detected!("avx512f")` succeeds. Mirrors `avx2.rs`
-//! structurally; see `backend/mod.rs` for the per-backend determinism
+//! structurally, including the sizing of every multi-slice SIMD loop
+//! from its shortest slice; see `backend/mod.rs` for the determinism
 //! contract. The horizontal tree uses `extractf64x4`/`castpd` shuffles so
 //! everything stays inside the F subset (no DQ/BW requirements).
 
@@ -174,11 +175,11 @@ fn tile<const R: usize>(
 /// scalar.
 #[target_feature(enable = "avx512f")]
 fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    let chunks = a.len() / 16;
+    let chunks = a.len().min(b.len()) / 16;
     let (ap, bp) = (a.as_ptr(), b.as_ptr());
     let mut acc = _mm512_setzero_ps();
     for q in 0..chunks {
-        // SAFETY(bound: q*16 + 16 <= a.len() == b.len()): q < len/16, so
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len())): q < min/16, so
         // both 16-lane loads are in-bounds.
         unsafe {
             acc = _mm512_fmadd_ps(
@@ -338,17 +339,17 @@ fn sq_distance_rows(rows: [&[f32]; DIST_ROWS], cols: &[&[f32]], out: [&mut [f32]
     }
 }
 
-/// Serial-reduction layout shared by `dot`/`sq_norm`/`*_delta`: four
-/// 16-lane FMA accumulators striped over 16-element blocks (`block q →
-/// acc[q & 3]`), folded `(0+1) + (2+3)` then [`hsum16`], scalar FMA tail.
-/// Fixed order for this backend; reassociated relative to scalar.
+/// `dot`'s one accumulation order on every backend (the scalar backend's
+/// `striped`): four 16-lane FMA accumulators striped over 16-element
+/// blocks (`block q → acc[q & 3]`), folded `(0+1) + (2+3)` then
+/// [`hsum16`], scalar FMA tail.
 #[target_feature(enable = "avx512f")]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let blocks = a.len() / 16;
+    let blocks = a.len().min(b.len()) / 16;
     let (ap, bp) = (a.as_ptr(), b.as_ptr());
     let mut acc = [_mm512_setzero_ps(); 4];
     for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= a.len() == b.len()): q < len/16, so
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len())): q < min/16, so
         // both 16-lane loads are in-bounds.
         let (av, bv) = unsafe {
             (
@@ -366,36 +367,16 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// Same lane layout as [`dot`] with `x·x` terms.
-#[target_feature(enable = "avx512f")]
-fn sq_norm(a: &[f32]) -> f32 {
-    let blocks = a.len() / 16;
-    let ap = a.as_ptr();
-    let mut acc = [_mm512_setzero_ps(); 4];
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= a.len()): q < len/16, so the 16-lane
-        // load is in-bounds.
-        let av = unsafe { _mm512_loadu_ps(ap.wrapping_add(q * 16)) };
-        acc[q & 3] = _mm512_fmadd_ps(av, av, acc[q & 3]);
-    }
-    let v = _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3]));
-    let mut s = hsum16(v);
-    for x in a.iter().skip(blocks * 16) {
-        s = x.mul_add(*x, s);
-    }
-    s
-}
-
 /// [`dot`]'s exact structure on on-the-fly deltas — bitwise
-/// `dot(a−r, b−r)` for this backend.
+/// `dot(a−r, b−r)`.
 #[target_feature(enable = "avx512f")]
 fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
-    let blocks = a.len() / 16;
+    let blocks = a.len().min(b.len()).min(r.len()) / 16;
     let (ap, bp, rp) = (a.as_ptr(), b.as_ptr(), r.as_ptr());
     let mut acc = [_mm512_setzero_ps(); 4];
     for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= a.len() == b.len() == r.len()): q <
-        // len/16, so all three 16-lane loads are in-bounds.
+        // SAFETY(bound: q*16 + 16 <= min(a.len(), b.len(), r.len())): q <
+        // min/16, so all three 16-lane loads are in-bounds.
         let (av, bv, rv) = unsafe {
             (
                 _mm512_loadu_ps(ap.wrapping_add(q * 16)),
@@ -419,42 +400,14 @@ fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
     s
 }
 
-/// [`sq_norm`]'s exact structure on on-the-fly deltas — bitwise
-/// `sq_norm(a−r)` for this backend.
-#[target_feature(enable = "avx512f")]
-fn sq_norm_delta(a: &[f32], r: &[f32]) -> f32 {
-    let blocks = a.len() / 16;
-    let (ap, rp) = (a.as_ptr(), r.as_ptr());
-    let mut acc = [_mm512_setzero_ps(); 4];
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= a.len() == r.len()): q < len/16, so
-        // both 16-lane loads are in-bounds.
-        let (av, rv) = unsafe {
-            (
-                _mm512_loadu_ps(ap.wrapping_add(q * 16)),
-                _mm512_loadu_ps(rp.wrapping_add(q * 16)),
-            )
-        };
-        let d = _mm512_sub_ps(av, rv);
-        acc[q & 3] = _mm512_fmadd_ps(d, d, acc[q & 3]);
-    }
-    let v = _mm512_add_ps(_mm512_add_ps(acc[0], acc[1]), _mm512_add_ps(acc[2], acc[3]));
-    let mut s = hsum16(v);
-    for (x, cv) in a.iter().skip(blocks * 16).zip(r.iter().skip(blocks * 16)) {
-        let d = x - cv;
-        s = d.mul_add(d, s);
-    }
-    s
-}
-
 /// `out[i] += src[i]`, 16 lanes at a time — bitwise equal to scalar.
 #[target_feature(enable = "avx512f")]
 fn add_assign(out: &mut [f32], src: &[f32]) {
-    let blocks = out.len() / 16;
+    let blocks = out.len().min(src.len()) / 16;
     let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= out.len() == src.len()): q < len/16,
-        // so the 16-lane load/store pair stays in-bounds.
+        // SAFETY(bound: q*16 + 16 <= min(out.len(), src.len())): q <
+        // min/16, so the 16-lane load/store pair stays in-bounds.
         unsafe {
             let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
             _mm512_storeu_ps(
@@ -497,11 +450,11 @@ fn scale_assign(out: &mut [f32], alpha: f32) {
 /// scalar.
 #[target_feature(enable = "avx512f")]
 fn sq_dev_assign(out: &mut [f32], v: &[f32], m: &[f32]) {
-    let blocks = out.len() / 16;
+    let blocks = out.len().min(v.len()).min(m.len()) / 16;
     let (op, vp, mp) = (out.as_mut_ptr(), v.as_ptr(), m.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= out.len() == v.len() == m.len()): q <
-        // len/16, so every 16-lane access stays in-bounds.
+        // SAFETY(bound: q*16 + 16 <= min(out.len(), v.len(), m.len())): q <
+        // min/16, so every 16-lane access stays in-bounds.
         unsafe {
             let d = _mm512_sub_ps(
                 _mm512_loadu_ps(vp.wrapping_add(q * 16)),
@@ -551,12 +504,12 @@ fn scale_sqrt_assign(out: &mut [f32], alpha: f32) {
 /// scalar.
 #[target_feature(enable = "avx512f")]
 fn axpy_assign(out: &mut [f32], alpha: f32, src: &[f32]) {
-    let blocks = out.len() / 16;
+    let blocks = out.len().min(src.len()) / 16;
     let av = _mm512_set1_ps(alpha);
     let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
     for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= out.len() == src.len()): q < len/16,
-        // so the 16-lane load/store pair stays in-bounds.
+        // SAFETY(bound: q*16 + 16 <= min(out.len(), src.len())): q <
+        // min/16, so the 16-lane load/store pair stays in-bounds.
         unsafe {
             let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
             _mm512_storeu_ps(
@@ -699,25 +652,12 @@ impl CpuBackend for Avx512 {
         unsafe { dot(a, b) }
     }
 
-    fn sq_norm(&self, a: &[f32]) -> f32 {
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_norm(a) }
-    }
-
     fn dot_delta(&self, a: &[f32], b: &[f32], r: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), r.len());
         // SAFETY(feature: avx512f): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_delta(a, b, r) }
-    }
-
-    fn sq_norm_delta(&self, a: &[f32], r: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), r.len());
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_norm_delta(a, r) }
     }
 
     fn add_assign(&self, out: &mut [f32], src: &[f32]) {

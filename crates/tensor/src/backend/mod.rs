@@ -2,13 +2,12 @@
 //!
 //! The hot inner loops of [`crate::matmul`] and [`crate::vecops`] — the
 //! GEMM register tile, the 16-lane dot kernel and its 4×4 block, the
-//! Krum/Bulyan squared-distance rows, the serial reductions and the
-//! element-wise chunk primitives — live behind
+//! Krum/Bulyan squared-distance rows, the striped `dot`/`dot_delta`
+//! reductions and the element-wise chunk primitives — live behind
 //! the [`CpuBackend`] trait with three implementations:
 //!
-//! * **scalar** — the portable kernels, extracted verbatim from the
-//!   pre-backend `matmul.rs`/`vecops.rs` code. Bitwise identical to the
-//!   historical results on every host.
+//! * **scalar** — portable kernels on every host, the reference every
+//!   other backend is pinned to.
 //! * **avx2** — AVX2 + FMA `std::arch` intrinsics (256-bit lanes).
 //! * **avx512** — AVX-512F intrinsics (512-bit lanes).
 //!
@@ -21,42 +20,44 @@
 //! execute unsupported instructions. On non-x86-64 targets only the scalar
 //! backend exists.
 //!
-//! # Determinism contract (§4b restated per backend)
+//! # Determinism contract (§4b across backends)
 //!
-//! Within one backend every kernel fixes its floating-point operation
-//! order as a function of input positions and dimensions alone, so all the
-//! §4b guarantees (serial ≡ parallel bitwise, replay stability) hold
-//! unchanged under any backend. Across backends the kernels split in two
-//! classes:
+//! Every kernel fixes its floating-point operation order as a function of
+//! input positions and dimensions alone, and that order is the same on
+//! every backend: each method returns the same bits under scalar, AVX2
+//! and AVX-512, so the §4b guarantees (serial ≡ parallel bitwise, replay
+//! stability) extend across CPUs. A backend only chooses how many of the
+//! fixed chains run side by side:
 //!
-//! * **Bitwise-invariant across backends** — [`CpuBackend::gemm_tile`]
-//!   (each output element is an independent zero-initialized ascending-`p`
-//!   correctly-rounded FMA chain plus one flush add; lane regrouping never
-//!   reorders a per-element chain), [`CpuBackend::dot_lanes`] (the
-//!   [`DOT_LANES`]-lane accumulator array and its binary combining tree
-//!   map exactly onto one 512-bit or two 256-bit registers) and its
-//!   block form [`CpuBackend::dot_lanes_4x4`] (sixteen such chains side
-//!   by side, each entry bitwise the per-pair call),
-//!   [`CpuBackend::sq_distance_rows`] (each entry keeps
+//! * [`CpuBackend::gemm_tile`] — each output element is an independent
+//!   zero-initialized ascending-`p` correctly-rounded FMA chain plus one
+//!   flush add; lane regrouping never reorders a per-element chain.
+//! * [`CpuBackend::dot_lanes`] — the [`DOT_LANES`]-lane accumulator array
+//!   and its binary combining tree map exactly onto one 512-bit or two
+//!   256-bit registers; [`CpuBackend::dot_lanes_4x4`] runs sixteen such
+//!   chains side by side, each entry bitwise the per-pair call.
+//! * [`CpuBackend::dot`] and [`CpuBackend::dot_delta`] — four
+//!   [`DOT_LANES`]-lane FMA accumulators striped over 16-float blocks
+//!   (`block q → acc[q & 3]`), folded `(0+1) + (2+3)`, then the
+//!   `dot_lanes` halving tree and a scalar FMA tail: one `zmm` register
+//!   per accumulator, two `ymm` halves, or a `[[f32; 16]; 4]` array.
+//!   `dot_delta(a, b, r)` runs the same structure on the on-the-fly
+//!   deltas, so the §4e identity `dot_delta(a, b, r) ≡ dot(a−r, b−r)` is
+//!   bitwise (a subtraction rounds identically whether or not the result
+//!   is materialized); the norms are `dot(a, a)` and `dot_delta(a, a, r)`.
+//! * [`CpuBackend::sq_distance_rows`] — each entry keeps
 //!   `vecops::sq_distance`'s four lane chains of separate sub/mul/add and
 //!   its fixed fold; the wide backends hold one pair's four lanes per
-//!   128-bit quarter of a register), and every
-//!   element-wise primitive (`add_assign`, `scale_assign`,
-//!   `sq_dev_assign`, `scale_sqrt_assign`, `axpy_assign` — independent
+//!   128-bit quarter of a register.
+//! * every element-wise primitive (`add_assign`, `scale_assign`,
+//!   `sq_dev_assign`, `scale_sqrt_assign`, `axpy_assign`) — independent
 //!   per-coordinate op chains; the SIMD impls use separate mul/add, never
-//!   a fused contraction, and `sqrt` is correctly rounded).
-//! * **Per-backend order** — the serial single-accumulator reductions
-//!   ([`CpuBackend::dot`], [`CpuBackend::sq_norm`] and their `_delta`
-//!   forms) genuinely reassociate under SIMD: the wide backends accumulate
-//!   in a fixed array of vector lanes folded by a fixed tree. Results are
-//!   deterministic for a given backend but differ from scalar by rounding
-//!   (≈1 ULP-scaled); goldens for these are keyed by backend.
+//!   a fused contraction, and `sqrt` is correctly rounded.
 //!
-//! Within each backend `dot_delta(a, b, r)` runs the exact accumulation
-//! structure of `dot` on the on-the-fly deltas, so the §4e identity
-//! `dot_delta(a, b, r) ≡ dot(a−r, b−r)` stays *bitwise* under every
-//! backend (a subtraction rounds identically whether or not the result is
-//! materialized), and likewise `sq_norm_delta ≡ sq_norm ∘ sub`.
+//! The SIMD impls size every loop over several slices from the shortest
+//! slice it loads, so even a length mismatch the callers should have
+//! ruled out (debug builds assert it) never reads or writes out of
+//! bounds in a release build.
 //!
 //! # fabcheck blessing
 //!
@@ -183,22 +184,15 @@ pub trait CpuBackend: Send + Sync {
         out: [&mut [f32]; DIST_ROWS],
     );
 
-    /// Dot product. Scalar: the historical serial single-accumulator
-    /// `Σ xᵢ·yᵢ`. Wide backends: fixed vector-lane accumulation —
-    /// per-backend op order.
+    /// Dot product `Σ xᵢ·yᵢ` in the striped order of the module docs:
+    /// four [`DOT_LANES`]-lane FMA accumulators, `block q → acc[q & 3]`,
+    /// folded `(0+1) + (2+3)`, halving tree, FMA tail — bitwise identical
+    /// across backends. `dot(a, a)` is the squared norm.
     fn dot(&self, a: &[f32], b: &[f32]) -> f32;
 
-    /// Squared Euclidean norm `Σ xᵢ²`; same accumulation structure as
-    /// [`CpuBackend::dot`] — per-backend op order.
-    fn sq_norm(&self, a: &[f32]) -> f32;
-
     /// `Σ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas; bitwise
-    /// equal to `self.dot(a−r, b−r)` within any single backend.
+    /// equal to `self.dot(a−r, b−r)`, and across backends.
     fn dot_delta(&self, a: &[f32], b: &[f32], r: &[f32]) -> f32;
-
-    /// `Σ (aᵢ−rᵢ)²`; bitwise equal to `self.sq_norm(a−r)` within any
-    /// single backend.
-    fn sq_norm_delta(&self, a: &[f32], r: &[f32]) -> f32;
 
     /// `out[i] += src[i]` (mean-accumulate chunk primitive). Bitwise
     /// across backends.

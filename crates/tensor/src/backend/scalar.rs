@@ -1,9 +1,11 @@
-//! Portable scalar backend: the pre-backend `matmul.rs`/`vecops.rs` inner
-//! loops, extracted without changing a single floating-point operation.
-//! This implementation is the bitwise reference — the committed goldens in
-//! `crates/tensor/tests/backend_goldens.rs` pin its results to the
-//! pre-refactor ones, and the autovectorizer is free to (and does)
-//! vectorize these fixed-order loops because none of them reassociates.
+//! Portable scalar backend: the reference every other backend is pinned
+//! to. The GEMM tile, `dot_lanes` and the element-wise kernels are the
+//! pre-backend `matmul.rs`/`vecops.rs` inner loops, extracted without
+//! changing a floating-point operation; `dot`/`dot_delta` run the striped
+//! order of [`striped`], which the SIMD backends hold in registers. The
+//! committed goldens in `crates/tensor/tests/backend_goldens.rs` pin these
+//! results, and the autovectorizer is free to vectorize the fixed-order
+//! loops because none of them reassociates.
 
 use super::{CpuBackend, DIST_ROWS, DOT_BLOCK, DOT_LANES, MR, WR};
 use crate::vecops::sq_distance;
@@ -165,6 +167,53 @@ fn sq_distance_4x4(rows: [&[f32]; 4], cols: [&[f32]; 4]) -> [[f32; 4]; 4] {
     out
 }
 
+/// The fixed halving tree `acc[t] += acc[t+w]` for `w = 8, 4, 2, 1` that
+/// folds [`DOT_LANES`] lane sums into one; the SIMD backends' horizontal
+/// sums reproduce it exactly.
+#[inline(always)]
+fn halving_sum(mut acc: [f32; DOT_LANES]) -> f32 {
+    let mut w = DOT_LANES / 2;
+    while w > 0 {
+        let (lo, hi) = acc.split_at_mut(w);
+        for (x, y) in lo.iter_mut().zip(&*hi) {
+            *x += y;
+        }
+        w /= 2;
+    }
+    let [s, ..] = acc;
+    s
+}
+
+/// The one accumulation order of [`CpuBackend::dot`] and
+/// [`CpuBackend::dot_delta`] on every backend, over the factor pairs
+/// `terms` yields: four [`DOT_LANES`]-lane accumulators striped over
+/// 16-term blocks (`block q → acc[q & 3]`, each lane a `mul_add` chain),
+/// folded lane-wise as `(0+1) + (2+3)`, then [`halving_sum`], then a
+/// `mul_add` tail over the last `len % 16` terms. The AVX-512 backend
+/// holds each accumulator in one `zmm` register, AVX2 in two `ymm` halves.
+#[inline(always)]
+fn striped(terms: impl ExactSizeIterator<Item = (f32, f32)>) -> f32 {
+    let blocks = terms.len() / DOT_LANES;
+    let mut terms = terms;
+    let mut acc = [[0.0f32; DOT_LANES]; 4];
+    for q in 0..blocks {
+        if let Some(lanes) = acc.get_mut(q & 3) {
+            for (s, (x, y)) in lanes.iter_mut().zip(terms.by_ref().take(DOT_LANES)) {
+                *s = x.mul_add(y, *s);
+            }
+        }
+    }
+    let [mut v, a1, a2, a3] = acc;
+    for (((s, x1), x2), x3) in v.iter_mut().zip(a1).zip(a2).zip(a3) {
+        *s = (*s + x1) + (x2 + x3);
+    }
+    let mut s = halving_sum(v);
+    for (x, y) in terms {
+        s = x.mul_add(y, s);
+    }
+    s
+}
+
 impl CpuBackend for Scalar {
     fn name(&self) -> &'static str {
         "scalar"
@@ -228,26 +277,17 @@ impl CpuBackend for Scalar {
 
     fn dot_lanes(&self, a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
-        const L: usize = DOT_LANES;
-        let mut acc = [0.0f32; L];
-        let chunks = a.len() / L;
-        for q in 0..chunks {
-            let av = &a[q * L..q * L + L];
-            let bv = &b[q * L..q * L + L];
-            for t in 0..L {
-                acc[t] = av[t].mul_add(bv[t], acc[t]);
+        let mut acc = [0.0f32; DOT_LANES];
+        let (qa, qb) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
+        let (ra, rb) = (qa.remainder(), qb.remainder());
+        for (ca, cb) in qa.zip(qb) {
+            for ((s, x), y) in acc.iter_mut().zip(ca).zip(cb) {
+                *s = x.mul_add(*y, *s);
             }
         }
-        let mut w = L / 2;
-        while w > 0 {
-            for t in 0..w {
-                acc[t] += acc[t + w];
-            }
-            w /= 2;
-        }
-        let mut s = acc[0];
-        for t in chunks * L..a.len() {
-            s = a[t].mul_add(b[t], s);
+        let mut s = halving_sum(acc);
+        for (x, y) in ra.iter().zip(rb) {
+            s = x.mul_add(*y, s);
         }
         s
     }
@@ -298,39 +338,13 @@ impl CpuBackend for Scalar {
 
     fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
-        let mut s = 0.0f32;
-        for (x, y) in a.iter().zip(b) {
-            s += x * y;
-        }
-        s
-    }
-
-    fn sq_norm(&self, a: &[f32]) -> f32 {
-        let mut s = 0.0f32;
-        for x in a {
-            s += x * x;
-        }
-        s
+        striped(a.iter().zip(b).map(|(x, y)| (*x, *y)))
     }
 
     fn dot_delta(&self, a: &[f32], b: &[f32], r: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), r.len());
-        let mut s = 0.0f32;
-        for ((x, y), c) in a.iter().zip(b).zip(r) {
-            s += (x - c) * (y - c);
-        }
-        s
-    }
-
-    fn sq_norm_delta(&self, a: &[f32], r: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), r.len());
-        let mut s = 0.0f32;
-        for (x, c) in a.iter().zip(r) {
-            let d = x - c;
-            s += d * d;
-        }
-        s
+        striped(a.iter().zip(b).zip(r).map(|((x, y), c)| (x - c, y - c)))
     }
 
     fn add_assign(&self, out: &mut [f32], src: &[f32]) {

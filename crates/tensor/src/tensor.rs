@@ -300,12 +300,6 @@ impl Tensor {
         }
     }
 
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        // fabcheck::allow(unordered_float_reduction): serial sum in slice order (this IS a fixed-order kernel)
-        self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
-    }
-
     /// Population variance of all elements (0 for empty tensors).
     pub fn variance(&self) -> f32 {
         if self.data.is_empty() {
@@ -465,7 +459,7 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert!((t.variance() - 1.25).abs() < 1e-6);
-        assert!((t.l2_norm() - 30.0_f32.sqrt()).abs() < 1e-6);
+        assert!((crate::vecops::l2_norm(t.data()) - 30.0_f32.sqrt()).abs() < 1e-6);
         assert_eq!(t.argmax(), 3);
     }
 

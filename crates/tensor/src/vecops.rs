@@ -20,11 +20,10 @@
 //!
 //! The hot primitives — [`dot`], [`l2_norm`], the `*_delta` forms, and the
 //! mean/variance chunk kernels — execute on the active [`crate::backend`]
-//! (DESIGN.md §4f). The element-wise chunk kernels are bitwise identical
-//! across backends; the serial single-accumulator reductions carry a
-//! per-backend fixed op order (scalar keeps the historical order bitwise),
-//! and within any one backend `dot_delta`/`l2_norm_delta` stay bitwise
-//! equal to their materialized `dot`/`l2_norm` counterparts.
+//! (DESIGN.md §4f), and every one of them returns the same bits on every
+//! backend. The norms are square roots of [`dot`] and [`dot_delta`], and
+//! `dot_delta`/`l2_norm_delta` stay bitwise equal to their materialized
+//! `dot`/`l2_norm` counterparts.
 
 use crate::backend::{self, CpuBackend};
 use crate::par;
@@ -34,9 +33,9 @@ use crate::scratch::{scratch_f32, Purpose};
 /// on the calling thread.
 const PAR_ELEMS: usize = 1 << 20;
 
-/// Dot product of two equally long slices, on the active backend
-/// (per-backend fixed accumulation order; the scalar backend keeps the
-/// serial single-accumulator order).
+/// Dot product of two equally long slices, on the active backend (one
+/// fixed striped accumulation order, bitwise identical on every backend;
+/// see [`CpuBackend::dot`]).
 ///
 /// # Panics
 ///
@@ -46,10 +45,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     backend::active().dot(a, b)
 }
 
-/// Euclidean norm, on the active backend (per-backend fixed accumulation
-/// order; the scalar backend keeps the serial single-accumulator order).
+/// Euclidean norm, `dot(a, a).sqrt()` — bitwise identical on every
+/// backend.
 pub fn l2_norm(a: &[f32]) -> f32 {
-    backend::active().sq_norm(a).sqrt()
+    backend::active().dot(a, a).sqrt()
 }
 
 /// Squared Euclidean distance between two vectors.
@@ -92,21 +91,20 @@ pub fn sq_distance(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `Σᵢ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas — bitwise
-/// identical to `dot(&sub(a, r), &sub(b, r))` under every backend (each
-/// backend runs its [`dot`] accumulation structure on the on-the-fly
-/// deltas), but O(1) resident. The per-entry kernel of the tiled
-/// FoolsGold cosine pass.
+/// identical to `dot(&sub(a, r), &sub(b, r))` (it runs [`dot`]'s
+/// accumulation structure on the on-the-fly deltas), but O(1) resident.
+/// The per-entry kernel of the tiled FoolsGold cosine pass.
 pub fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot_delta: length mismatch");
     debug_assert_eq!(a.len(), r.len(), "dot_delta: reference length mismatch");
     backend::active().dot_delta(a, b, r)
 }
 
-/// `‖a − r‖₂` without materializing the delta — bitwise identical to
-/// `l2_norm(&sub(a, r))` under every backend.
+/// `‖a − r‖₂`, `dot_delta(a, a, r).sqrt()` without materializing the
+/// delta — bitwise identical to `l2_norm(&sub(a, r))`.
 pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), r.len(), "l2_norm_delta: length mismatch");
-    backend::active().sq_norm_delta(a, r).sqrt()
+    backend::active().dot_delta(a, a, r).sqrt()
 }
 
 /// Euclidean distance between two vectors.
@@ -793,19 +791,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_backend_matches_serial_reference_bitwise() {
-        let a: Vec<f32> = (0..131).map(|i| ((i as f32) * 0.31).sin() * 2.0).collect();
-        let b: Vec<f32> = (0..131).map(|i| ((i as f32) * 0.17).cos() * 3.0).collect();
-        // The scalar backend keeps the serial single-accumulator order (the
-        // public entries run on the active backend, which may reassociate).
-        let serial_dot: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        let serial_sq: f32 = a.iter().map(|x| x * x).sum();
-        let scalar = backend::instance(backend::Kind::Scalar);
-        assert_eq!(scalar.dot(&a, &b).to_bits(), serial_dot.to_bits());
-        assert_eq!(scalar.sq_norm(&a).to_bits(), serial_sq.to_bits());
-    }
-
-    #[test]
     fn delta_kernels_match_materialized_path_bitwise() {
         let a: Vec<f32> = (0..97).map(|i| ((i as f32) * 0.7).sin()).collect();
         let b: Vec<f32> = (0..97).map(|i| ((i as f32) * 0.9).cos()).collect();
@@ -827,12 +812,6 @@ mod tests {
                 be.dot_delta(&a, &b, &r).to_bits(),
                 be.dot(&da, &db).to_bits(),
                 "dot_delta != dot∘sub on {}",
-                kind.name()
-            );
-            assert_eq!(
-                be.sq_norm_delta(&a, &r).to_bits(),
-                be.sq_norm(&da).to_bits(),
-                "sq_norm_delta != sq_norm∘sub on {}",
                 kind.name()
             );
         }

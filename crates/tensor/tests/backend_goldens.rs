@@ -1,24 +1,17 @@
-//! Per-backend golden tests for the CPU backend trait (DESIGN.md §4f).
+//! Golden tests for the CPU backend trait (DESIGN.md §4f): every kernel
+//! returns the same bits on every backend.
 //!
-//! The `GOLD_*` constants below are the exact bits produced by the
-//! pre-backend (autovectorized scalar) kernels on the unmodified tree,
-//! captured before the `tensor::backend` refactor landed. They pin two
-//! contracts:
+//! The `GOLD_*` constants below are exact bits pinned on every backend the
+//! host supports (CI runs this suite under `FABFLIP_BACKEND=scalar`,
+//! `avx2` and auto-detection):
 //!
-//! * **Scalar ≡ pre-refactor, bitwise.** The extracted scalar backend
-//!   must reproduce every golden bit-for-bit — the refactor is not
-//!   allowed to move a single ULP on the portable path.
-//! * **GEMM and elementwise ops are bitwise identical across backends.**
-//!   Each output element's FLOP chain is independent and identically
-//!   ordered in the scalar, AVX2, and AVX-512 microkernels, so the GEMM
-//!   and mean/std/axpy goldens must hold under *any* active backend
-//!   (CI runs this suite under `FABFLIP_BACKEND=scalar` and under
-//!   auto-detection).
-//!
-//! Serial reductions (`dot`, `l2_norm`, and their delta forms) have a
-//! per-backend fixed accumulation order: scalar matches the goldens
-//! bitwise, SIMD backends must land within a ULP budget that scales
-//! with the reduction length.
+//! * **GEMM and elementwise ops** were captured from the pre-backend
+//!   (autovectorized scalar) kernels on the unmodified tree. Each output
+//!   element's FLOP chain is independent and identically ordered in the
+//!   scalar, AVX2 and AVX-512 microkernels.
+//! * **Reductions** (`dot`, `l2_norm` and their delta forms) are the bits
+//!   of the striped four-accumulator order of `CpuBackend::dot`, captured
+//!   from the AVX-512 backend.
 //!
 //! All per-backend assertions go through `backend::instance(kind)`
 //! directly — never the global `force()` — so this suite is safe under
@@ -28,9 +21,9 @@ use fabflip_tensor::backend::{self, Kind, ALL_KINDS};
 use fabflip_tensor::vecops;
 use fabflip_tensor::{matmul_into, matmul_transpose_a, matmul_transpose_b};
 
-// Pre-refactor golden bits (captured on the unmodified tree; inputs are
-// the SplitMix64 streams below, flag-invariant under RUSTFLAGS="" and
-// target-cpu=native).
+// Golden bits (inputs are the SplitMix64 streams below, flag-invariant
+// under RUSTFLAGS="" and target-cpu=native). GEMM and elementwise: the
+// pre-backend kernels.
 const GOLD_MATMUL_FOLD: u32 = 0x728afd31;
 const GOLD_MATMUL_FIRST: u32 = 0xc0b9c63e;
 const GOLD_MATMUL_MID: u32 = 0xc017a959;
@@ -42,11 +35,11 @@ const GOLD_STD_FOLD: u32 = 0x9da5254e;
 const GOLD_AXPY_FOLD: u32 = 0x5b258491;
 
 /// (d, dot, l2_norm, dot_delta, l2_norm_delta) golden bits at
-/// tail-exercising reduction lengths.
+/// tail-exercising reduction lengths: the striped order's bits.
 const GOLD_REDUCTIONS: [(usize, u32, u32, u32, u32); 3] = [
     (3, 0x3ded46dc, 0x3f30c5a6, 0x3ff4f196, 0x3fbac2a0),
-    (16, 0x3f63d3c7, 0x401359b5, 0x406a0e0c, 0x403e2f3b),
-    (4099, 0x4102125f, 0x421342eb, 0x44b301c6, 0x425406a1),
+    (16, 0x3f63d3c7, 0x401359b5, 0x406a0e0d, 0x403e2f3c),
+    (4099, 0x41021263, 0x421342e5, 0x44b301d0, 0x42540696),
 ];
 
 /// Deterministic SplitMix64 stream mapped to [-1, 1) — the exact input
@@ -68,11 +61,6 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 /// Order-sensitive bit fold: any single-ULP drift anywhere flips it.
 fn fold(v: &[f32]) -> u32 {
     v.iter().fold(0u32, |h, x| h.rotate_left(5) ^ x.to_bits())
-}
-
-/// ULP distance between two finite same-sign floats.
-fn ulps(a: f32, b: f32) -> u32 {
-    (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs() as u32
 }
 
 /// GEMM golden bits hold under whichever backend is active: every
@@ -124,88 +112,112 @@ fn elementwise_goldens_bitwise_under_active_backend() {
     assert_eq!(fold(&ax), GOLD_AXPY_FOLD);
 }
 
-/// The scalar backend instance reproduces the pre-refactor serial
-/// reduction bits exactly — the portable path did not move.
+/// Every supported backend reproduces the reduction goldens bit for bit,
+/// and so do the `vecops` entries on the active backend.
 #[test]
-fn scalar_reductions_match_pre_refactor_goldens_bitwise() {
-    let be = backend::instance(Kind::Scalar);
+fn reductions_match_goldens_bitwise_on_every_backend() {
     for &(d, g_dot, g_l2, g_dotd, g_l2d) in &GOLD_REDUCTIONS {
         let x = fill(10 + d as u64, d);
         let y = fill(20 + d as u64, d);
         let r = fill(30 + d as u64, d);
-        assert_eq!(be.dot(&x, &y).to_bits(), g_dot, "dot d={d}");
-        assert_eq!(be.sq_norm(&x).sqrt().to_bits(), g_l2, "l2 d={d}");
-        assert_eq!(be.dot_delta(&x, &y, &r).to_bits(), g_dotd, "dotd d={d}");
-        assert_eq!(
-            be.sq_norm_delta(&x, &r).sqrt().to_bits(),
-            g_l2d,
-            "l2d d={d}"
+        let want = [g_dot, g_l2, g_dotd, g_l2d];
+        let active = [
+            vecops::dot(&x, &y),
+            vecops::l2_norm(&x),
+            vecops::dot_delta(&x, &y, &r),
+            vecops::l2_norm_delta(&x, &r),
+        ];
+        assert_eq!(active.map(f32::to_bits), want, "vecops d={d}");
+        for kind in ALL_KINDS {
+            if !kind.supported() {
+                continue;
+            }
+            let be = backend::instance(kind);
+            let got = [
+                be.dot(&x, &y),
+                be.dot(&x, &x).sqrt(),
+                be.dot_delta(&x, &y, &r),
+                be.dot_delta(&x, &x, &r).sqrt(),
+            ];
+            assert_eq!(
+                got.map(f32::to_bits),
+                want,
+                "dot/l2/dot_delta/l2_delta d={d} backend {}",
+                be.name()
+            );
+        }
+    }
+}
+
+/// Release builds drop the kernels' `debug_assert!` length checks, so
+/// the SIMD loops must size themselves from the shortest slice they load:
+/// a 16-float prefix of a NaN-filled buffer passed next to a 4 096-float
+/// slice must never pull in the NaN that lies past it.
+#[cfg(not(debug_assertions))]
+#[test]
+fn short_operands_are_never_read_past_their_end() {
+    let long = fill(900, 4096);
+    let mut buf = vec![f32::NAN; 4096];
+    buf[..16].copy_from_slice(&long[..16]);
+    let short = &buf[..16];
+    for kind in ALL_KINDS {
+        if !kind.supported() {
+            continue;
+        }
+        let be = backend::instance(kind);
+        let name = be.name();
+        for (op, v) in [
+            ("dot", be.dot(&long, short)),
+            ("dot_delta b", be.dot_delta(&long, short, &long)),
+            ("dot_delta r", be.dot_delta(&long, &long, short)),
+            ("dot_lanes", be.dot_lanes(&long, short)),
+        ] {
+            assert!(!v.is_nan(), "{op} read past its short operand on {name}");
+        }
+        let mut out = long.clone();
+        be.add_assign(&mut out, short);
+        be.sq_dev_assign(&mut out, short, &long);
+        be.sq_dev_assign(&mut out, &long, short);
+        be.axpy_assign(&mut out, 0.5, short);
+        assert!(
+            !out.iter().any(|v| v.is_nan()),
+            "an element-wise kernel read past its short operand on {name}"
         );
     }
 }
 
-/// SIMD serial reductions use a fixed per-backend order (striped vector
-/// accumulators + a fixed horizontal-sum tree); they may differ from the
-/// scalar order only within a ULP budget that grows with the number of
-/// reassociated terms.
+/// The dot kernels are bitwise identical across backends at every length
+/// up to 300 (each tail length, each partial set of `dot`'s four striped
+/// accumulators) and at long lengths up to 65 537. `dot_lanes` (the
+/// transpose-B / row-dot microkernel) keeps 16 lane sums, one zmm or two
+/// ymm registers; `dot` and `dot_delta` keep four such accumulators
+/// striped over 16-float blocks; every horizontal fold mirrors the scalar
+/// halving tree exactly.
 #[test]
-fn simd_reductions_within_ulp_budget_of_scalar() {
+fn dot_kernels_bitwise_identical_across_backends() {
     let scalar = backend::instance(Kind::Scalar);
-    for kind in ALL_KINDS {
-        if !kind.supported() || kind == Kind::Scalar {
-            continue;
-        }
-        let be = backend::instance(kind);
-        for &(d, ..) in &GOLD_REDUCTIONS {
-            let budget = 4 + (d as u32) / 32;
-            let x = fill(10 + d as u64, d);
-            let y = fill(20 + d as u64, d);
-            let r = fill(30 + d as u64, d);
-            for (name, got, want) in [
-                ("dot", be.dot(&x, &y), scalar.dot(&x, &y)),
-                ("sq_norm", be.sq_norm(&x), scalar.sq_norm(&x)),
-                (
-                    "dot_delta",
-                    be.dot_delta(&x, &y, &r),
-                    scalar.dot_delta(&x, &y, &r),
-                ),
-                (
-                    "sq_norm_delta",
-                    be.sq_norm_delta(&x, &r),
-                    scalar.sq_norm_delta(&x, &r),
-                ),
-            ] {
-                assert!(
-                    ulps(got, want) <= budget,
-                    "{name} d={d} backend {}: {got:?} vs scalar {want:?} ({} ulps > {budget})",
-                    be.name(),
-                    ulps(got, want),
-                );
-            }
-        }
-    }
-}
-
-/// `dot_lanes` (the transpose-B / row-dot microkernel) is bitwise
-/// identical across backends: its 16-lane partial-sum structure maps to
-/// one zmm register (AVX-512) or two ymm registers (AVX2), and the
-/// horizontal fold mirrors the scalar halving tree exactly.
-#[test]
-fn dot_lanes_bitwise_identical_across_backends() {
-    let scalar = backend::instance(Kind::Scalar);
-    for d in [0usize, 1, 3, 15, 16, 17, 31, 32, 300, 4099] {
+    for d in (0usize..=300).chain([1000, 4099, 9098, 65_537]) {
         let x = fill(40 + d as u64, d);
         let y = fill(50 + d as u64, d);
-        let want = scalar.dot_lanes(&x, &y).to_bits();
+        let r = fill(60 + d as u64, d);
+        let run = |be: &dyn backend::CpuBackend| {
+            [
+                be.dot_lanes(&x, &y),
+                be.dot(&x, &y),
+                be.dot_delta(&x, &y, &r),
+            ]
+            .map(f32::to_bits)
+        };
+        let want = run(scalar);
         for kind in ALL_KINDS {
             if !kind.supported() {
                 continue;
             }
             let be = backend::instance(kind);
             assert_eq!(
-                be.dot_lanes(&x, &y).to_bits(),
+                run(be),
                 want,
-                "dot_lanes d={d} backend {}",
+                "dot_lanes/dot/dot_delta d={d} backend {}",
                 be.name()
             );
         }

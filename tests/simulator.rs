@@ -6,7 +6,6 @@ use fabflip_fl::{
     metrics::attack_success_rate, runner, simulate, AttackSpec, FaultPlan, FlConfig, RoundRecord,
     RunResult, StragglerPolicy, TaskKind,
 };
-use fabflip_tensor::backend::{self, Kind};
 
 fn small(attack: AttackSpec, defense: DefenseKind) -> FlConfig {
     FlConfig::builder(TaskKind::Fashion)
@@ -215,8 +214,9 @@ fn transcript_digest(r: &RunResult) -> u64 {
 
 #[test]
 fn transcripts_match_their_pinned_digests() {
-    // Bitwise pins of four small runs: a moved digest means a seed-stream
-    // id, a defense or the round path changed what the simulator computes.
+    // Bitwise pins of five small runs, one value on every CPU backend: a
+    // moved digest means a seed-stream id, a defense, the round path or a
+    // kernel's rounding changed what the simulator computes.
     let tiny = |attack: AttackSpec, defense: DefenseKind| {
         FlConfig::builder(TaskKind::Fashion)
             .n_clients(12)
@@ -263,22 +263,13 @@ fn transcripts_match_their_pinned_digests() {
         .sybil_noise(0.02)
         .build();
     let r = simulate(&sybil).unwrap();
-    // FoolsGold's cosine similarities are serial dot products, which round
-    // per backend (DESIGN.md §4f), so this pin is kept per backend.
-    let pinned = match backend::active_kind() {
-        Kind::Scalar => 8_638_109_197_716_327_814,
-        Kind::Avx2 => 8_067_100_630_040_440_859,
-        Kind::Avx512 => 13_451_313_149_285_140_286,
-    };
     assert_eq!(
         transcript_digest(&r),
-        pinned,
+        13_451_313_149_285_140_286,
         "FoolsGold/Sybil-noise transcript moved"
     );
     // The oracle-free ZKA variants, which `ClientFleet::stage_round`
-    // crafts in the same dispatch as benign training. Both digests are
-    // the same under the scalar, AVX2 and AVX-512 backends, so one pin
-    // serves all.
+    // crafts in the same dispatch as benign training.
     let zka_r = tiny(
         AttackSpec::ZkaR {
             cfg: fabflip::ZkaConfig::fast(),
@@ -312,5 +303,24 @@ fn transcripts_match_their_pinned_digests() {
         transcript_digest(&r),
         18_245_075_373_152_991_836,
         "Median/ZKA-G transcript moved"
+    );
+    // ZKA-R whose adversarial training takes two steps per round (16
+    // synthetic images, batch 8), so the Eq. 3 hinge can fire: once in
+    // this run, the second step's deviation outgrows last round's global
+    // step and the distance gradient is scaled by 1/‖w − w(t)‖. With one
+    // step per round (the pins above) the check only ever sees w = w(t).
+    let hinge = tiny(
+        AttackSpec::ZkaR {
+            cfg: fabflip::ZkaConfig::fast(),
+        },
+        DefenseKind::FedAvg,
+    )
+    .synth_set_size(16)
+    .build();
+    let r = simulate(&hinge).unwrap();
+    assert_eq!(
+        transcript_digest(&r),
+        12_542_220_523_263_900_730,
+        "FedAvg/ZKA-R hinge transcript moved"
     );
 }
