@@ -72,6 +72,7 @@ const FG_TILE: usize = 128;
 pub fn foolsgold_weights(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<f32> {
     let n = refs.len();
     if n == 1 {
+        // fabcheck::allow(alloc_on_hot_path): the returned weight vector.
         return vec![1.0];
     }
     let d = refs[0].len();
@@ -84,6 +85,7 @@ pub fn foolsgold_weights(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<f32>
             Some(r) => vecops::l2_norm_delta(u, r),
             None => vecops::l2_norm(u),
         })
+        // fabcheck::allow(alloc_on_hot_path): O(n), once per close.
         .collect();
     let entry = |i: usize, j: usize| -> f32 {
         let (na, nb) = (norms[i], norms[j]);
@@ -102,6 +104,7 @@ pub fn foolsgold_weights(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<f32>
     // Pass 1: per-row maxima of the similarity matrix. Column tiles are
     // swept in ascending j, so each row's `f32::max` fold runs in exactly
     // the dense order.
+    // fabcheck::allow(alloc_on_hot_path): O(n), once per close.
     let mut maxes = vec![f32::NEG_INFINITY; n];
     let mut row_lo = 0;
     while row_lo < n {
@@ -129,6 +132,7 @@ pub fn foolsgold_weights(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<f32>
     // direction are rescaled relative to the more-suspicious party. The
     // tiles are recomputed (compute is the cheap axis here; memory is the
     // scarce one) and each row folds its pardoned maximum in ascending j.
+    // fabcheck::allow(alloc_on_hot_path): O(n), once per close.
     let mut max_cs = vec![f32::NEG_INFINITY; n];
     let mut row_lo = 0;
     while row_lo < n {
@@ -158,6 +162,7 @@ pub fn foolsgold_weights(refs: &[&[f32]], reference: Option<&[f32]>) -> Vec<f32>
         row_lo += rows;
     }
 
+    // fabcheck::allow(alloc_on_hot_path): the returned weight vector.
     let mut w: Vec<f32> = max_cs.iter().map(|&m| 1.0 - m).collect();
     // Normalize to [0, 1] by the maximum weight.
     // fabcheck::allow(unordered_float_reduction): running max, serial left-to-right over the weight slice

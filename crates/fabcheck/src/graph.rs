@@ -37,23 +37,11 @@
 //! or the line above — is a declared setup-only branch: its sites are
 //! suppressed for that rule, and alloc/panic escapes also drop the
 //! line's call edges so they do not extend the hot region.
-//!
-//! The same graph carries the **ISA-safety pass**
-//! (`target-feature-call-unguarded`, forbidden): every resolved edge
-//! into an `#[target_feature(enable = …)]` function is checked over ALL
-//! nodes — hot or cold — and is legal only if the caller itself proves
-//! the callee's feature set (its own `#[target_feature]` attribute is a
-//! superset) or the caller is a backend dispatch method inside
-//! [`BLESSED_SIMD_DIR`], where `backend::active()`'s
-//! `is_x86_feature_detected!` / `FABFLIP_BACKEND` gate has already run.
-//! Any other edge could execute AVX code on a CPU without it — UB, not a
-//! crash — so the rule fails `--ci` outright.
 
 use crate::lexer::Lexed;
-use crate::parser::{parse_tokens, parse_uses, target_feature_fns, Call, CallKind, FnNode};
+use crate::parser::{parse_tokens, parse_uses, Call, CallKind, FnNode};
 use crate::rules::{
-    allow_lines, Finding, Rule, BLESSED_SERVE_DIR, BLESSED_SIMD_DIR, BLESSED_THREAD_FILE,
-    NUMERIC_CRATES,
+    allow_lines, Finding, Rule, BLESSED_SERVE_DIR, BLESSED_THREAD_FILE, NUMERIC_CRATES,
 };
 use crate::walk::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -112,6 +100,9 @@ pub const HOT_ENTRIES: &[&str] = &[
     "aggregation::krum::krum_scores_into",
     "aggregation::krum::krum_scores_blocked_into",
     "aggregation::bulyan::bulyan_coordinate_chunk",
+    // FoolsGold's weight pass: every FoolsGold close runs its two tile
+    // sweeps over all n² update pairs.
+    "aggregation::foolsgold::foolsgold_weights",
     // Layer forward/backward over im2col + GEMM.
     "nn::conv::Conv2d::forward",
     "nn::conv::Conv2d::backward",
@@ -255,9 +246,6 @@ struct Node {
     calls: Vec<Call>,
     index_sites: Vec<(u32, u32)>,
     is_method: bool,
-    /// `#[target_feature(enable = …)]` features this fn is compiled
-    /// with; empty for ordinary functions.
-    target_features: Vec<String>,
 }
 
 /// Per-file escape-comment lines, by rule.
@@ -356,12 +344,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
             aliases.insert(u.alias, segs);
         }
         use_maps.push(aliases);
-        // Features by `fn`-keyword line: `target_feature_fns` and
-        // `parse_tokens` both anchor on that line, so the join is exact.
-        let tf_by_line: BTreeMap<u32, Vec<String>> = target_feature_fns(&lexed.tokens, &file.src)
-            .into_iter()
-            .map(|tf| (tf.line, tf.features))
-            .collect();
         for f in parse_tokens(&lexed.tokens, &file.test_spans) {
             if f.is_test {
                 continue;
@@ -376,7 +358,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
                 calls: f.calls,
                 index_sites: f.index_sites,
                 is_method: f.impl_type.is_some(),
-                target_features: tf_by_line.get(&f.line).cloned().unwrap_or_default(),
             });
         }
     }
@@ -629,51 +610,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         }
     }
 
-    // ISA-safety pass over EVERY resolved edge, not just hot ones: a
-    // cold wrapper that jumps into an `#[target_feature]` kernel is
-    // exactly as unsound as a hot one. An edge into a feature-gated
-    // callee is legal iff the caller compiles with a superset of those
-    // features (tf → tf chains inside a kernel file), or the caller is a
-    // `CpuBackend` dispatch method in the blessed backend directory —
-    // the one place where `backend::active()` has already proven the ISA
-    // via `is_x86_feature_detected!` / the `FABFLIP_BACKEND` override.
-    for u in 0..nodes.len() {
-        let caller = &nodes[u];
-        if caller.file.starts_with(BLESSED_SIMD_DIR) && caller.is_method {
-            continue;
-        }
-        for call in &caller.calls {
-            for v in resolve(call, caller) {
-                let callee = &nodes[v];
-                if callee.target_features.is_empty() {
-                    continue;
-                }
-                let proven = callee
-                    .target_features
-                    .iter()
-                    .all(|feat| caller.target_features.contains(feat));
-                if proven {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: Rule::TargetFeatureCallUnguarded,
-                    file: caller.file.clone(),
-                    line: call.line,
-                    col: call.col,
-                    message: format!(
-                        "call resolves to `{}`, compiled with `#[target_feature(enable = \
-                         \"{}\")]`, but this call site proves none of those features; \
-                         executing it on a CPU without them is undefined behavior — route \
-                         the call through `backend::active()` so the ISA is \
-                         detection-proven before dispatch",
-                        callee.fqn,
-                        callee.target_features.join(",")
-                    ),
-                });
-            }
-        }
-    }
-
     let mut hot: Vec<HotNode> = hot_order
         .iter()
         .map(|&u| HotNode {
@@ -817,57 +753,6 @@ mod tests {
         let a = run(&[("crates/fl/src/sim.rs", "pub fn run() {}\n")]);
         assert!(a.summary.entries.is_empty());
         assert!(a.summary.hot.is_empty());
-    }
-
-    #[test]
-    fn unguarded_target_feature_call_is_forbidden() {
-        let a = run(&[(
-            "crates/tensor/src/simd.rs",
-            "#[target_feature(enable = \"avx2,fma\")]\n\
-             fn fast_dot(a: &[f32]) -> f32 { 0.0 }\n\
-             pub fn wrapper(a: &[f32]) -> f32 { unsafe { fast_dot(a) } }\n",
-        )]);
-        assert_eq!(rule_names(&a), ["target-feature-call-unguarded"]);
-        let f = &a.findings[0];
-        assert!(f.rule.is_forbidden());
-        assert_eq!(f.line, 3);
-        assert!(
-            f.message.contains("tensor::simd::fast_dot") && f.message.contains("avx2,fma"),
-            "{}",
-            f.message
-        );
-    }
-
-    #[test]
-    fn backend_dispatch_methods_prove_the_isa() {
-        // The one blessed shape: an `impl CpuBackend for …` method in the
-        // backend directory jumping into its own kernels. Detection ran
-        // at `backend::active()` before any such method is reachable.
-        let a = run(&[(
-            "crates/tensor/src/backend/avx2.rs",
-            "#[target_feature(enable = \"avx2\")]\n\
-             fn kernel(a: &[f32]) -> f32 { 0.0 }\n\
-             impl CpuBackend for Avx2 {\n\
-             fn dot(&self, a: &[f32]) -> f32 { unsafe { kernel(a) } }\n\
-             }\n",
-        )]);
-        assert!(rule_names(&a).is_empty(), "{:?}", a.findings);
-    }
-
-    #[test]
-    fn tf_to_tf_calls_need_a_feature_superset() {
-        // dotk(avx2,fma) → hsum(avx2): superset, proven. helper() →
-        // hsum(avx2): a plain fn in the same kernel file proves nothing.
-        let a = run(&[(
-            "crates/tensor/src/backend/avx2.rs",
-            "#[target_feature(enable = \"avx2\")]\n\
-             fn hsum(a: &[f32]) -> f32 { 0.0 }\n\
-             #[target_feature(enable = \"avx2,fma\")]\n\
-             fn dotk(a: &[f32]) -> f32 { unsafe { hsum(a) } }\n\
-             fn helper(a: &[f32]) -> f32 { unsafe { hsum(a) } }\n",
-        )]);
-        assert_eq!(rule_names(&a), ["target-feature-call-unguarded"]);
-        assert_eq!(a.findings[0].line, 5);
     }
 
     #[test]

@@ -196,16 +196,13 @@ fn record_use(out: &mut Vec<UseDecl>, alias: String, segs: &[String]) {
 }
 
 /// A `#[target_feature(enable = "…")]` function item: the declared ISA
-/// features plus enough position data for the rules that consume it — the
-/// `fn` line (joins against [`FnNode::line`] in the call graph) and the
-/// token span of the body (classifies `unsafe` blocks as kernel-interior
-/// for the SAFETY claim grammar).
+/// features and the token span of the body, which the unsafe rule reads
+/// to classify `unsafe` blocks as kernel-interior and to find the
+/// features that enclose a call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetFeatureFn {
     /// Function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword (matches [`FnNode::line`]).
-    pub line: u32,
     /// Features named by `enable = "…"`, split on `,`.
     pub features: Vec<String>,
     /// Token indices of the body delimiters: `(index of `{`, index of the
@@ -288,7 +285,6 @@ pub fn target_feature_fns(toks: &[Token], src: &str) -> Vec<TargetFeatureFn> {
         let close = matching_close(toks, open).unwrap_or(toks.len().saturating_sub(1));
         out.push(TargetFeatureFn {
             name: toks[j + 1].text.clone(),
-            line: toks[j].line,
             features,
             body: (open, close),
         });
@@ -741,7 +737,6 @@ mod tests {
         assert_eq!(tfs.len(), 1, "{tfs:?}");
         assert_eq!(tfs[0].name, "dot8");
         assert_eq!(tfs[0].features, ["avx2", "fma"]);
-        assert_eq!(tfs[0].line, 3);
         // The body span covers the `unsafe` token and nothing outside.
         let unsafe_idx = lexed
             .tokens

@@ -7,21 +7,24 @@
 //! * **forbidden** — any hit fails CI (`nondeterministic-collection`,
 //!   `entropy-rng`, `wallclock-in-kernel`, `env-var-outside-config`,
 //!   `unsafe-without-safety-comment`, `thread-spawn-outside-par`,
-//!   `raw-pointer-outside-par`, `alloc-on-hot-path`, `io-on-hot-path`,
-//!   `seed-stream-registry`, `unordered-float-reduction`,
-//!   `unclaimed-raw-span`, `target-feature-call-unguarded`,
-//!   `backend-parity`);
+//!   `alloc-on-hot-path`, `io-on-hot-path`, `seed-stream-registry`,
+//!   `unordered-float-reduction`, `unclaimed-raw-span`, `backend-parity`);
 //! * **counted** — hits are tallied per `rule × file` and ratcheted
 //!   against `FABCHECK_BASELINE.json`: counts may shrink, never grow
 //!   (`unwrap-in-lib`, `todo-unimplemented`, `panic-on-hot-path`).
 //!
-//! Two rules check a claim comment twice over. `unsafe-without-safety-comment`
-//! requires every `unsafe` to claim its own SAFETY comment, and in the
-//! non-test code of [`BLESSED_SIMD_DIR`] and [`BLESSED_THREAD_FILE`] that
-//! comment must also parse under the claim grammar and match its site.
-//! `unclaimed-raw-span` requires every `from_raw_parts_mut` to claim its
-//! own `fabcheck::claim(disjoint)` comment naming one of the call's
-//! arguments, and the span's offset must be a recognized partition.
+//! fabcheck checks only what rustc cannot. A raw pointer is read or
+//! written only inside `unsafe`, and rustc puts every call into a
+//! `#[target_feature]` fn that the caller's own features do not cover
+//! inside `unsafe` too (E0133), so `unsafe-without-safety-comment` is the
+//! one rule for unsafe code. It confines `unsafe` in product code to
+//! [`BLESSED_SIMD_DIR`] and [`BLESSED_THREAD_FILE`]; there the SAFETY
+//! comment must also parse under the claim grammar and match its site,
+//! and a call into a kernel whose features the enclosing fn does not
+//! enable must sit in a backend `impl`. `unclaimed-raw-span` requires
+//! every `from_raw_parts_mut` to claim its own `fabcheck::claim(disjoint)`
+//! comment naming one of the call's arguments, and the span's offset must
+//! be a recognized partition.
 //!
 //! Matching is whole-identifier over the [`crate::lexer`] token stream, so
 //! comments, strings, `Instantiates`, and `unwrap_or` never false-positive.
@@ -52,12 +55,12 @@ pub const BLESSED_ENV_FILES: &[&str] = &[
     "crates/tensor/src/par.rs",
 ];
 
-/// The directory holding the runtime-dispatched SIMD microkernels. Raw
-/// pointers are allowed here alongside the worker pool: intrinsic
+/// The directory holding the runtime-dispatched SIMD microkernels.
+/// `unsafe` is allowed here alongside the worker pool: intrinsic
 /// loads/stores are inherently pointer-based, and every unsafe block in
-/// these files carries its own `// SAFETY:` comment claiming the
-/// lane-width/bounds invariant (DESIGN.md §4f). Intrinsics or raw
-/// pointers anywhere else in product code still fail `--ci`.
+/// these files carries its own `// SAFETY(…)` claim stating the
+/// lane-width/bounds or ISA invariant (DESIGN.md §4f). `unsafe` anywhere
+/// else in product code fails `--ci`.
 pub const BLESSED_SIMD_DIR: &str = "crates/tensor/src/backend/";
 
 /// The single file allowed to create threads: the persistent worker pool.
@@ -100,22 +103,20 @@ pub enum Rule {
     WallclockInKernel,
     /// `env::var` outside the blessed thread-budget modules.
     EnvVarOutsideConfig,
-    /// `unsafe` without a `// SAFETY:` comment just above (or beside) it,
-    /// or, in the non-test code of the blessed unsafe regions
-    /// ([`BLESSED_SIMD_DIR`], [`BLESSED_THREAD_FILE`]), with one that is
-    /// free text, does not parse under the claim grammar
-    /// (`SAFETY(bound: <expr>)` / `SAFETY(feature: <isa,…>)` /
-    /// `SAFETY(sync: <type>)`), or claims the wrong kind for its site
-    /// (e.g. a feature claim on a block doing raw-pointer arithmetic).
+    /// `unsafe` without a `// SAFETY:` comment just above (or beside) it;
+    /// any `unsafe` in non-test `crates/` code outside the blessed unsafe
+    /// regions ([`BLESSED_SIMD_DIR`], [`BLESSED_THREAD_FILE`]); or, in
+    /// those regions' non-test code, one whose comment is free text, does
+    /// not parse under the claim grammar (`SAFETY(bound: <expr>)` /
+    /// `SAFETY(feature: <isa,…>)` / `SAFETY(sync: <type>)`), claims the
+    /// wrong kind for its site (e.g. a feature claim on a block doing
+    /// raw-pointer arithmetic), or calls a `#[target_feature]` fn whose
+    /// features the enclosing fn does not enable from outside an `impl`
+    /// block in [`BLESSED_SIMD_DIR`].
     UnsafeWithoutSafetyComment,
     /// `thread::spawn`/`thread::scope`/`thread::Builder` in `crates/`
     /// outside the worker pool (`crates/tensor/src/par.rs`).
     ThreadSpawnOutsidePar,
-    /// Raw-pointer types (`*const T`/`*mut T`) in `crates/` product code
-    /// outside the worker pool and the SIMD backend microkernels
-    /// ([`BLESSED_SIMD_DIR`]): lifetime-erased pointers are their
-    /// monopoly, everything else uses slices.
-    RawPointerOutsidePar,
     /// A heap allocation reachable from the kernel entry set
     /// ([`crate::graph::HOT_ENTRIES`]). Forbidden: the steady-state
     /// per-round loop must not touch the allocator.
@@ -151,30 +152,23 @@ pub enum Rule {
     UnwrapInLib,
     /// `todo!`/`unimplemented!` in non-test code (counted).
     TodoUnimplemented,
-    /// A call edge into an `#[target_feature(enable = …)]` fn from a
-    /// context that does not prove the ISA available: the caller neither
-    /// declares a superset of the callee's features nor is a dispatcher
-    /// method in [`BLESSED_SIMD_DIR`] (whose instances are only handed
-    /// out after `is_x86_feature_detected!` succeeds). Evaluated on the
-    /// cross-crate call graph by [`crate::graph`].
-    TargetFeatureCallUnguarded,
-    /// A `CpuBackend` trait method missing from one of the backend impls
-    /// or absent from the cross-backend determinism coverage
-    /// (`backend_goldens.rs` / `proptests.rs`). Evaluated workspace-wide
-    /// by [`check_backend_parity`].
+    /// A `CpuBackend` trait method with a default body (which would let a
+    /// backend skip it without E0046), or one absent from the
+    /// cross-backend determinism coverage (`backend_goldens.rs` /
+    /// `proptests.rs`). Evaluated workspace-wide by
+    /// [`check_backend_parity`].
     BackendParity,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 15] = [
         Rule::NondeterministicCollection,
         Rule::EntropyRng,
         Rule::WallclockInKernel,
         Rule::EnvVarOutsideConfig,
         Rule::UnsafeWithoutSafetyComment,
         Rule::ThreadSpawnOutsidePar,
-        Rule::RawPointerOutsidePar,
         Rule::AllocOnHotPath,
         Rule::PanicOnHotPath,
         Rule::IoOnHotPath,
@@ -183,7 +177,6 @@ impl Rule {
         Rule::UnclaimedRawSpan,
         Rule::UnwrapInLib,
         Rule::TodoUnimplemented,
-        Rule::TargetFeatureCallUnguarded,
         Rule::BackendParity,
     ];
 
@@ -196,7 +189,6 @@ impl Rule {
             Rule::EnvVarOutsideConfig => "env-var-outside-config",
             Rule::UnsafeWithoutSafetyComment => "unsafe-without-safety-comment",
             Rule::ThreadSpawnOutsidePar => "thread-spawn-outside-par",
-            Rule::RawPointerOutsidePar => "raw-pointer-outside-par",
             Rule::AllocOnHotPath => "alloc-on-hot-path",
             Rule::PanicOnHotPath => "panic-on-hot-path",
             Rule::IoOnHotPath => "io-on-hot-path",
@@ -205,7 +197,6 @@ impl Rule {
             Rule::UnclaimedRawSpan => "unclaimed-raw-span",
             Rule::UnwrapInLib => "unwrap-in-lib",
             Rule::TodoUnimplemented => "todo-unimplemented",
-            Rule::TargetFeatureCallUnguarded => "target-feature-call-unguarded",
             Rule::BackendParity => "backend-parity",
         }
     }
@@ -292,8 +283,8 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
         }
         // Unsafe needs its invariant written down wherever it appears
         // (test files included, e.g. `alloc_guard.rs`'s `unsafe impl
-        // GlobalAlloc`); [`parses_safety_claims`] narrows the claim
-        // grammar to the blessed unsafe homes.
+        // GlobalAlloc`); [`check_file`] confines product-code `unsafe` to
+        // the blessed unsafe homes and checks the claim grammar there.
         Rule::UnsafeWithoutSafetyComment => Scope::All,
         // Thread creation is the pool's monopoly: ad-hoc spawns bypass the
         // budget cap and the fixed-block determinism argument. Tests too —
@@ -313,22 +304,6 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
                 Scope::Off
             }
         }
-        // Raw-pointer types are the pool's monopoly in product code,
-        // shared only with the SIMD backend microkernels (whose unsafe
-        // blocks are audited per-site by `unsafe-without-safety-comment`).
-        // Test code (incl. the alloc_guard allocator harness) may use
-        // them — tests never ship in the hot path.
-        Rule::RawPointerOutsidePar => {
-            if class.in_crates
-                && class.rel != BLESSED_THREAD_FILE
-                && !class.rel.starts_with(BLESSED_SIMD_DIR)
-                && !class.is_test_file
-            {
-                Scope::NonTest
-            } else {
-                Scope::Off
-            }
-        }
         // Interprocedural rules: evaluated by `crate::graph`, never by
         // the single-file scan. `seed-stream-registry` is likewise
         // cross-file, evaluated by [`check_seed_streams`].
@@ -344,9 +319,9 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
             }
         }
         // Every raw span in product code must claim its disjointness
-        // argument and carve a recognized partition; raw-pointer
-        // confinement already limits this to the worker pool, so in
-        // practice the rule audits `par.rs`.
+        // argument and carve a recognized partition; unsafe confinement
+        // already limits this to the blessed unsafe homes, so in practice
+        // the rule audits `par.rs`.
         Rule::UnclaimedRawSpan => {
             if class.in_crates && !class.is_test_file {
                 Scope::NonTest
@@ -368,21 +343,34 @@ fn scope(rule: Rule, class: &FileClass) -> Scope {
                 Scope::Off
             }
         }
-        // Evaluated by `crate::graph` over the whole cross-crate call
-        // graph (a guard and its guarded call live in different files).
-        Rule::TargetFeatureCallUnguarded => Scope::Off,
-        // Workspace-level pass: [`check_backend_parity`] (the trait, the
-        // impls, and the coverage files are different files).
+        // Workspace-level pass: [`check_backend_parity`] (the trait and
+        // the coverage files are different files).
         Rule::BackendParity => Scope::Off,
     }
 }
 
-/// Whether `unsafe` sites in this file must carry a claim that parses
-/// under the SAFETY claim grammar (non-test code of the blessed unsafe
-/// homes only; elsewhere a free-text `// SAFETY:` passes).
-fn parses_safety_claims(class: &FileClass) -> bool {
-    (class.rel.starts_with(BLESSED_SIMD_DIR) || class.rel == BLESSED_THREAD_FILE)
-        && !class.is_test_file
+/// Whether this file is a blessed unsafe home: the only product code
+/// where `unsafe` may appear, and where its SAFETY comment must parse
+/// under the claim grammar (elsewhere, test code included, a free-text
+/// `// SAFETY:` passes).
+fn is_unsafe_home(class: &FileClass) -> bool {
+    class.rel.starts_with(BLESSED_SIMD_DIR) || class.rel == BLESSED_THREAD_FILE
+}
+
+/// Token spans `(open, close)` of `impl` item bodies. Only an `impl` in
+/// item position counts, so `impl Trait` in a signature opens none.
+fn impl_bodies(toks: &[Token]) -> Vec<(usize, usize)> {
+    (0..toks.len())
+        .filter(|&k| {
+            toks[k].is_ident
+                && toks[k].text == "impl"
+                && (k == 0 || matches!(toks[k - 1].text.as_str(), "}" | ";" | "{" | "]" | "unsafe"))
+        })
+        .filter_map(|k| match item_after_attrs(toks, k) {
+            Some(ItemShape::Braced(open, close)) => Some((open, close)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Returns the names of modules declared `#[cfg(test)] mod name;`
@@ -666,41 +654,35 @@ enum ExpectedClaim {
     Any,
 }
 
-/// Classifies the `unsafe` token at `i`: which claim kind its site
-/// structurally requires. Precedence: target-feature kernel interior,
-/// `unsafe impl`, pointer arithmetic in the block, same-file
-/// target-feature callees, anything else.
-fn expected_claim(toks: &[Token], i: usize, tfs: &[TargetFeatureFn]) -> ExpectedClaim {
-    if tfs.iter().any(|f| f.body.0 < i && i < f.body.1) {
-        return ExpectedClaim::Bound;
-    }
-    if toks
-        .get(i + 1)
-        .is_some_and(|n| n.is_ident && n.text == "impl")
-    {
-        return ExpectedClaim::Sync;
-    }
+/// Classifies the `unsafe` token at `i`: the claim kind its site requires
+/// (precedence: target-feature kernel interior, `unsafe impl`, pointer
+/// arithmetic in the block, same-file target-feature callees, anything
+/// else) and the features those callees enable.
+fn expected_claim(
+    toks: &[Token],
+    i: usize,
+    tfs: &[TargetFeatureFn],
+) -> (ExpectedClaim, BTreeSet<String>) {
     // The region: the `{` right after `unsafe` (an unsafe block), or the
     // body brace of an `unsafe fn` header.
     let mut open = i + 1;
     while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
         open += 1;
     }
-    if open >= toks.len() || open > i + 24 {
-        return ExpectedClaim::Any;
-    }
-    let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
+    let close = if open >= toks.len() || open > i + 24 {
+        open
+    } else {
+        matching_close(toks, open).unwrap_or(toks.len() - 1)
+    };
+    let mut pointer_arith = false;
     let mut features: BTreeSet<String> = BTreeSet::new();
     for j in open + 1..close {
         if !toks[j].is_ident {
             continue;
         }
         let after_dot = j >= 1 && !toks[j - 1].is_ident && toks[j - 1].text == ".";
-        if toks[j].text == "from_raw_parts_mut"
-            || (after_dot && matches!(toks[j].text.as_str(), "add" | "wrapping_add" | "offset"))
-        {
-            return ExpectedClaim::Bound;
-        }
+        pointer_arith |= toks[j].text == "from_raw_parts_mut"
+            || (after_dot && matches!(toks[j].text.as_str(), "add" | "wrapping_add" | "offset"));
         if !after_dot
             && toks
                 .get(j + 1)
@@ -711,11 +693,55 @@ fn expected_claim(toks: &[Token], i: usize, tfs: &[TargetFeatureFn]) -> Expected
             }
         }
     }
-    if features.is_empty() {
+    let kind = if tfs.iter().any(|f| f.body.0 < i && i < f.body.1) {
+        ExpectedClaim::Bound
+    } else if toks
+        .get(i + 1)
+        .is_some_and(|n| n.is_ident && n.text == "impl")
+    {
+        ExpectedClaim::Sync
+    } else if pointer_arith {
+        ExpectedClaim::Bound
+    } else if features.is_empty() {
         ExpectedClaim::Any
     } else {
-        ExpectedClaim::Feature(features.into_iter().collect())
+        ExpectedClaim::Feature(features.iter().cloned().collect())
+    };
+    (kind, features)
+}
+
+/// Why the `unsafe` site at `i` of a blessed unsafe home fails, or `None`.
+/// Its callees may need only features its enclosing fn enables, unless it
+/// sits in an `impl` block (`impls`: backend methods, reachable only after
+/// feature detection); its claimed comment `text` must match its kind.
+fn site_error(
+    toks: &[Token],
+    i: usize,
+    tfs: &[TargetFeatureFn],
+    impls: &[(usize, usize)],
+    text: &str,
+) -> Option<String> {
+    let (expected, needed) = expected_claim(toks, i, tfs);
+    let enabled = tfs
+        .iter()
+        .find(|f| f.body.0 < i && i < f.body.1)
+        .map_or(&[][..], |f| &f.features[..]);
+    let unproven: Vec<String> = needed
+        .iter()
+        .filter(|f| !enabled.contains(f))
+        .map(|f| format!("`{f}`"))
+        .collect();
+    if unproven.is_empty() || impls.iter().any(|&(a, b)| a < i && i < b) {
+        return claim_grammar_error(text, &expected);
     }
+    Some(format!(
+        "this block calls `#[target_feature]` fns needing {}, which the \
+         enclosing fn does not enable, outside an `impl` block in \
+         crates/tensor/src/backend/; only a backend method is \
+         detection-proven (`backend::active()` hands a backend out after \
+         `is_x86_feature_detected!`), so route the call through one",
+        unproven.join(", ")
+    ))
 }
 
 /// Why the claimed SAFETY comment `text` fails the claim grammar at a
@@ -939,7 +965,7 @@ fn is_float_literal(text: &str) -> bool {
 /// [`test_only_mods`]). Also returns the file's unsafe-site tally
 /// `(claimed, total)`: how many `unsafe` tokens claimed a SAFETY comment,
 /// so "claimed" means exactly what `unsafe-without-safety-comment`
-/// accepts before its grammar check.
+/// accepts before its confinement and claim checks.
 pub fn check_file(file: &SourceFile) -> (Vec<Finding>, (u64, u64)) {
     let class = &file.class;
     let enabled: Vec<(Rule, Scope)> = Rule::ALL
@@ -969,35 +995,21 @@ pub fn check_file(file: &SourceFile) -> (Vec<Finding>, (u64, u64)) {
     let mut claimed_disjoint = vec![false; lexed.comments.len()];
     let mut unsafe_sites = (0u64, 0u64);
     let float_allow = allow_lines(&lexed.comments, toks, "unordered_float_reduction");
-    let parses_claims = parses_safety_claims(class);
-    let tfs = if parses_claims {
+    let home = is_unsafe_home(class);
+    let product = class.in_crates && !class.is_test_file;
+    let tfs = if home && product {
         target_feature_fns(toks, &file.src)
+    } else {
+        Vec::new()
+    };
+    // Only a backend method proves an ISA (see [`site_error`]).
+    let impls = if product && class.rel.starts_with(BLESSED_SIMD_DIR) {
+        impl_bodies(toks)
     } else {
         Vec::new()
     };
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident {
-            // `*` immediately before `const`/`mut` is a raw-pointer type
-            // (`*const T` / `*mut T`); a deref or multiplication is
-            // always followed by a non-keyword operand.
-            if t.text == "*"
-                && on(Rule::RawPointerOutsidePar, i)
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|n| n.is_ident && matches!(n.text.as_str(), "const" | "mut"))
-            {
-                push(
-                    Rule::RawPointerOutsidePar,
-                    t,
-                    format!(
-                        "raw-pointer type `*{}` outside `crates/tensor/src/par.rs` \
-                         and `crates/tensor/src/backend/`; product code passes \
-                         slices — lifetime-erased pointers are the worker pool's \
-                         and the SIMD microkernels' monopoly",
-                        toks[i + 1].text
-                    ),
-                );
-            }
             continue;
         }
         match t.text.as_str() {
@@ -1057,22 +1069,26 @@ pub fn check_file(file: &SourceFile) -> (Vec<Finding>, (u64, u64)) {
                 unsafe_sites.1 += 1;
                 let claim =
                     claim_comment(&lexed.comments, &mut claimed_safety, t.line, SAFETY_NEEDLES);
+                unsafe_sites.0 += u64::from(claim.is_some());
+                let product_site = product && !file.in_test(i);
                 let error = match claim {
+                    _ if product_site && !home => Some(
+                        "`unsafe` in product code outside `crates/tensor/src/par.rs` and \
+                         `crates/tensor/src/backend/`, whatever its SAFETY comment; \
+                         product code passes slices — raw pointers and intrinsics are \
+                         the worker pool's and the SIMD microkernels' monopoly"
+                            .to_string(),
+                    ),
                     None => Some(
                         "`unsafe` without its own `// SAFETY:` comment in the preceding \
                          lines (each unsafe block claims exactly one); document the \
                          invariant that makes this sound"
                             .to_string(),
                     ),
-                    Some(k) => {
-                        unsafe_sites.0 += 1;
-                        if parses_claims && !file.in_test(i) {
-                            let expected = expected_claim(toks, i, &tfs);
-                            claim_grammar_error(&lexed.comments[k].text, &expected)
-                        } else {
-                            None
-                        }
+                    Some(k) if product_site => {
+                        site_error(toks, i, &tfs, &impls, &lexed.comments[k].text)
                     }
+                    Some(_) => None,
                 };
                 if let Some(message) = error {
                     push(Rule::UnsafeWithoutSafetyComment, t, message);
@@ -1491,156 +1507,110 @@ pub fn check_seed_streams(files: &[SourceFile]) -> Vec<Finding> {
     findings
 }
 
-/// Collects `fn <name>` declarations between token indices `open..close`
-/// as (name, line, col).
-fn fn_names_in(toks: &[Token], open: usize, close: usize) -> Vec<(String, u32, u32)> {
+/// The `fn` items between token indices `open..close` (a trait body) as
+/// (name, line, col, has a default body).
+fn trait_methods(toks: &[Token], open: usize, close: usize) -> Vec<(String, u32, u32, bool)> {
     let mut out = Vec::new();
     let mut j = open;
     while j + 1 < close {
-        if toks[j].is_ident && toks[j].text == "fn" && toks[j + 1].is_ident {
-            out.push((toks[j + 1].text.clone(), toks[j + 1].line, toks[j + 1].col));
-            j += 2;
+        if !(toks[j].is_ident && toks[j].text == "fn" && toks[j + 1].is_ident) {
+            j += 1;
             continue;
         }
-        j += 1;
+        // A default body opens before the signature's depth-0 `;`
+        // (`-> [[f32; 4]; 4];` is still bodyless).
+        let end = stmt_end(toks, j).min(close);
+        let body = (j..end).find(|&k| !toks[k].is_ident && toks[k].text == "{");
+        let name = &toks[j + 1];
+        out.push((name.text.clone(), name.line, name.col, body.is_some()));
+        j = body.and_then(|b| matching_close(toks, b)).unwrap_or(end) + 1;
     }
     out
 }
 
-/// The workspace-level `backend-parity` pass: every method of the
-/// `CpuBackend` trait must be implemented by **every**
-/// `impl CpuBackend for <Type>` block in the trait's directory, and must
-/// appear (as a whole-word identifier) in each cross-backend coverage
-/// file (`backend_goldens.rs`, `proptests.rs`) present in the workspace.
-/// Adding a trait method without a scalar fallback or determinism tests
-/// therefore fails `--ci`. Trees without a `CpuBackend` trait are
-/// silently exempt (the fixture workspaces that predate the backend
-/// layer).
+/// The workspace-level `backend-parity` pass: no method of the
+/// `CpuBackend` trait may have a default body — without one, rustc's
+/// E0046 makes every `impl CpuBackend for …` implement every method —
+/// and every method must appear (as a whole-word identifier) in each
+/// cross-backend coverage file (`backend_goldens.rs`, `proptests.rs`) of
+/// the trait's crate. Adding a trait method that a backend may inherit,
+/// or one without determinism tests, therefore fails `--ci`. Trees
+/// without a `CpuBackend` trait are silently exempt (the fixture
+/// workspaces that predate the backend layer).
 pub fn check_backend_parity(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    // Pass 1: the trait declaration and its method roster.
-    let mut trait_at: Option<(String, String, String)> = None; // (rel, dir prefix, crate)
-    let mut methods: Vec<(String, u32, u32)> = Vec::new();
+    // Pass 1: the trait declaration and its methods.
+    let mut trait_at: Option<(String, String)> = None; // (rel, crate)
+    let mut methods = Vec::new();
     for file in files {
         let class = &file.class;
         if class.is_test_file || !class.in_crates {
             continue;
         }
         let toks = &file.lexed.tokens;
-        let mut i = 0;
-        while i + 1 < toks.len() {
-            if toks[i].is_ident
+        let Some(i) = (0..toks.len().saturating_sub(1)).find(|&i| {
+            toks[i].is_ident
                 && toks[i].text == "trait"
                 && toks[i + 1].is_ident
                 && toks[i + 1].text == "CpuBackend"
-            {
-                let mut open = i + 2;
-                while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
-                    open += 1;
-                }
-                let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
-                methods = fn_names_in(toks, open + 1, close);
-                let dir = class
-                    .rel
-                    .rsplit_once('/')
-                    .map(|(d, _)| format!("{d}/"))
-                    .unwrap_or_default();
-                trait_at = Some((class.rel.clone(), dir, class.crate_name.clone()));
-                break;
-            }
-            i += 1;
+        }) else {
+            continue;
+        };
+        let mut open = i + 2;
+        while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
+            open += 1;
         }
-        if trait_at.is_some() {
-            break;
-        }
+        let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
+        methods = trait_methods(toks, open + 1, close);
+        trait_at = Some((class.rel.clone(), class.crate_name.clone()));
+        break;
     }
-    let Some((trait_rel, dir, trait_crate)) = trait_at else {
+    let Some((trait_rel, trait_crate)) = trait_at else {
         return findings;
     };
-    // Pass 2: the impl blocks in the trait's directory and the coverage
-    // files' identifier sets.
-    let mut impls: Vec<(String, String, BTreeSet<String>)> = Vec::new();
-    let mut coverage: Vec<(String, BTreeSet<String>)> = Vec::new();
-    for file in files {
-        let class = &file.class;
-        // Coverage lives in the trait's own crate — other crates carry
-        // proptest modules of their own that say nothing about backends.
-        let is_cov = class.crate_name == trait_crate
-            && (class.rel.ends_with("tests/backend_goldens.rs")
-                || class.rel.ends_with("src/proptests.rs"));
-        if is_cov {
-            let idents = file
-                .lexed
-                .tokens
-                .iter()
-                .filter(|t| t.is_ident)
-                .map(|t| t.text.clone())
-                .collect();
-            coverage.push((class.rel.clone(), idents));
-            continue;
-        }
-        if class.is_test_file || !class.rel.starts_with(&dir) {
-            continue;
-        }
-        let toks = &file.lexed.tokens;
-        let mut i = 0;
-        while i + 3 < toks.len() {
-            if !(toks[i].is_ident
-                && toks[i].text == "impl"
-                && toks[i + 1].is_ident
-                && toks[i + 1].text == "CpuBackend"
-                && toks[i + 2].is_ident
-                && toks[i + 2].text == "for"
-                && toks[i + 3].is_ident)
-            {
-                i += 1;
-                continue;
-            }
-            let ty = toks[i + 3].text.clone();
-            let mut open = i + 4;
-            while open < toks.len() && (toks[open].is_ident || toks[open].text != "{") {
-                open += 1;
-            }
-            let close = matching_close(toks, open).unwrap_or(toks.len() - 1);
-            let names = fn_names_in(toks, open + 1, close)
-                .into_iter()
-                .map(|(n, _, _)| n)
-                .collect();
-            impls.push((class.rel.clone(), ty, names));
-            i = close;
-        }
-    }
+    // Pass 2: the coverage files' identifier sets. Coverage lives in the
+    // trait's own crate — other crates carry proptest modules of their
+    // own that say nothing about backends.
+    let mut coverage: Vec<(String, BTreeSet<String>)> = files
+        .iter()
+        .filter(|f| {
+            f.class.crate_name == trait_crate
+                && (f.class.rel.ends_with("tests/backend_goldens.rs")
+                    || f.class.rel.ends_with("src/proptests.rs"))
+        })
+        .map(|f| {
+            let idents = f.lexed.tokens.iter().filter(|t| t.is_ident);
+            (
+                f.class.rel.clone(),
+                idents.map(|t| t.text.clone()).collect(),
+            )
+        })
+        .collect();
     coverage.sort();
-    for (name, line, col) in &methods {
-        for (file, ty, names) in &impls {
-            if !names.contains(name) {
-                findings.push(Finding {
-                    rule: Rule::BackendParity,
-                    file: trait_rel.clone(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "`CpuBackend::{name}` has no implementation in \
-                         `impl CpuBackend for {ty}` (`{file}`); every backend \
-                         implements every kernel entry so dispatch can never \
-                         fall through"
-                    ),
-                });
-            }
+    for (name, line, col, has_body) in &methods {
+        let mut push = |message: String| {
+            findings.push(Finding {
+                rule: Rule::BackendParity,
+                file: trait_rel.clone(),
+                line: *line,
+                col: *col,
+                message,
+            })
+        };
+        if *has_body {
+            push(format!(
+                "`CpuBackend::{name}` has a default body, so a backend can inherit it \
+                 instead of implementing it; declare it bodyless so rustc (E0046) \
+                 requires every backend to implement every kernel entry"
+            ));
         }
         for (file, idents) in &coverage {
             if !idents.contains(name) {
-                findings.push(Finding {
-                    rule: Rule::BackendParity,
-                    file: trait_rel.clone(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "`CpuBackend::{name}` never appears in the cross-backend \
-                         coverage file `{file}`; add it to the bitwise parity \
-                         tests so backend divergence is caught"
-                    ),
-                });
+                push(format!(
+                    "`CpuBackend::{name}` never appears in the cross-backend \
+                     coverage file `{file}`; add it to the bitwise parity \
+                     tests so backend divergence is caught"
+                ));
             }
         }
     }
@@ -1672,10 +1642,11 @@ pub fn explain(name: &str) -> Option<&'static str> {
         }
         "unsafe-without-safety-comment" => {
             "Every `unsafe` (tests included) carries its own SAFETY comment \
-             within the 5 lines above it, and no two sites share one. In the \
-             non-test code of crates/tensor/src/backend/ and par.rs the \
-             comment must also parse under the claim grammar and match its \
-             site:\n\
+             within the 5 lines above it, and no two sites share one. In \
+             non-test crates/ code, `unsafe` appears only in \
+             crates/tensor/src/backend/ and par.rs, whatever its comment: \
+             everything else passes slices. There the comment must also parse \
+             under the claim grammar and match its site:\n\
              // SAFETY(bound: q*8 + 8 <= a.len()): pointer arithmetic stays \
              in bounds (required inside #[target_feature] kernels and at \
              raw-pointer sites);\n\
@@ -1683,16 +1654,17 @@ pub fn explain(name: &str) -> Option<&'static str> {
              features before handing this backend out (required on blocks \
              calling #[target_feature] fns);\n\
              // SAFETY(sync: JobRef): why the type is sound to send/share \
-             (required on `unsafe impl Send/Sync`)."
+             (required on `unsafe impl Send/Sync`).\n\
+             A block calling a #[target_feature] fn whose features the \
+             enclosing fn does not enable must sit in an `impl` block in \
+             crates/tensor/src/backend/: rustc (E0133) only demands `unsafe` \
+             there, and only a backend method is reachable solely after \
+             `is_x86_feature_detected!` (backend::active())."
         }
         "thread-spawn-outside-par" => {
             "Thread creation is the worker pool's monopoly \
              (crates/tensor/src/par.rs); ad-hoc spawns bypass the thread budget \
              and the fixed-block determinism argument."
-        }
-        "raw-pointer-outside-par" => {
-            "Raw-pointer types are confined to the worker pool and the SIMD \
-             backend dir; product code everywhere else passes slices."
         }
         "alloc-on-hot-path" => {
             "No heap allocation is reachable from the kernel entry set: the \
@@ -1739,21 +1711,12 @@ pub fn explain(name: &str) -> Option<&'static str> {
             "Counted debt: todo!/unimplemented! in non-test code — tracked so \
              stubs cannot silently accumulate."
         }
-        "target-feature-call-unguarded" => {
-            "Every call edge into an `#[target_feature(enable = …)]` fn must \
-             prove the ISA available: the caller either declares a superset of \
-             the callee's features, or is a dispatcher method in \
-             crates/tensor/src/backend/ whose instances exist only after \
-             `is_x86_feature_detected!` succeeds (backend::active()). Any \
-             other edge could execute illegal instructions on an unsupporting \
-             host. Remedy: route the call through backend::active()."
-        }
         "backend-parity" => {
-            "Every CpuBackend trait method must be implemented by every \
-             backend impl in crates/tensor/src/backend/ AND appear in the \
-             cross-backend coverage (backend_goldens.rs, proptests.rs). A new \
-             kernel entry without a scalar fallback and determinism tests \
-             fails --ci."
+            "No CpuBackend trait method may have a default body, so rustc \
+             (E0046) makes every backend impl implement every method; and \
+             every method must appear in the cross-backend coverage \
+             (backend_goldens.rs, proptests.rs). A kernel entry a backend can \
+             inherit, or one without determinism tests, fails --ci."
         }
         _ => return None,
     })
@@ -1851,7 +1814,7 @@ mod tests {
     #[test]
     fn unsafe_requires_safety_comment() {
         // Snippets live at a compat path: the presence rule applies
-        // everywhere, but neither the raw-pointer confinement nor the
+        // everywhere, but neither the unsafe confinement nor the
         // blessed-dir claim grammar interferes there.
         let bad = "fn f(p: *const u8) { unsafe { p.read() }; }";
         assert_eq!(
@@ -1907,20 +1870,31 @@ mod tests {
     }
 
     #[test]
-    fn raw_pointer_types_confined_to_par() {
-        let ty = "fn f(p: *const f32, q: *mut f32) {}";
-        assert_eq!(
-            run("crates/tensor/src/matmul.rs", ty),
-            ["raw-pointer-outside-par", "raw-pointer-outside-par"]
-        );
-        assert!(run("crates/tensor/src/par.rs", ty).is_empty());
-        // Multiplication and deref are not raw-pointer types.
-        assert!(run("crates/tensor/src/matmul.rs", "let y = a * b; let z = *r;").is_empty());
-        // Test files (e.g. the alloc_guard allocator) are exempt.
-        assert!(run("crates/tensor/tests/alloc_guard.rs", ty).is_empty());
+    fn unsafe_confined_to_blessed_homes() {
+        // Outside the blessed homes, product-code `unsafe` is a finding
+        // whatever its comment; a raw-pointer type alone is not.
+        let read = "// SAFETY: p is valid per the caller contract.\n\
+                    fn f(p: *const f32) -> f32 { unsafe { *p } }";
+        let hits = run("crates/tensor/src/matmul.rs", read);
+        assert_eq!(hits, ["unsafe-without-safety-comment"]);
+        assert!(check_file(&file("crates/tensor/src/matmul.rs", read)).0[0]
+            .message
+            .contains("whatever its SAFETY comment"));
+        assert!(run(
+            "crates/tensor/src/matmul.rs",
+            "fn f(p: *const f32, q: *mut f32) {}"
+        )
+        .is_empty());
+        // The blessed homes take it with a grammar claim.
+        let claimed = read.replace("SAFETY:", "SAFETY(bound: p valid for 1 read):");
+        assert!(run("crates/tensor/src/par.rs", &claimed).is_empty());
+        assert!(run("crates/tensor/src/backend/avx2.rs", &claimed).is_empty());
+        // Test files (e.g. the alloc_guard allocator) and test modules
+        // need only the comment.
+        assert!(run("crates/tensor/tests/alloc_guard.rs", read).is_empty());
         assert!(run(
             "crates/nn/src/conv.rs",
-            "#[cfg(test)]\nmod tests { fn t(p: *const u8) {} }"
+            &format!("#[cfg(test)]\nmod tests {{\n{read}\n}}")
         )
         .is_empty());
     }
@@ -2054,10 +2028,7 @@ mod tests {
         let unsafe_hit = vec!["unsafe-without-safety-comment".to_string()];
         assert_eq!(run("crates/tensor/src/par.rs", free), unsafe_hit);
         assert_eq!(run("crates/tensor/src/backend/avx9.rs", free), unsafe_hit);
-        assert_eq!(
-            run("crates/nn/src/lib.rs", free),
-            ["raw-pointer-outside-par"]
-        );
+        assert!(run("compat/simd/src/lib.rs", free).is_empty());
         assert!(run("crates/tensor/tests/backend.rs", free).is_empty());
         let gated = format!("#[cfg(test)]\nmod tests {{\n{free}\n}}");
         assert!(run("crates/tensor/src/par.rs", &gated).is_empty());
@@ -2094,14 +2065,67 @@ mod tests {
         // claim every feature the callee enables.
         let disp = "#[target_feature(enable = \"avx2,fma\")]\n\
                     fn dot(a: &[f32]) -> f32 { 0.0 }\n\
+                    impl CpuBackend for Avx2 {\n\
                     fn entry(a: &[f32]) -> f32 {\n\
                         // SAFETY(feature: avx2): fma missing.\n\
                         unsafe { dot(a) }\n\
+                    }\n\
                     }";
-        let hits = run("crates/tensor/src/backend/avx2.rs", disp);
-        assert_eq!(hits, ["unsafe-without-safety-comment"], "{hits:?}");
+        let hits = check_file(&file("crates/tensor/src/backend/avx2.rs", disp)).0;
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("omits `fma`"), "{hits:?}");
         let disp_ok = disp.replace("feature: avx2)", "feature: avx2,fma)");
         assert!(run("crates/tensor/src/backend/avx2.rs", &disp_ok).is_empty());
+    }
+
+    #[test]
+    fn target_feature_calls_need_a_backend_method_or_a_feature_superset() {
+        let kernels = "#[target_feature(enable = \"avx2\")]\n\
+                       fn hsum(a: &[f32]) -> f32 { 0.0 }\n\
+                       #[target_feature(enable = \"avx2,fma\")]\n\
+                       fn fast_dot(a: &[f32]) -> f32 { 0.0 }\n";
+        let avx2 = |caller: &str| -> Vec<String> {
+            let src = format!("{kernels}{caller}");
+            let hits = check_file(&file("crates/tensor/src/backend/avx2.rs", &src)).0;
+            hits.into_iter().map(|f| f.message).collect()
+        };
+        let unproven = |msgs: Vec<String>, feats: &str| {
+            msgs.len() == 1 && msgs[0].contains(&format!("needing {feats}, which"))
+        };
+        // A free fn proves no ISA: flagged even with a feature claim.
+        let free = "pub fn wrapper(a: &[f32]) -> f32 {\n\
+                    // SAFETY(feature: avx2,fma): claimed, never detection-proven.\n\
+                    unsafe { fast_dot(a) }\n}";
+        assert!(unproven(avx2(free), "`avx2`, `fma`"));
+        // `impl Trait` in a signature opens no impl block.
+        let ret = free.replace("-> f32 {", "-> impl Copy {");
+        assert!(unproven(avx2(&ret), "`avx2`, `fma`"));
+        // The same call in an `impl CpuBackend` method is detection-proven.
+        let method = "impl CpuBackend for Avx2 {\n\
+                      fn dot(&self, a: &[f32]) -> f32 {\n\
+                      // SAFETY(feature: avx2,fma): detected before dispatch.\n\
+                      unsafe { fast_dot(a) }\n}\n}";
+        assert!(avx2(method).is_empty());
+        // A tf fn with a feature superset proves its callee's ISA; a plain
+        // helper or a subset caller in the same kernel file does not.
+        let superset = "#[target_feature(enable = \"avx2,fma\")]\n\
+                        fn dotk(a: &[f32]) -> f32 {\n\
+                        // SAFETY(bound: a is only passed on): no pointer use.\n\
+                        unsafe { hsum(a) }\n}";
+        assert!(avx2(superset).is_empty());
+        let helper = "fn helper(a: &[f32]) -> f32 {\n\
+                      // SAFETY(feature: avx2): claimed, never detection-proven.\n\
+                      unsafe { hsum(a) }\n}";
+        assert!(unproven(avx2(helper), "`avx2`"));
+        let subset = superset
+            .replace("avx2,fma", "avx2")
+            .replace("hsum(a)", "fast_dot(a)");
+        assert!(unproven(avx2(&subset), "`fma`"));
+        // An `impl` outside the backend dir proves nothing.
+        assert_eq!(
+            run("crates/tensor/src/par.rs", &format!("{kernels}{method}")),
+            ["unsafe-without-safety-comment"]
+        );
     }
 
     #[test]
@@ -2147,36 +2171,26 @@ mod tests {
     }
 
     #[test]
-    fn backend_parity_requires_every_impl_and_coverage() {
+    fn backend_parity_rejects_default_bodies_and_requires_coverage() {
         let trait_src = "pub trait CpuBackend: Send + Sync {\n\
                          fn name(&self) -> &'static str;\n\
-                         fn dot(&self, a: &[f32]) -> f32;\n\
+                         fn block(&self) -> [[f32; 4]; 4];\n\
+                         fn dot(&self, a: &[f32]) -> f32 { 0.0 }\n\
                          }";
-        let scalar = "impl CpuBackend for Scalar {\n\
-                      fn name(&self) -> &'static str { \"scalar\" }\n\
-                      fn dot(&self, a: &[f32]) -> f32 { 0.0 }\n\
-                      }";
-        let avx2_missing_dot = "impl CpuBackend for Avx2 {\n\
-                                fn name(&self) -> &'static str { \"avx2\" }\n\
-                                }";
-        let msgs = parity_run(&[
-            ("crates/tensor/src/backend/mod.rs", trait_src),
-            ("crates/tensor/src/backend/scalar.rs", scalar),
-            ("crates/tensor/src/backend/avx2.rs", avx2_missing_dot),
-        ]);
+        let msgs = parity_run(&[("crates/tensor/src/backend/mod.rs", trait_src)]);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("CpuBackend::dot") && msgs[0].contains("Avx2"));
+        assert!(msgs[0].contains("CpuBackend::dot") && msgs[0].contains("default body"));
         // Coverage files must mention every method.
+        let bodyless = trait_src.replace("f32 { 0.0 }", "f32;");
         let msgs = parity_run(&[
-            ("crates/tensor/src/backend/mod.rs", trait_src),
-            ("crates/tensor/src/backend/scalar.rs", scalar),
+            ("crates/tensor/src/backend/mod.rs", &bodyless),
             (
                 "crates/tensor/tests/backend_goldens.rs",
-                "fn golden() { b.dot(&a); }",
+                "fn golden() { b.block(); b.dot(&a); }",
             ),
             (
                 "crates/tensor/src/proptests.rs",
-                "fn prop() { b.name(); b.dot(&a); }",
+                "fn prop() { b.name(); b.block(); b.dot(&a); }",
             ),
         ]);
         assert_eq!(msgs.len(), 1, "{msgs:?}");

@@ -1,6 +1,6 @@
-//! Deliberately bad fixture for `target-feature-call-unguarded`: a free
+//! Deliberately bad fixture for the unsafe rule's ISA check: a free
 //! function calls an avx512f-gated kernel without proving the ISA (it is
-//! neither `#[target_feature]` itself nor a blessed backend method), so
+//! neither `#[target_feature]` itself nor a backend `impl` method), so
 //! executing it on a host without AVX-512 would be undefined behavior.
 //! Never compiled — only scanned.
 
@@ -14,7 +14,7 @@ fn wide_dot(a: &[f32], b: &[f32]) -> f32 {
 
 pub fn fast_dot(a: &[f32], b: &[f32]) -> f32 {
     // SAFETY(feature: avx512f): claimed, but this call site never ran
-    // feature detection — the ISA-safety pass must reject it.
+    // feature detection — the ISA check must reject it.
     unsafe { wide_dot(a, b) }
 }
 

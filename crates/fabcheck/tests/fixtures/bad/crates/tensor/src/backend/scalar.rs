@@ -1,5 +1,5 @@
-//! Deliberately bad fixture: this backend skips `CpuBackend::axpy`, so
-//! `backend-parity` flags the roster gap (anchored at the trait
+//! Deliberately bad fixture: this backend inherits `CpuBackend::axpy`'s
+//! default body, which `backend-parity` flags (anchored at the trait
 //! declaration in mod.rs). Never compiled — only scanned.
 
 use super::CpuBackend;

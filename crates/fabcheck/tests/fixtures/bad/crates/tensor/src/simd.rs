@@ -1,7 +1,7 @@
 //! Deliberately bad fixture: SIMD-style raw-pointer code outside the
 //! blessed `crates/tensor/src/backend/` home. The backend-dir blessing
-//! must not leak — lifetime-erased pointers anywhere else in product
-//! code still fail `--ci`, even with a dutiful SAFETY comment.
+//! must not leak — `unsafe` anywhere else in product code still fails
+//! `--ci`, even with a dutiful SAFETY comment.
 
 pub fn stray_lane_load(v: &[f32]) -> f32 {
     let p: *const f32 = v.as_ptr();

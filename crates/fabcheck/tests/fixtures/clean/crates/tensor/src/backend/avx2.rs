@@ -1,7 +1,7 @@
 //! Clean fixture: raw pointers inside the blessed SIMD backend dir
 //! (`BLESSED_SIMD_DIR`) with a per-site machine-parsed SAFETY claim —
-//! silent under `raw-pointer-outside-par` and
-//! `unsafe-without-safety-comment` (claim grammar included).
+//! silent under `unsafe-without-safety-comment` (confinement and claim
+//! grammar included).
 
 pub fn lane_sum(v: &[f32]) -> f32 {
     let p: *const f32 = v.as_ptr();

@@ -1,6 +1,7 @@
 //! Clean fixture: needle-shaped content in every position the lexer must
 //! see through — comments, strings, char literals, raw strings, test
-//! modules — plus a properly documented unsafe block. fabcheck must report
+//! modules — plus a properly documented unsafe block in test code (product
+//! code outside `par.rs` and `backend/` has none). fabcheck must report
 //! nothing here.
 
 /* block comment bait: HashMap /* nested: thread_rng */ Instant */
@@ -14,12 +15,10 @@ pub fn lexer_bait() -> &'static str {
     "SystemTime Instant OsRng *const bait"
 }
 
-/// Slice-based (no raw pointers — those are `par.rs`'s monopoly) with one
-/// unsafe block claiming one SAFETY comment.
+/// Slice-based: raw pointers and `unsafe` are the worker pool's and the
+/// SIMD backends' monopoly.
 pub fn first(v: &[f32]) -> f32 {
-    assert!(!v.is_empty(), "first: empty slice");
-    // SAFETY: the assert above guarantees index 0 is in bounds.
-    unsafe { *v.get_unchecked(0) }
+    v.first().copied().unwrap_or(0.0)
 }
 
 /// `Instantiates` must not whole-ident-match `Instant`; `unwrap_or` must
@@ -37,5 +36,12 @@ mod tests {
         let mut m: HashMap<u32, u32> = HashMap::new();
         m.insert(1, 2);
         assert_eq!(m.get(&1).copied().unwrap(), 2);
+    }
+
+    #[test]
+    fn test_code_may_use_documented_unsafe() {
+        let v = [1.0f32];
+        // SAFETY: `v` has one element, so index 0 is in bounds.
+        assert_eq!(unsafe { *v.get_unchecked(0) }, super::first(&v));
     }
 }

@@ -59,13 +59,11 @@ fn bad_fixture_reports_every_forbidden_rule() {
         "env-var-outside-config",
         "unsafe-without-safety-comment",
         "thread-spawn-outside-par",
-        "raw-pointer-outside-par",
         "alloc-on-hot-path",
         "seed-stream-registry",
         "unordered-float-reduction",
         "io-on-hot-path",
         "unclaimed-raw-span",
-        "target-feature-call-unguarded",
         "backend-parity",
     ] {
         assert!(fired.contains(&rule), "missing {rule} in {fired:?}");
@@ -111,9 +109,10 @@ fn bad_fixture_reports_every_forbidden_rule() {
         "{:?}",
         report.findings
     );
-    // Findings carry exact positions: the undocumented unsafe block
-    // (kernel.rs:12) and the free-text or wrong-kind SAFETY claims in the
-    // blessed regions, each at its `unsafe` token.
+    // Findings carry exact positions, each at its `unsafe` token: the
+    // free-text or wrong-kind SAFETY claims in the blessed regions, the
+    // unproven avx512f call (avx512.rs:18), and the unsafe blocks outside
+    // the blessed homes, documented (simd.rs:10) or not (kernel.rs:12).
     let unsafe_sites: Vec<(&str, u32)> = report
         .findings
         .iter()
@@ -125,9 +124,11 @@ fn bad_fixture_reports_every_forbidden_rule() {
         [
             ("crates/tensor/src/backend/avx2.rs", 15),
             ("crates/tensor/src/backend/avx2.rs", 35),
+            ("crates/tensor/src/backend/avx512.rs", 18),
             ("crates/tensor/src/kernel.rs", 12),
             ("crates/tensor/src/par.rs", 11),
             ("crates/tensor/src/par.rs", 15),
+            ("crates/tensor/src/simd.rs", 10),
         ]
     );
 }
@@ -218,7 +219,7 @@ fn corrupting_a_clean_tree_flips_exit_to_nonzero() {
 
 /// Acceptance pin: planting a call to a `#[target_feature]` kernel from
 /// an ordinary function in a clean tree flips `--ci` to failure via the
-/// ISA-safety pass.
+/// unsafe rule's ISA check, feature claim notwithstanding.
 #[test]
 fn unguarded_target_feature_call_flips_ci() {
     let dir = copy_fixture("clean", "tfcall");
@@ -237,8 +238,11 @@ fn unguarded_target_feature_call_flips_ci() {
     std::fs::write(&target, src).expect("write fixture");
     let (code, stdout, _) = run_binary(&["--ci", "--root", root]);
     assert_eq!(code, 1, "stdout: {stdout}");
-    assert!(stdout.contains("target-feature-call-unguarded"), "{stdout}");
-    assert!(stdout.contains("avx512f"), "{stdout}");
+    assert!(
+        stdout.contains("error[fabcheck::unsafe-without-safety-comment]"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("needing `avx512f`"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -270,16 +274,17 @@ fn unprovable_span_claim_flips_ci() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance pin: removing a backend's implementation of a trait method
-/// in a clean tree is caught by `backend-parity` — the bad fixture's
-/// `Scalar` impl already skips `axpy`, checked end to end here.
+/// Acceptance pin: a `CpuBackend` method with a default body, which lets
+/// a backend skip it without rustc's E0046, is caught by `backend-parity`
+/// — the bad fixture's `Scalar` impl inherits `axpy`'s, checked end to
+/// end here.
 #[test]
-fn backend_parity_gap_fails_ci_with_exact_anchor() {
+fn backend_default_body_fails_ci_with_exact_anchor() {
     let bad = fixture("bad");
     let (code, stdout, _) = run_binary(&["--ci", "--root", bad.to_str().expect("utf8 path")]);
     assert_eq!(code, 1);
     assert!(
-        stdout.contains("`CpuBackend::axpy` has no implementation"),
+        stdout.contains("`CpuBackend::axpy` has a default body"),
         "{stdout}"
     );
     assert!(
@@ -487,10 +492,11 @@ fn real_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// The cross-crate edge, pinned: the `--json` callgraph proves the
-/// `aggregation::krum::krum_scores_blocked_into` entry reaches
-/// `tensor::scratch::scratch_f32`, which is not itself an entry — the
-/// chain a per-crate graph could not see.
+/// The cross-crate edge, pinned: the `--json` callgraph proves an
+/// aggregation entry reaches `tensor::scratch::scratch_f32`, which is not
+/// itself an entry — the chain a per-crate graph could not see. The
+/// shortest route starts at `aggregation::foolsgold::foolsgold_weights`,
+/// the first aggregation entry in the BFS's name order.
 #[test]
 fn cross_crate_hot_chain_appears_in_json_callgraph() {
     let root = real_root().to_str().expect("utf8 path");
@@ -526,7 +532,7 @@ fn cross_crate_hot_chain_appears_in_json_callgraph() {
     assert_eq!(
         names(field(record, "via").expect("via chain")),
         [
-            "aggregation::krum::krum_scores_blocked_into",
+            "aggregation::foolsgold::foolsgold_weights",
             "tensor::scratch::scratch_f32"
         ],
         "route must run from the aggregation entry"
@@ -576,8 +582,7 @@ fn vec_in_scratch_f32_flips_ci_from_aggregation_entry() {
     assert_eq!(code, 1, "planted alloc must fail CI: {stdout}");
     assert!(stdout.contains("alloc-on-hot-path"), "{stdout}");
     assert!(
-        stdout
-            .contains("aggregation::krum::krum_scores_blocked_into → tensor::scratch::scratch_f32"),
+        stdout.contains("aggregation::foolsgold::foolsgold_weights → tensor::scratch::scratch_f32"),
         "route must start at an aggregation entry: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -610,6 +615,36 @@ fn vec_in_l2_norm_delta_flips_ci() {
     );
     assert!(
         stdout.contains("--> crates/tensor/src/vecops.rs:"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FoolsGold's weight pass is a hot entry: its O(n) per-close buffers are
+/// escaped, so a `Vec::new()` planted in a tile loop flips `--ci`.
+#[test]
+fn vec_in_foolsgold_tile_loop_flips_ci() {
+    let dir = copy_real_tree("foolsgold");
+    let target = dir.join("crates/aggregation/src/foolsgold.rs");
+    let text = std::fs::read_to_string(&target).expect("read foolsgold.rs");
+    let needle = "            vecops::pairwise_tile_into(row_lo, col_lo, cols, d, t, entry);\n";
+    let planted = text.replacen(
+        needle,
+        &format!("{needle}            let _grow: Vec<f32> = Vec::new();\n"),
+        1,
+    );
+    assert_ne!(
+        planted, text,
+        "the FoolsGold tile loop moved; update the test"
+    );
+    std::fs::write(&target, planted).expect("write foolsgold.rs");
+
+    let (code, stdout, _) = run_binary(&["--ci", "--root", dir.to_str().expect("utf8 path")]);
+    assert_eq!(code, 1, "planted alloc must fail CI: {stdout}");
+    assert!(
+        stdout.contains(
+            "`Vec::new` allocates on the hot path (aggregation::foolsgold::foolsgold_weights)"
+        ),
         "{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -61,18 +61,19 @@
 //!
 //! # fabcheck blessing
 //!
-//! `crates/tensor/src/backend/` is the one blessed home for SIMD
-//! intrinsics and raw-pointer loads in product code
-//! (`raw-pointer-outside-par`); every `unsafe` block carries a
-//! machine-parsed `// SAFETY(bound: …)` / `// SAFETY(feature: …)` claim
-//! naming the bounds or ISA invariant it relies on — presence, the claim
-//! grammar and claim *kind* are enforced by
-//! `unsafe-without-safety-comment`, and calls into `#[target_feature]`
-//! kernels by `target-feature-call-unguarded` (only detection-proven call
-//! sites, i.e. these backend methods, may enter them). `backend-parity` checks
-//! that every [`CpuBackend`] method is implemented by all three backends
-//! and exercised by the cross-backend goldens/proptests. This file is
-//! additionally blessed for `env-var-outside-config` (the single
+//! `crates/tensor/src/backend/` is, with `par.rs`, the one blessed home
+//! for `unsafe` in product code — SIMD intrinsics and raw-pointer loads.
+//! Every `unsafe` block carries a machine-parsed `// SAFETY(bound: …)` /
+//! `// SAFETY(feature: …)` claim naming the bounds or ISA invariant it
+//! relies on. `unsafe-without-safety-comment` enforces the confinement,
+//! the claim's presence, grammar and *kind*, and that a call into a
+//! `#[target_feature]` kernel whose features the caller does not enable
+//! sits in a backend `impl` method (the only detection-proven call
+//! sites; rustc's E0133 only demands `unsafe` there). `backend-parity`
+//! checks that no [`CpuBackend`] method has a default body, so rustc's
+//! E0046 makes all three backends implement every method, and that every
+//! method is exercised by the cross-backend goldens/proptests. This file
+//! is additionally blessed for `env-var-outside-config` (the single
 //! `FABFLIP_BACKEND` read below).
 
 use std::sync::atomic::{AtomicU8, Ordering};

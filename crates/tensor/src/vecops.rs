@@ -94,16 +94,23 @@ pub fn sq_distance(a: &[f32], b: &[f32]) -> f32 {
 /// identical to `dot(&sub(a, r), &sub(b, r))` (it runs [`dot`]'s
 /// accumulation structure on the on-the-fly deltas), but O(1) resident.
 /// The per-entry kernel of the tiled FoolsGold cosine pass.
+///
+/// # Panics
+///
+/// Panics if `b` or `r` differs in length from `a`.
 pub fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_delta: length mismatch");
-    debug_assert_eq!(a.len(), r.len(), "dot_delta: reference length mismatch");
+    check_lengths(&[b, r], a.len(), "dot_delta");
     backend::active().dot_delta(a, b, r)
 }
 
 /// `‖a − r‖₂`, `dot_delta(a, a, r).sqrt()` without materializing the
 /// delta — bitwise identical to `l2_norm(&sub(a, r))`.
+///
+/// # Panics
+///
+/// Panics if `r` differs in length from `a`.
 pub fn l2_norm_delta(a: &[f32], r: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), r.len(), "l2_norm_delta: length mismatch");
+    check_lengths(&[r], a.len(), "l2_norm_delta");
     backend::active().dot_delta(a, a, r).sqrt()
 }
 
@@ -718,6 +725,24 @@ mod tests {
         assert_eq!(l2_norm(&[3.0, 4.0]), 5.0);
         assert_eq!(sq_distance(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(l2_distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_delta: length mismatch")]
+    fn dot_delta_rejects_a_mis_sized_b() {
+        let _ = dot_delta(&[1.0; 4096], &[1.0; 16], &[0.0; 4096]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_delta: length mismatch")]
+    fn dot_delta_rejects_a_mis_sized_r() {
+        let _ = dot_delta(&[1.0; 4096], &[1.0; 4096], &[0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "l2_norm_delta: length mismatch")]
+    fn l2_norm_delta_rejects_a_mis_sized_r() {
+        let _ = l2_norm_delta(&[1.0; 4096], &[0.0; 16]);
     }
 
     #[test]
