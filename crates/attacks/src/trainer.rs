@@ -115,7 +115,7 @@ pub fn train_adversarial_classifier(
             model.zero_grads();
             let logits = model.forward(&x)?;
             let (_, grad) = softmax_cross_entropy_hard(&logits, &y)?;
-            model.backward(&grad)?;
+            model.backward_params(&grad)?;
             let w = model.flat_params();
             if let Some(g) = reg.gradient(&w, global, prev_global) {
                 model.add_to_grads(&g)?;

@@ -91,7 +91,7 @@ impl ZkaG {
                 // Maximize CE(pred, Ỹ) ⇔ minimize its negation.
                 let (neg_loss, grad) = softmax_cross_entropy_hard_negated(&logits, &labels)?;
                 let grad_imgs = global_model.backward(&grad)?;
-                gen.backward(&grad_imgs)?;
+                gen.backward_params(&grad_imgs)?;
                 gen.sgd_step(self.cfg.gen_lr);
                 trace.push(-neg_loss); // report the (maximized) positive CE
             }

@@ -97,7 +97,7 @@ impl ZkaR {
                     // Backprop through the frozen global model into the
                     // image, then into the filter; only the filter steps.
                     let grad_b = global_model.backward(&grad)?;
-                    filter.backward(&grad_b)?;
+                    filter.backward_params(&grad_b)?;
                     filter.sgd_step(self.cfg.gen_lr);
                     *slot += loss;
                 }

@@ -103,11 +103,19 @@ pub const HOT_ENTRIES: &[&str] = &[
     // FoolsGold's weight pass: every FoolsGold close runs its two tile
     // sweeps over all n² update pairs.
     "aggregation::foolsgold::foolsgold_weights",
-    // Layer forward/backward over im2col + GEMM.
+    // Layer forward/backward over im2col + GEMM; `backward_params` is the
+    // first layer's backward in every local training step.
     "nn::conv::Conv2d::forward",
     "nn::conv::Conv2d::backward",
+    "nn::conv::Conv2d::backward_params",
     "nn::conv_transpose::ConvTranspose2d::forward",
     "nn::conv_transpose::ConvTranspose2d::backward",
+    // The element-wise and pooling layers between the convolutions, which
+    // touch every activation of every local training step.
+    "nn::activations::Relu::forward",
+    "nn::activations::Relu::backward",
+    "nn::pool::MaxPool2d::forward",
+    "nn::pool::MaxPool2d::backward",
 ];
 
 /// Method names that allocate (or amortize allocation) on `std`

@@ -4,7 +4,7 @@ use fabflip_agg::DefenseKind;
 use fabflip_data::SynthSpec;
 use fabflip_nn::{models, Sequential};
 use fabflip_tensor::quant::Codec;
-use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which of the paper's two image tasks to simulate.
@@ -26,7 +26,7 @@ impl TaskKind {
     }
 
     /// Builds the task's classifier architecture.
-    pub fn build_model(&self, rng: &mut StdRng) -> Sequential {
+    pub fn build_model<R: Rng + ?Sized>(&self, rng: &mut R) -> Sequential {
         match self {
             TaskKind::Fashion => models::fashion_cnn(rng),
             TaskKind::Cifar => models::cifar_cnn(rng),
@@ -401,7 +401,7 @@ mod tests {
         assert_eq!(TaskKind::Fashion.spec().channels, 1);
         assert_eq!(TaskKind::Cifar.spec().channels, 3);
         assert_eq!(TaskKind::Fashion.label(), "Fashion-MNIST");
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
         let mut m = TaskKind::Fashion.build_model(&mut rng);
         assert!(m.num_params() > 1000);
     }

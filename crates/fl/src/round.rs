@@ -14,7 +14,7 @@
 
 use crate::faults::{streams, sub_seed, ClientFault};
 use crate::metrics::RoundRecord;
-use crate::{FlConfig, FlError};
+use crate::{FlConfig, FlError, TaskKind};
 use fabflip_agg::{AggError, Defense, Selection};
 use fabflip_attacks::{Attack, AttackContext, AttackError, TaskInfo};
 use fabflip_data::{dirichlet_partition, Dataset};
@@ -22,7 +22,7 @@ use fabflip_nn::losses::{accuracy, softmax_cross_entropy_hard};
 use fabflip_nn::Sequential;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::{Mutex, PoisonError};
 
 /// Fixed task seed: all runs (clean baseline and attacked) share the same
@@ -63,17 +63,72 @@ pub fn evaluate_model(
     Ok(correct_weighted / n as f32)
 }
 
+/// A [`RngCore`] that counts the draws taken through it.
+struct CountingRng<R> {
+    inner: R,
+    draws: u64,
+}
+
+impl<R: RngCore> RngCore for CountingRng<R> {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.inner.next_u64()
+    }
+}
+
+/// The task's client model, built once per fleet (DESIGN.md §4b).
+///
+/// A benign client starts from `cfg.task.build_model(crng)` and
+/// `set_flat_params(global)`, which overwrites every sampled weight. The
+/// He-normal draws still advance `crng`, whose later draws shuffle the
+/// client's batches. So a client clones this template and advances `crng`
+/// by the init's draw count instead: the same model and the same stream,
+/// without sampling weights it throws away.
+pub(crate) struct ClientModel {
+    /// Never run forward, so its layers' grow-only buffers stay empty and
+    /// each clone copies only parameters.
+    template: Sequential,
+    /// `next_u64` draws one `build_model` takes (data-independent).
+    init_draws: u64,
+}
+
+impl ClientModel {
+    fn new(task: TaskKind, seed: u64) -> ClientModel {
+        // Only the count is used: set_flat_params overwrites the values.
+        let mut rng = CountingRng {
+            inner: StdRng::seed_from_u64(sub_seed(seed, streams::MODEL_INIT, 0, 0)),
+            draws: 0,
+        };
+        let template = task.build_model(&mut rng);
+        ClientModel {
+            template,
+            init_draws: rng.draws,
+        }
+    }
+
+    /// The model `task.build_model(rng)` then `set_flat_params(global)`
+    /// returns, with `rng` left where that leaves it.
+    fn instantiate(&self, global: &[f32], rng: &mut StdRng) -> Result<Sequential, FlError> {
+        let mut model = self.template.clone();
+        for _ in 0..self.init_draws {
+            rng.next_u64();
+        }
+        model.set_flat_params(global)?;
+        Ok(model)
+    }
+}
+
 /// Trains one benign client: start at `global`, run `local_epochs` of
 /// mini-batch SGD on the client's shard, return the flat update.
 pub(crate) fn train_benign_client(
     cfg: &FlConfig,
+    client_model: &ClientModel,
     train: &Dataset,
     shard: &[usize],
     global: &[f32],
     rng: &mut StdRng,
 ) -> Result<Vec<f32>, FlError> {
-    let mut model = cfg.task.build_model(rng);
-    model.set_flat_params(global)?;
+    let mut model = client_model.instantiate(global, rng)?;
     for _ in 0..cfg.local_epochs {
         for b in train.shuffled_batches(shard, cfg.batch, rng) {
             model.train_step(&b.images, cfg.lr, |logits| {
@@ -151,7 +206,8 @@ pub struct StagedRound {
 }
 
 /// The client side of one FL deployment: datasets, the Dirichlet
-/// partition, the adversary-controlled subset and the (stateful) attack.
+/// partition, the adversary-controlled subset, the (stateful) attack and
+/// the benign clients' model template.
 /// [`ClientFleet::stage_round`] is everything that happens *before* the
 /// wire — identical whether the wire is the in-process fault transport or
 /// a TCP socket.
@@ -162,6 +218,7 @@ pub struct ClientFleet {
     malicious: Vec<usize>,
     attack: Option<Box<dyn Attack>>,
     task_info: TaskInfo,
+    client_model: ClientModel,
 }
 
 impl ClientFleet {
@@ -231,6 +288,7 @@ impl ClientFleet {
             malicious,
             attack,
             task_info,
+            client_model: ClientModel::new(cfg.task, cfg.seed),
         })
     }
 
@@ -273,6 +331,7 @@ impl ClientFleet {
             malicious,
             attack,
             task_info,
+            client_model,
         } = self;
         let round_u64 = round as u64;
         let mut round_rng =
@@ -351,7 +410,7 @@ impl ClientFleet {
                 round_u64,
                 client as u64,
             ));
-            let w = train_benign_client(cfg, train, shard, global, &mut crng)?;
+            let w = train_benign_client(cfg, client_model, train, shard, global, &mut crng)?;
             if w.iter().any(|v| !v.is_finite()) {
                 // Local training diverged (possible once the global model
                 // is poisoned): a real client would fail to submit. Skip
@@ -714,6 +773,78 @@ mod tests {
         let bits =
             |c: &ServerCore| -> Vec<u32> { c.global().iter().map(|w| w.to_bits()).collect() };
         assert_eq!(bits(&core_a), bits(&core_b));
+    }
+
+    /// A benign client as trained before the fleet held a template: a
+    /// freshly sampled model that `set_flat_params` then overwrites.
+    fn freshly_built_client(
+        cfg: &FlConfig,
+        train: &Dataset,
+        shard: &[usize],
+        global: &[f32],
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        let mut model = cfg.task.build_model(rng);
+        model.set_flat_params(global).unwrap();
+        for _ in 0..cfg.local_epochs {
+            for b in train.shuffled_batches(shard, cfg.batch, rng) {
+                model
+                    .train_step(&b.images, cfg.lr, |logits| {
+                        softmax_cross_entropy_hard(logits, &b.labels)
+                    })
+                    .unwrap();
+            }
+        }
+        model.flat_params()
+    }
+
+    #[test]
+    fn template_clients_match_freshly_built_ones() {
+        // Fashion (one epoch) and Cifar (three epochs, eight param layers);
+        // the weights each init samples fix the draw counts.
+        for (task, draws) in [(TaskKind::Fashion, 9_064), (TaskKind::Cifar, 31_800)] {
+            let cfg = FlConfig::builder(task)
+                .n_clients(4)
+                .clients_per_round(4)
+                .train_size(48)
+                .test_size(8)
+                .batch(8)
+                .seed(3)
+                .build();
+            let fleet = ClientFleet::new(&cfg).unwrap();
+            assert_eq!(fleet.client_model.init_draws, draws, "{task:?}");
+            let shard = fleet.shards.iter().max_by_key(|s| s.len()).unwrap();
+            assert!(
+                shard.len() > cfg.batch,
+                "{task:?}: one batch never shuffles"
+            );
+            // A global model from another stream than the template's.
+            let global = task
+                .build_model(&mut StdRng::seed_from_u64(77))
+                .flat_params();
+            let train = |model: &ClientModel, rng: &mut StdRng| {
+                train_benign_client(&cfg, model, &fleet.train, shard, &global, rng).unwrap()
+            };
+            let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+            let mut fresh_rng = StdRng::seed_from_u64(41);
+            let fresh = freshly_built_client(&cfg, &fleet.train, shard, &global, &mut fresh_rng);
+            let fresh_next = fresh_rng.next_u64();
+            let mut rng = StdRng::seed_from_u64(41);
+            let w = train(&fleet.client_model, &mut rng);
+            assert_eq!(bits(&w), bits(&fresh), "{task:?} payload");
+            assert_eq!(rng.next_u64(), fresh_next, "{task:?} stream");
+
+            // One draw short of the init: the batches shuffle differently.
+            let short = ClientModel {
+                template: fleet.client_model.template.clone(),
+                init_draws: draws - 1,
+            };
+            let mut rng = StdRng::seed_from_u64(41);
+            let w = train(&short, &mut rng);
+            assert_ne!(bits(&w), bits(&fresh), "{task:?} payload, count - 1");
+            assert_ne!(rng.next_u64(), fresh_next, "{task:?} stream, count - 1");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rand::Rng;
 /// Implementation note: the forward pass *is* the input-gradient pass of an
 /// ordinary convolution, so it reuses the property-tested
 /// [`col2im`]/[`im2col`] pair from `fabflip-tensor`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ConvTranspose2d {
     weight: Tensor,
     bias: Tensor,
@@ -35,7 +35,7 @@ pub struct ConvTranspose2d {
     gwb: Vec<f32>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Cache {
     input: Tensor,
     out_h: usize,

@@ -5,7 +5,7 @@ use rand::Rng;
 /// A fully connected layer over `[N, IN]` batches: `y = x·Wᵀ + b`.
 ///
 /// Weights are stored `[out_features, in_features]`, He-normal initialized.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,
@@ -66,6 +66,22 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
+        self.backward_params(grad_out)?;
+        let n = grad_out.shape()[0];
+        // grad_x = g (N×OUT) · W (OUT×IN).
+        let mut grad_in = Tensor::zeros(vec![n, self.in_features]);
+        matmul_into(
+            grad_out.data(),
+            self.weight.data(),
+            grad_in.data_mut(),
+            n,
+            self.out_features,
+            self.in_features,
+        );
+        Ok(grad_in)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
         let input = self
             .cache
             .as_ref()
@@ -97,17 +113,7 @@ impl Layer for Dense {
                 *gb += g;
             }
         }
-        // grad_x = g (N×OUT) · W (OUT×IN).
-        let mut grad_in = Tensor::zeros(vec![n, self.in_features]);
-        matmul_into(
-            grad_out.data(),
-            self.weight.data(),
-            grad_in.data_mut(),
-            n,
-            self.out_features,
-            self.in_features,
-        );
-        Ok(grad_in)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -149,6 +155,24 @@ mod tests {
         assert_eq!(d.grad_bias.data(), &[2.0, 2.0]);
         // grad weight: every entry = sum over batch of x = 2.
         assert!(d.grad_weight.data().iter().all(|&v| (v - 2.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_bits_as_backward() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut full = Dense::new(7, 5, &mut rng);
+        let mut params_only = full.clone();
+        let x = Tensor::uniform(vec![4, 7], -1.0, 1.0, &mut rng);
+        let g = Tensor::uniform(vec![4, 5], -1.0, 1.0, &mut rng);
+        full.forward(&x).unwrap();
+        params_only.forward(&x).unwrap();
+        full.backward(&g).unwrap();
+        params_only.backward_params(&g).unwrap();
+        assert_eq!(full.grad_weight, params_only.grad_weight);
+        assert_eq!(full.grad_bias, params_only.grad_bias);
+        assert!(params_only
+            .backward_params(&Tensor::zeros(vec![4, 4]))
+            .is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@ use crate::{Layer, NnError};
 use fabflip_tensor::Tensor;
 
 /// Flattens `[N, …]` to `[N, F]` (keeps the batch axis).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Flatten {
     in_shape: Option<Vec<usize>>,
 }
@@ -43,7 +43,7 @@ impl Layer for Flatten {
 
 /// Reshapes `[N, F]` to `[N, c, h, w]` — used between the dense stem and the
 /// transposed convolutions of the ZKA-G generator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reshape {
     target: [usize; 3],
 }

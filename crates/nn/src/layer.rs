@@ -12,8 +12,10 @@ use fabflip_tensor::Tensor;
 ///    the federated-learning machinery can read/update weights uniformly.
 ///
 /// This trait is used as a trait object inside [`crate::Sequential`]; it is
-/// intentionally object-safe.
-pub trait Layer: Send {
+/// intentionally object-safe. Layers are `Send + Sync` so a model template
+/// can be shared across the worker pool, and `Clone` (through
+/// [`LayerClone`]) so [`crate::Sequential`] can be cloned.
+pub trait Layer: LayerClone + Send + Sync {
     /// Computes the layer output for `input`.
     ///
     /// # Errors
@@ -31,6 +33,20 @@ pub trait Layer: Send {
     /// the required activations, or a shape error if `grad_out` does not
     /// match the last forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError>;
+
+    /// Like [`Layer::backward`], but only accumulates the parameter
+    /// gradients: `dL/d(input)` is not needed. [`crate::Sequential`] calls
+    /// it on its first layer, whose input is the data. Layers whose input
+    /// gradient costs real work ([`crate::Conv2d`], [`crate::Dense`])
+    /// override it to skip that work; their parameter gradients stay bit
+    /// for bit those of `backward`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        self.backward(grad_out).map(drop)
+    }
 
     /// Visits every `(parameter, gradient)` tensor pair of the layer.
     ///
@@ -52,4 +68,18 @@ pub trait Layer: Send {
 
     /// Short human-readable layer name, e.g. `"Conv2d"`.
     fn name(&self) -> &'static str;
+}
+
+/// Object-safe cloning of a boxed [`Layer`], blanket-implemented for every
+/// `Layer + Clone`. A clone copies parameters, gradients and whatever the
+/// layer cached from its last forward pass.
+pub trait LayerClone {
+    /// Clones `self` into a new box.
+    fn boxed_clone(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
 }

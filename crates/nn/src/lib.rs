@@ -58,7 +58,7 @@ pub use conv_transpose::ConvTranspose2d;
 pub use dense::Dense;
 pub use error::NnError;
 pub use flatten::{Flatten, Reshape};
-pub use layer::Layer;
+pub use layer::{Layer, LayerClone};
 pub use pool::MaxPool2d;
 pub use sequential::Sequential;
 

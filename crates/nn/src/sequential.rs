@@ -38,6 +38,15 @@ impl std::fmt::Debug for Sequential {
     }
 }
 
+/// A deep copy: every layer's parameters, gradients and forward caches.
+impl Clone for Sequential {
+    fn clone(&self) -> Sequential {
+        Sequential {
+            layers: self.layers.iter().map(|l| l.boxed_clone()).collect(),
+        }
+    }
+}
+
 impl Sequential {
     /// Creates an empty model.
     pub fn new() -> Sequential {
@@ -60,33 +69,53 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the forward pass through all layers.
+    /// Runs the forward pass through all layers. The first layer reads
+    /// `input` in place; an empty model returns a copy of it.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for layer in &mut self.layers {
-            x = layer.forward(&x)?;
+            x = Some(layer.forward(x.as_ref().unwrap_or(input))?);
         }
-        Ok(x)
+        Ok(x.unwrap_or_else(|| input.clone()))
     }
 
     /// Runs the backward pass, accumulating parameter gradients, and returns
     /// the gradient with respect to the model input (needed by the ZKA
     /// attacks, which differentiate *through* the frozen global model into a
-    /// generator / filter layer).
+    /// generator / filter layer). The last layer reads `grad_out` in place;
+    /// an empty model returns a copy of it.
     ///
     /// # Errors
     ///
     /// Propagates layer errors (e.g. backward before forward).
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let mut g = grad_out.clone();
+        let mut g: Option<Tensor> = None;
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out))?);
         }
-        Ok(g)
+        Ok(g.unwrap_or_else(|| grad_out.clone()))
+    }
+
+    /// Runs the backward pass for the parameter gradients only: the first
+    /// layer skips `dL/d(input)` ([`Layer::backward_params`]). Every
+    /// parameter gradient is bit for bit that of [`Sequential::backward`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (e.g. backward before forward).
+    pub fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_out))
     }
 
     /// Zeroes all parameter gradients.
@@ -186,7 +215,7 @@ impl Sequential {
     }
 
     /// Convenience: zero grads, forward, loss-grad injection via `loss_fn`,
-    /// backward, step. Returns the loss.
+    /// backward ([`Sequential::backward_params`]), step. Returns the loss.
     ///
     /// `loss_fn` maps the logits to `(loss, dL/dlogits)`.
     ///
@@ -200,7 +229,7 @@ impl Sequential {
         self.zero_grads();
         let logits = self.forward(input)?;
         let (loss, grad) = loss_fn(&logits)?;
-        self.backward(&grad)?;
+        self.backward_params(&grad)?;
         self.sgd_step(lr);
         Ok(loss)
     }
@@ -278,6 +307,65 @@ mod tests {
             last = loss;
         }
         assert!(last < 0.05, "loss did not shrink: {last}");
+    }
+
+    #[test]
+    fn backward_params_matches_backward_bit_for_bit() {
+        use crate::losses::softmax_cross_entropy_hard;
+        use crate::models;
+        let mut rng = StdRng::seed_from_u64(6);
+        // A conv-first model at a batch large enough for the parallel conv
+        // path, and a dense-first one.
+        let cases = [
+            (models::fashion_cnn(&mut rng), vec![24, 1, 28, 28]),
+            (small_mlp(7), vec![5, 3]),
+        ];
+        for (model, shape) in cases {
+            let x = Tensor::uniform(shape, -1.0, 1.0, &mut rng);
+            let mut full = model.clone();
+            let mut params_only = model;
+            let mut grads = Vec::new();
+            for (m, only_params) in [(&mut full, false), (&mut params_only, true)] {
+                m.zero_grads();
+                let y = m.forward(&x).unwrap();
+                let labels: Vec<usize> = (0..y.shape()[0]).map(|i| i % 2).collect();
+                let (_, g) = softmax_cross_entropy_hard(&y, &labels).unwrap();
+                if only_params {
+                    m.backward_params(&g).unwrap();
+                } else {
+                    assert_eq!(m.backward(&g).unwrap().shape(), x.shape());
+                }
+                grads.push(
+                    m.flat_grads()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                );
+            }
+            assert!(grads[0].iter().any(|&b| b != 0));
+            assert_eq!(grads[0], grads[1]);
+        }
+    }
+
+    #[test]
+    fn clone_is_deep() {
+        let mut m = small_mlp(8);
+        let x = Tensor::full(vec![2, 3], 0.3);
+        let y = m.forward(&x).unwrap();
+        let mut c = m.clone();
+        assert_eq!(c.forward(&x).unwrap(), y);
+        let w = m.flat_params();
+        m.set_flat_params(&vec![0.0; w.len()]).unwrap();
+        assert_eq!(c.flat_params(), w);
+    }
+
+    #[test]
+    fn empty_model_passes_tensors_through() {
+        let mut m = Sequential::new();
+        let x = Tensor::full(vec![2, 3], 0.5);
+        assert_eq!(m.forward(&x).unwrap(), x);
+        assert_eq!(m.backward(&x).unwrap(), x);
+        m.backward_params(&x).unwrap();
     }
 
     #[test]

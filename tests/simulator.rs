@@ -214,7 +214,7 @@ fn transcript_digest(r: &RunResult) -> u64 {
 
 #[test]
 fn transcripts_match_their_pinned_digests() {
-    // Bitwise pins of five small runs, one value on every CPU backend: a
+    // Bitwise pins of six small runs, one value on every CPU backend: a
     // moved digest means a seed-stream id, a defense, the round path or a
     // kernel's rounding changed what the simulator computes.
     let tiny = |attack: AttackSpec, defense: DefenseKind| {
@@ -322,5 +322,30 @@ fn transcripts_match_their_pinned_digests() {
         transcript_digest(&r),
         12_542_220_523_263_900_730,
         "FedAvg/ZKA-R hinge transcript moved"
+    );
+    // Cifar: the eight-parameter-layer model and its three local epochs,
+    // under LIE against TRmean.
+    let cifar = FlConfig::builder(TaskKind::Cifar)
+        .n_clients(6)
+        .clients_per_round(4)
+        .rounds(2)
+        .train_size(48)
+        .test_size(16)
+        .batch(8)
+        .synth_set_size(4)
+        .attack(AttackSpec::Lie)
+        .defense(DefenseKind::TrMean { trim: 1 })
+        .seed(17)
+        .build();
+    assert_eq!(cifar.local_epochs, 3);
+    let r = simulate(&cifar).unwrap();
+    assert!(
+        total_of(&r, |x| x.malicious_selected) > 0,
+        "LIE never selected"
+    );
+    assert_eq!(
+        transcript_digest(&r),
+        18_027_929_739_142_783_990,
+        "Cifar TRmean/LIE transcript moved"
     );
 }
