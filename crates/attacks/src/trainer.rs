@@ -19,7 +19,7 @@
 
 use crate::AttackError;
 use fabflip_nn::losses::softmax_cross_entropy_hard;
-use fabflip_nn::Sequential;
+use fabflip_nn::{NnError, Sequential};
 use fabflip_tensor::{vecops, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -106,11 +106,7 @@ pub fn train_adversarial_classifier(
     for _ in 0..epochs {
         order.shuffle(rng);
         for chunk in order.chunks(batch) {
-            let xs: Vec<Tensor> = chunk
-                .iter()
-                .map(|&i| images.slice_batch(i).expect("index in range"))
-                .collect();
-            let x = Tensor::concat_batch(&xs).expect("consistent shapes");
+            let x = images.gather_batch(chunk).map_err(NnError::from)?;
             let y: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
             model.zero_grads();
             let logits = model.forward(&x)?;

@@ -1,10 +1,12 @@
 //! Kernel/throughput benchmark: emits `BENCH_kernels.json` in the current
 //! directory with matmul GFLOP/s (new tiled kernels vs the seed's ikj
 //! kernel re-implemented below as the baseline), conv forward/backward
-//! throughput with its per-phase lowering (GB/s) and GEMM (GFLOP/s)
-//! rates, per-rule aggregation timings at `n = 50, d = 100k`, the
-//! worker-pool dispatch-overhead microbench (persistent pool vs
-//! per-dispatch `thread::scope`), and the Sec. IV-E complexity claims
+//! throughput at each of the eight workload conv shapes with its
+//! per-phase lowering (GB/s, next to a same-run unshifted plane copy into
+//! the same column matrix)
+//! and GEMM (GFLOP/s) rates, per-rule aggregation timings at `n = 50,
+//! d = 100k`, the worker-pool dispatch-overhead microbench (persistent
+//! pool vs per-dispatch `thread::scope`), and the Sec. IV-E complexity claims
 //! (ZKA crafting cost vs a benign client's local epoch).
 //!
 //! Run with `cargo run --release -p fabflip-bench --bin perf`. The thread
@@ -35,7 +37,10 @@
 //! checkpoint does not survive `save` → `load` bit for bit, blocked
 //! `krum_scores` (in both tile regimes: n ≤ d, each pair once, and n > d,
 //! row tiles) or the tiled `matmul_transpose_b` is not bitwise equal to
-//! (or not enough faster than) its per-pair reference, a backend's Krum tile
+//! (or not enough faster than) its per-pair reference, `im2col` at one
+//! Cifar conv writes its column matrix at less than
+//! `LOWERING_GATE_MIN_RATIO` of the same-run unshifted plane copy, a
+//! backend's Krum tile
 //! differs from the scalar tile or (on a SIMD backend) fills less than
 //! `KRUM_TILE_MIN_RATIO`× faster, or (on SIMD-capable hosts, unless
 //! `FABFLIP_BACKEND` pins a narrower ISA) the detected backend's 1024³
@@ -317,121 +322,283 @@ fn bench_vecops_reduce() -> (Vec<Value>, f64) {
     (rows, stream_gbps)
 }
 
-/// One sample's conv lowering and GEMMs at `[cin, hw, hw] → [cout, hw,
-/// hw]` (3×3, stride 1, pad 1), each phase timed alone on one thread over
-/// `batch` samples: `im2col` and `col2im` in GB/s of column matrix
-/// written/read, the forward (`W·col`), weight-gradient (`g·colᵀ`) and
-/// input-gradient (`Wᵀ·g`) GEMMs in GFLOP/s — the calls `Conv2d` makes,
-/// in isolation.
-fn bench_conv_phases(batch: usize, cin: usize, cout: usize, hw: usize) -> Value {
+/// One `Conv2d` the workloads train: `[cin, hw, hw] → [cout, hw, hw]`,
+/// 3×3, stride 1, pad 1, at the local batch size of its task.
+struct ConvShape {
+    name: &'static str,
+    batch: usize,
+    cin: usize,
+    cout: usize,
+    hw: usize,
+}
+
+/// The eight convs of the Fashion (batch 4, the `cohort-fashion` client
+/// shards) and Cifar (batch 16) classifiers, in layer order.
+#[rustfmt::skip]
+const CONV_SHAPES: [ConvShape; 8] = [
+    ConvShape { name: "fashion.conv1", batch: 4, cin: 1, cout: 8, hw: 28 },
+    ConvShape { name: "fashion.conv2", batch: 4, cin: 8, cout: 16, hw: 14 },
+    ConvShape { name: "cifar.conv1", batch: 16, cin: 3, cout: 8, hw: 32 },
+    ConvShape { name: "cifar.conv2", batch: 16, cin: 8, cout: 8, hw: 32 },
+    ConvShape { name: "cifar.conv3", batch: 16, cin: 8, cout: 16, hw: 16 },
+    ConvShape { name: "cifar.conv4", batch: 16, cin: 16, cout: 16, hw: 16 },
+    ConvShape { name: "cifar.conv5", batch: 16, cin: 16, cout: 24, hw: 8 },
+    ConvShape { name: "cifar.conv6", batch: 16, cin: 24, cout: 24, hw: 8 },
+];
+
+/// The shape `perf --smoke` gates lowering on: the Cifar 16→16 conv at
+/// 16×16, whose 144-row column matrix (2.4 MB per batch) is large enough
+/// for a stable rate and whose taps each copy a block of up to 256 floats.
+const CONV_GATE_SHAPE: usize = 5;
+
+/// One shape's conv phases, each timed alone on one thread over the
+/// batch (best of `reps`).
+struct ConvPhases {
+    /// Seconds per batch of the unshifted lowering: each tap's column row
+    /// is one `copy_from_slice` of its whole channel plane. The same
+    /// reads and writes as `im2col`, without the shift, so it is the
+    /// host's same-run ceiling for the lowering rates.
+    copy_s: f64,
+    /// Seconds per batch of `im2col` (column matrix written) and `col2im`
+    /// (column matrix read).
+    lowering_s: [f64; 2],
+    /// Seconds per batch of the forward (`W·col`), weight-gradient
+    /// (`g·colᵀ`) and input-gradient (`Wᵀ·g`) GEMMs.
+    gemm_s: [f64; 3],
+    col_bytes: f64,
+    gemm_flops: f64,
+}
+
+impl ConvPhases {
+    /// GB/s of column matrix moved in `t` seconds.
+    fn gbps(&self, t: f64) -> f64 {
+        self.col_bytes / t / 1e9
+    }
+
+    fn gflops(&self, phase: usize) -> f64 {
+        self.gemm_flops / self.gemm_s[phase] / 1e9
+    }
+
+    /// `im2col`'s rate as a fraction of the same-run copy rate.
+    fn im2col_over_copy(&self) -> f64 {
+        self.copy_s / self.lowering_s[0]
+    }
+
+    fn to_json(&self, batch: usize) -> Value {
+        let us = |t: f64| t / batch as f64 * 1e6;
+        serde_json::json!({
+            "threads": 1u64,
+            "copy_gbps": self.gbps(self.copy_s),
+            "im2col_gbps": self.gbps(self.lowering_s[0]),
+            "col2im_gbps": self.gbps(self.lowering_s[1]),
+            "im2col_over_copy": self.im2col_over_copy(),
+            "col2im_over_copy": self.copy_s / self.lowering_s[1],
+            "forward_gemm_gflops": self.gflops(0),
+            "weight_grad_gemm_gflops": self.gflops(1),
+            "input_grad_gemm_gflops": self.gflops(2),
+            "us_per_sample": {
+                "im2col": us(self.lowering_s[0]),
+                "forward_gemm": us(self.gemm_s[0]),
+                "weight_grad_gemm": us(self.gemm_s[1]),
+                "input_grad_gemm": us(self.gemm_s[2]),
+                "col2im": us(self.lowering_s[1]),
+            },
+        })
+    }
+}
+
+/// The conv lowering and GEMMs of one [`ConvShape`], each phase timed
+/// alone on one thread over the batch: the calls `Conv2d` makes, in
+/// isolation. The copy ceiling and `im2col` are timed alternately, best
+/// of `reps` each, so a noisy stretch of a shared host hits both.
+fn bench_conv_phases(shape: &ConvShape, reps: usize) -> ConvPhases {
+    let ConvShape {
+        batch,
+        cin,
+        cout,
+        hw,
+        ..
+    } = *shape;
     let (k, stride, pad) = (3usize, 1usize, 1usize);
     let (ckk, area) = (cin * k * k, hw * hw);
+    let col_len = ckk * area;
     let mut rng = StdRng::seed_from_u64(8);
     let mut gen =
         |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect() };
     let img = gen(batch * cin * area);
     let g = gen(batch * cout * area);
     let weight = gen(cout * ckk);
-    let mut cols = vec![0.0f32; batch * ckk * area];
+    let mut cols = vec![0.0f32; batch * col_len];
     let mut out = vec![0.0f32; cout * area];
     let mut gw = vec![0.0f32; cout * ckk];
-    let mut grad_col = vec![0.0f32; ckk * area];
+    let mut grad_col = vec![0.0f32; col_len];
     let mut grad_img = vec![0.0f32; cin * area];
     let prev_budget = par::max_threads();
     par::set_max_threads(1);
-    let t_im2col = time_best(5, || {
-        for i in 0..batch {
-            im2col(
-                &img[i * cin * area..(i + 1) * cin * area],
-                &mut cols[i * ckk * area..(i + 1) * ckk * area],
-                cin,
-                hw,
-                hw,
-                k,
-                k,
-                stride,
-                pad,
-            );
-        }
-    });
-    let col = |i: usize| &cols[i * ckk * area..(i + 1) * ckk * area];
+    let (mut t_copy, mut t_im2col) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        t_copy = t_copy.min(time_best(1, || {
+            for (x, col) in img
+                .chunks_exact(cin * area)
+                .zip(cols.chunks_exact_mut(col_len))
+            {
+                for (plane, taps) in x.chunks_exact(area).zip(col.chunks_exact_mut(k * k * area)) {
+                    for row in taps.chunks_exact_mut(area) {
+                        row.copy_from_slice(plane);
+                    }
+                }
+            }
+            std::hint::black_box(&mut cols);
+        }));
+        t_im2col = t_im2col.min(time_best(1, || {
+            for (i, col) in cols.chunks_exact_mut(col_len).enumerate() {
+                let x = &img[i * cin * area..(i + 1) * cin * area];
+                im2col(x, col, cin, hw, hw, k, k, stride, pad);
+            }
+            std::hint::black_box(&mut cols);
+        }));
+    }
+    let col = |i: usize| &cols[i * col_len..(i + 1) * col_len];
     let g_of = |i: usize| &g[i * cout * area..(i + 1) * cout * area];
-    let t_fwd = time_best(5, || {
+    let t_fwd = time_best(reps, || {
         for i in 0..batch {
             out.fill(0.0);
             matmul_into(&weight, col(i), &mut out, cout, ckk, area);
         }
     });
-    let t_wgrad = time_best(5, || {
+    let t_wgrad = time_best(reps, || {
         for i in 0..batch {
             gw.fill(0.0);
             matmul_transpose_b(g_of(i), col(i), &mut gw, cout, area, ckk);
         }
     });
-    let t_igrad = time_best(5, || {
+    let t_igrad = time_best(reps, || {
         for i in 0..batch {
             grad_col.fill(0.0);
             matmul_transpose_a(&weight, g_of(i), &mut grad_col, ckk, cout, area);
         }
     });
-    let t_col2im = time_best(5, || {
+    let t_col2im = time_best(reps, || {
         for i in 0..batch {
             grad_img.fill(0.0);
             col2im(col(i), &mut grad_img, cin, hw, hw, k, k, stride, pad);
         }
     });
     par::set_max_threads(prev_budget);
-    let col_bytes = (batch * ckk * area * 4) as f64;
-    let gemm_flops = (2 * batch * cout * ckk * area) as f64;
-    let gbps = |t: f64| col_bytes / t / 1e9;
-    let gflops = |t: f64| gemm_flops / t / 1e9;
-    println!(
-        "conv phases (1 thread, {cin}->{cout} ch, {hw}x{hw}): im2col {:.2} GB/s, col2im {:.2} GB/s, \
-         forward GEMM {:.1} GFLOP/s, weight-grad GEMM {:.1} GFLOP/s, input-grad GEMM {:.1} GFLOP/s",
-        gbps(t_im2col),
-        gbps(t_col2im),
-        gflops(t_fwd),
-        gflops(t_wgrad),
-        gflops(t_igrad),
-    );
+    ConvPhases {
+        copy_s: t_copy,
+        lowering_s: [t_im2col, t_col2im],
+        gemm_s: [t_fwd, t_wgrad, t_igrad],
+        col_bytes: (batch * col_len * 4) as f64,
+        gemm_flops: (2 * batch * cout * ckk * area) as f64,
+    }
+}
+
+/// The host a `BENCH_kernels.json` section was taken on: vCPU count,
+/// the detected and active backends, and the CPU model where the OS
+/// reports one.
+fn host_record() -> Value {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
     serde_json::json!({
-        "threads": 1u64,
-        "im2col_gbps": gbps(t_im2col),
-        "col2im_gbps": gbps(t_col2im),
-        "forward_gemm_gflops": gflops(t_fwd),
-        "weight_grad_gemm_gflops": gflops(t_wgrad),
-        "input_grad_gemm_gflops": gflops(t_igrad),
+        "vcpus": std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        "backend_detected": detected_kind().name(),
+        "backend_active": backend::active().name(),
+        "cpu": cpu,
     })
 }
 
+/// Every workload conv ([`CONV_SHAPES`]): the `Conv2d` layer's forward
+/// and backward samples/s at the process thread budget, and its phases
+/// on one thread ([`bench_conv_phases`]), with the per-sample phase
+/// times summed over the shapes.
 fn bench_conv() -> Value {
-    // Cifar-scale middle layer: batch 32, 8 -> 16 channels, 3x3 on 32x32.
-    let (batch, cin, cout, hw) = (32usize, 8usize, 16usize, 32usize);
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut conv = Conv2d::new(cin, cout, 3, 1, 1, &mut rng);
-    let x = Tensor::uniform(vec![batch, cin, hw, hw], -1.0, 1.0, &mut rng);
-    let y = conv.forward(&x).expect("conv forward");
-    let g = Tensor::uniform(y.shape().to_vec(), -1.0, 1.0, &mut rng);
-
-    let t_fwd = time_best(5, || {
-        let _ = conv.forward(&x).expect("conv forward");
-    });
-    let t_bwd = time_best(5, || {
-        let _ = conv.backward(&g).expect("conv backward");
-    });
+    let mut rows = Vec::new();
+    let mut sum_us = [0.0f64; 5];
+    for shape in &CONV_SHAPES {
+        let ConvShape {
+            name,
+            batch,
+            cin,
+            cout,
+            hw,
+        } = *shape;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut conv = Conv2d::new(cin, cout, 3, 1, 1, &mut rng);
+        let x = Tensor::uniform(vec![batch, cin, hw, hw], -1.0, 1.0, &mut rng);
+        let y = conv.forward(&x).expect("conv forward");
+        let g = Tensor::uniform(y.shape().to_vec(), -1.0, 1.0, &mut rng);
+        let t_fwd = time_best(5, || {
+            let _ = conv.forward(&x).expect("conv forward");
+        });
+        let t_bwd = time_best(5, || {
+            let _ = conv.backward(&g).expect("conv backward");
+        });
+        let phases = bench_conv_phases(shape, 5);
+        println!(
+            "conv {name} (batch {batch}, {cin}->{cout} ch, {hw}x{hw}): fwd {:.0} samples/s, \
+             bwd {:.0} samples/s; 1 thread: copy {:.2} GB/s, im2col {:.2} GB/s ({:.2}x copy), \
+             col2im {:.2} GB/s, GEMM fwd {:.1} / weight-grad {:.1} / input-grad {:.1} GFLOP/s",
+            batch as f64 / t_fwd,
+            batch as f64 / t_bwd,
+            phases.gbps(phases.copy_s),
+            phases.gbps(phases.lowering_s[0]),
+            phases.im2col_over_copy(),
+            phases.gbps(phases.lowering_s[1]),
+            phases.gflops(0),
+            phases.gflops(1),
+            phases.gflops(2),
+        );
+        let t = [
+            phases.lowering_s[0],
+            phases.gemm_s[0],
+            phases.gemm_s[1],
+            phases.gemm_s[2],
+            phases.lowering_s[1],
+        ];
+        for (acc, t) in sum_us.iter_mut().zip(t) {
+            *acc += t / batch as f64 * 1e6;
+        }
+        rows.push(serde_json::json!({
+            "shape": name,
+            "batch": batch as u64,
+            "in_channels": cin as u64,
+            "out_channels": cout as u64,
+            "spatial": hw as u64,
+            "col_bytes": phases.col_bytes,
+            "forward_samples_per_s": batch as f64 / t_fwd,
+            "backward_samples_per_s": batch as f64 / t_bwd,
+            "phases": phases.to_json(batch),
+        }));
+    }
+    let total: f64 = sum_us.iter().sum();
     println!(
-        "conv fwd {:.1} samples/s, bwd {:.1} samples/s (batch {batch}, {cin}->{cout} ch, {hw}x{hw})",
-        batch as f64 / t_fwd,
-        batch as f64 / t_bwd
+        "conv phases summed over {} shapes (1 thread, us/sample): im2col {:.1}, forward GEMM \
+         {:.1}, weight-grad GEMM {:.1}, input-grad GEMM {:.1}, col2im {:.1}, total {total:.1}",
+        CONV_SHAPES.len(),
+        sum_us[0],
+        sum_us[1],
+        sum_us[2],
+        sum_us[3],
+        sum_us[4],
     );
     serde_json::json!({
-        "batch": batch as u64,
-        "in_channels": cin as u64,
-        "out_channels": cout as u64,
-        "spatial": hw as u64,
-        "forward_samples_per_s": batch as f64 / t_fwd,
-        "backward_samples_per_s": batch as f64 / t_bwd,
-        "phases": bench_conv_phases(batch, cin, cout, hw),
+        "host": host_record(),
+        "shapes": rows,
+        "summed_us_per_sample": {
+            "im2col": sum_us[0],
+            "forward_gemm": sum_us[1],
+            "weight_grad_gemm": sum_us[2],
+            "input_grad_gemm": sum_us[3],
+            "col2im": sum_us[4],
+            "total": total,
+        },
     })
 }
 
@@ -917,6 +1084,44 @@ fn conv_gate() -> bool {
     bitwise && fast
 }
 
+/// Minimum `im2col` GB/s at [`CONV_GATE_SHAPE`] as a fraction of the
+/// same-run unshifted plane copy (1 thread). Set between the two sides
+/// on a 2-vCPU AVX-512 host: over 10 alternating `--smoke` pairs the
+/// whole-tap block read 0.83–0.93 and the per-row loop it replaced
+/// 0.36–0.52.
+const LOWERING_GATE_MIN_RATIO: f64 = 0.7;
+
+/// The lowering smoke gate: `im2col` at one Cifar conv must write its
+/// column matrix at [`LOWERING_GATE_MIN_RATIO`] of the rate of the
+/// same-run unshifted plane copy, which reads the same image and writes
+/// the same column rows. A ratio of two rates from one run over the
+/// same memory, so neither the host's speed nor its cache sizes favour
+/// one side.
+fn lowering_gate() -> bool {
+    let shape = &CONV_SHAPES[CONV_GATE_SHAPE];
+    let phases = bench_conv_phases(shape, 25);
+    let ratio = phases.im2col_over_copy();
+    println!(
+        "lowering gate ({}: batch {}, {}->{} ch, {}x{}, 1 thread): copy {:.2} GB/s, \
+         im2col {:.2} GB/s, ratio {ratio:.2}",
+        shape.name,
+        shape.batch,
+        shape.cin,
+        shape.cout,
+        shape.hw,
+        shape.hw,
+        phases.gbps(phases.copy_s),
+        phases.gbps(phases.lowering_s[0]),
+    );
+    let ok = ratio >= LOWERING_GATE_MIN_RATIO;
+    if !ok {
+        eprintln!(
+            "FAIL: im2col {ratio:.2}x < {LOWERING_GATE_MIN_RATIO}x the same-run plane copy rate"
+        );
+    }
+    ok
+}
+
 /// Model dimension of the Fashion MLP the serve deployment checkpoints.
 const CKPT_DIM: usize = 9_098;
 
@@ -1264,7 +1469,8 @@ fn main() {
         let krum_ok = krum_gate();
         let krum_tile_ok = krum_tile_gate();
         let conv_ok = conv_gate();
-        if !(checkpoint_gate() && conv_ok && krum_ok && krum_tile_ok) {
+        let lowering_ok = lowering_gate();
+        if !(checkpoint_gate() && conv_ok && lowering_ok && krum_ok && krum_tile_ok) {
             std::process::exit(1);
         }
         // SIMD-dispatch gate (DESIGN.md §4f): on hosts where CPUID finds

@@ -126,17 +126,11 @@ impl Dataset {
     ///
     /// Panics when an index is out of range.
     pub fn gather(&self, indices: &[usize]) -> Batch {
-        let (c, h, w) = self.image_shape();
-        let sample_len = c * h * w;
-        let mut data = Vec::with_capacity(indices.len() * sample_len);
-        let mut labels = Vec::with_capacity(indices.len());
-        for &i in indices {
-            assert!(i < self.len(), "index {i} out of range");
-            data.extend_from_slice(&self.images.data()[i * sample_len..(i + 1) * sample_len]);
-            labels.push(self.labels[i]);
-        }
-        let images = Tensor::from_vec(vec![indices.len(), c, h, w], data)
-            .expect("internal geometry is consistent");
+        let images = self
+            .images
+            .gather_batch(indices)
+            .expect("sample index out of range");
+        let labels = indices.iter().map(|&i| self.labels[i]).collect();
         Batch { images, labels }
     }
 

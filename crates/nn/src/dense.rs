@@ -13,7 +13,11 @@ pub struct Dense {
     grad_bias: Tensor,
     in_features: usize,
     out_features: usize,
-    cache: Option<Tensor>,
+    /// The last forward's input, `[rows, in_features]` row-major, copied
+    /// into a grow-only layer-owned buffer; `rows` is `None` before the
+    /// first forward.
+    input: Vec<f32>,
+    rows: Option<usize>,
 }
 
 impl Dense {
@@ -27,7 +31,8 @@ impl Dense {
             grad_bias: Tensor::zeros(vec![out_features]),
             in_features,
             out_features,
-            cache: None,
+            input: Vec::new(),
+            rows: None,
         }
     }
 }
@@ -61,7 +66,10 @@ impl Layer for Dense {
                 *v += b;
             }
         }
-        self.cache = Some(input.clone());
+        self.input.clear();
+        // fabcheck::allow(alloc_on_hot_path): grow-only layer-owned buffer.
+        self.input.extend_from_slice(input.data());
+        self.rows = Some(n);
         Ok(out)
     }
 
@@ -82,11 +90,7 @@ impl Layer for Dense {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<(), NnError> {
-        let input = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward("Dense"))?;
-        let n = input.shape()[0];
+        let n = self.rows.ok_or(NnError::BackwardBeforeForward("Dense"))?;
         if grad_out.shape() != [n, self.out_features] {
             return Err(NnError::BadInput {
                 layer: "Dense",
@@ -100,7 +104,7 @@ impl Layer for Dense {
         // grad_W += gᵀ (OUT×N) · x (N×IN).
         matmul_transpose_a(
             grad_out.data(),
-            input.data(),
+            &self.input,
             self.grad_weight.data_mut(),
             self.out_features,
             n,
@@ -173,6 +177,31 @@ mod tests {
         assert!(params_only
             .backward_params(&Tensor::zeros(vec![4, 4]))
             .is_err());
+    }
+
+    /// The cached input follows the batch size down and back up: each
+    /// backward sees exactly the last forward's rows, like a freshly built
+    /// layer.
+    #[test]
+    fn cached_input_is_rebuilt_when_the_batch_shrinks_and_grows() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut reused = Dense::new(6, 3, &mut rng);
+        for rows in [5usize, 2, 7] {
+            let x = Tensor::uniform(vec![rows, 6], -1.0, 1.0, &mut rng);
+            let g = Tensor::uniform(vec![rows, 3], -1.0, 1.0, &mut rng);
+            let mut fresh = reused.clone();
+            fresh.input = Vec::new();
+            fresh.rows = None;
+            assert_eq!(reused.forward(&x).unwrap(), fresh.forward(&x).unwrap());
+            reused.backward(&g).unwrap();
+            fresh.backward(&g).unwrap();
+            assert_eq!(reused.grad_weight, fresh.grad_weight);
+            assert_eq!(reused.grad_bias, fresh.grad_bias);
+            // A gradient of the previous batch size is rejected.
+            assert!(reused
+                .backward_params(&Tensor::zeros(vec![rows + 1, 3]))
+                .is_err());
+        }
     }
 
     #[test]

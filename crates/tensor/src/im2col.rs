@@ -5,6 +5,13 @@
 //! gradients back into image space. The pair is exercised by an adjointness
 //! property test (`<x_col, y> == <x, col2im(y)>`), which pins down the
 //! correctness of convolution backprop.
+//!
+//! A stride-1 tap over a full-width output (`OW == W`, the "same"
+//! padding every model conv uses) shifts the whole channel plane, so its
+//! column row is one contiguous block of the plane ([`TapBlock`]): both
+//! directions move it in one pass and then fix up the few positions the
+//! shift wrapped across a row end (DESIGN.md §4b). Every other geometry
+//! moves one output row at a time.
 
 use crate::TensorError;
 
@@ -53,6 +60,81 @@ fn tap_coords(tap: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
     (tap / (kh * kw), tap / kw % kh, tap % kw)
 }
 
+/// One stride-1 tap over a full-width output (`ow == w`) as a single
+/// block. The tap reads the channel plane shifted by `(ky − pad, kx −
+/// pad)`, so column-row positions `dst..dst + len` read plane positions
+/// `src..src + len` one to one. The block spans `rows` output rows, each
+/// with `run` valid columns; between one row's valid run and the next lie
+/// `w − run` positions that the shift wrapped across a row end. They are
+/// padding samples of the tap, not image reads.
+struct TapBlock {
+    dst: usize,
+    src: usize,
+    len: usize,
+    rows: usize,
+    run: usize,
+}
+
+impl TapBlock {
+    /// The block of a tap whose valid output rows are `y` and valid
+    /// output columns `x` (from [`valid_range`]); `None` when the tap
+    /// samples only padding.
+    fn new(
+        w: usize,
+        (ky, kx, pad): (usize, usize, usize),
+        (y_lo, y_hi): (usize, usize),
+        (x_lo, x_hi): (usize, usize),
+    ) -> Option<Self> {
+        if y_lo >= y_hi || x_lo >= x_hi {
+            return None;
+        }
+        // Inside the valid ranges `oy + ky ≥ pad` and `ox + kx ≥ pad`.
+        let (rows, run) = (y_hi - y_lo, x_hi - x_lo);
+        Some(Self {
+            dst: y_lo * w + x_lo,
+            src: (y_lo + ky - pad) * w + x_lo + kx - pad,
+            len: (rows - 1) * w + run,
+            rows,
+            run,
+        })
+    }
+}
+
+/// Floats of wrapped image elements [`col2im`] saves on the stack per
+/// block; a tap that wraps more (a kernel far wider than the model
+/// convs' 3×3/pad 1 on 32 rows, which wraps at most 31) is added one row
+/// at a time instead.
+const WRAP_SAVE: usize = 64;
+
+/// `dst += src` over one tap block, leaving the
+/// wrapped elements — the first `w − run` of each `w`-chunk after the
+/// first `run` — bitwise untouched: they are saved, the whole block is
+/// added, and they are restored. At most [`WRAP_SAVE`] are wrapped.
+fn add_block_keeping_wrapped(dst: &mut [f32], src: &[f32], w: usize, run: usize) {
+    let gap = w - run;
+    debug_assert!(dst.len() / w * gap <= WRAP_SAVE);
+    let mut saved = [0.0f32; WRAP_SAVE];
+    if gap > 0 {
+        let wrapped = dst.get(run..).unwrap_or(&[]).chunks_exact(w);
+        for (keep, row) in saved.chunks_exact_mut(gap).zip(wrapped) {
+            for (k, v) in keep.iter_mut().zip(row) {
+                *k = *v;
+            }
+        }
+    }
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += *s;
+    }
+    if gap > 0 {
+        let wrapped = dst.get_mut(run..).unwrap_or(&mut []).chunks_exact_mut(w);
+        for (keep, row) in saved.chunks_exact(gap).zip(wrapped) {
+            for (v, k) in row.iter_mut().zip(keep) {
+                *v = *k;
+            }
+        }
+    }
+}
+
 /// Unfolds one `[C, H, W]` image (flat slice) into column-major patches.
 ///
 /// The output buffer `col` has layout `[C*KH*KW, OH*OW]` row-major: row
@@ -60,9 +142,11 @@ fn tap_coords(tap: usize, kh: usize, kw: usize) -> (usize, usize, usize) {
 /// that the kernel tap `(c, kh, kw)` sees (0 where padding is sampled).
 ///
 /// Lowering is a copy: per tap, the output rows and columns whose input
-/// lies inside the image are computed once, the rest is zero-filled, and
-/// each inside row is one `copy_from_slice` (stride 1) or one strided
-/// gather (stride > 1). Every element of `col` is written.
+/// lies inside the image are computed once and the rest is zero-filled.
+/// A stride-1 tap over a full-width output is one `copy_from_slice` of
+/// its [`TapBlock`], after which the wrapped positions are zeroed;
+/// otherwise each inside row is one `copy_from_slice` (stride 1) or one
+/// strided gather (stride > 1). Every element of `col` is written.
 ///
 /// # Panics
 ///
@@ -88,6 +172,28 @@ pub fn im2col(
         let img_ch = img.get(ch * h * w..(ch + 1) * h * w).unwrap_or(&[]);
         let (y_lo, y_hi) = valid_range(h, oh, ky, stride, pad);
         let (x_lo, x_hi) = valid_range(w, ow, kx, stride, pad);
+        if stride == 1 && ow == w {
+            let Some(b) = TapBlock::new(w, (ky, kx, pad), (y_lo, y_hi), (x_lo, x_hi)) else {
+                col_row.fill(0.0);
+                continue;
+            };
+            let (head, rest) = col_row.split_at_mut(b.dst);
+            head.fill(0.0);
+            let (block, tail) = rest.split_at_mut(b.len);
+            tail.fill(0.0);
+            if let Some(src) = img_ch.get(b.src..b.src + b.len) {
+                block.copy_from_slice(src);
+            }
+            let gap = w - b.run;
+            let wrapped = block
+                .get_mut(b.run..)
+                .unwrap_or(&mut [])
+                .chunks_exact_mut(w);
+            for row in wrapped {
+                row.get_mut(..gap).unwrap_or(&mut []).fill(0.0);
+            }
+            continue;
+        }
         let ix0 = (x_lo * stride + kx).saturating_sub(pad);
         for (oy, dst) in col_row.chunks_exact_mut(ow).enumerate() {
             let iy = (oy * stride + ky).saturating_sub(pad);
@@ -117,11 +223,17 @@ pub fn im2col(
 /// Adjoint of [`im2col`]: folds patch-space gradients back into image space,
 /// accumulating into `img` (caller usually passes a zeroed buffer).
 ///
-/// Per tap and inside output row, the columns whose input lies inside the
+/// A stride-1 tap over a full-width output that wraps at most
+/// [`WRAP_SAVE`] positions is added as one pass over its [`TapBlock`];
+/// the image elements its wrapped positions map to are saved first and
+/// restored after, so they never receive an add (not even `+0.0`, which
+/// would turn a caller's `−0.0` into `+0.0`). Otherwise, per
+/// tap and inside output row, the columns whose input lies inside the
 /// image are added as one slice `+=` (strided for stride > 1); padding
-/// columns are skipped without a per-element test. Each image element
-/// receives its additions in `(c, ky, kx, oy)` order, the order of the
-/// per-element loop this replaced, so results are bitwise unchanged.
+/// columns are skipped without a per-element test. Within one tap the
+/// output-to-input map is injective, so each image element receives its
+/// additions in `(c, ky, kx)` tap order, the order of the per-element
+/// loop this replaced, and results are bitwise unchanged.
 ///
 /// # Panics
 ///
@@ -149,6 +261,18 @@ pub fn col2im(
         };
         let (y_lo, y_hi) = valid_range(h, oh, ky, stride, pad);
         let (x_lo, x_hi) = valid_range(w, ow, kx, stride, pad);
+        if stride == 1 && ow == w {
+            let Some(b) = TapBlock::new(w, (ky, kx, pad), (y_lo, y_hi), (x_lo, x_hi)) else {
+                continue;
+            };
+            // `rows − 1` row ends wrap `w − run` elements each.
+            if (b.rows - 1) * (w - b.run) <= WRAP_SAVE {
+                let src = col_row.get(b.dst..b.dst + b.len).unwrap_or(&[]);
+                let dst = img_ch.get_mut(b.src..b.src + b.len).unwrap_or(&mut []);
+                add_block_keeping_wrapped(dst, src, w, b.run);
+                continue;
+            }
+        }
         let ix0 = (x_lo * stride + kx).saturating_sub(pad);
         for (oy, src) in col_row.chunks_exact(ow).enumerate().take(y_hi).skip(y_lo) {
             let iy = (oy * stride + ky).saturating_sub(pad);

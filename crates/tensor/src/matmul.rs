@@ -37,7 +37,6 @@
 //! no hot path multiplies today).
 
 use crate::backend::{self, CpuBackend, DOT_BLOCK, MR};
-use crate::scratch::{scratch_f32, Purpose, ScratchBuf};
 use crate::{par, Tensor, TensorError};
 
 /// `k`-panel height: one panel of `b` (`KC·NC` floats) stays L2-resident.
@@ -62,38 +61,6 @@ fn rows_per_chunk(m: usize) -> usize {
 
 // ------------------------------------------------------------ micro-kernels
 
-/// Minimum row count before a `b` panel is copied into a contiguous
-/// scratch buffer. Packing costs one sweep over the panel and pays off
-/// through TLB-friendly streaming once enough `MR` blocks reuse it; below
-/// the threshold the kernels read `b` in place. Results are bitwise
-/// identical either way — packing changes layout, not operation order.
-const PACK_MIN_ROWS: usize = 16;
-
-/// Copies rows `pb..pe`, columns `jb..jb+width` of row-major `b` into the
-/// head of `scratch`, returning the packed panel.
-fn pack_panel<'s>(
-    b: &[f32],
-    n: usize,
-    jb: usize,
-    pb: usize,
-    pe: usize,
-    width: usize,
-    scratch: &'s mut [f32],
-) -> &'s [f32] {
-    let packed = &mut scratch[..(pe - pb) * width];
-    for (q, p) in (pb..pe).enumerate() {
-        packed[q * width..(q + 1) * width].copy_from_slice(&b[p * n + jb..p * n + jb + width]);
-    }
-    packed
-}
-
-/// Checks out a thread-local scratch buffer sized for the largest panel a
-/// `k×n` problem can need. Contents are unspecified — `pack_panel` fully
-/// overwrites the region the micro-kernels read.
-fn panel_scratch(k: usize, n: usize) -> ScratchBuf {
-    scratch_f32(Purpose::PackedPanel, KC.min(k) * NC.min(n))
-}
-
 /// Computes `c_rows += a_rows · b` for `rows` output rows starting at
 /// global row `row0`. `a` and `b` are the full input matrices; `c_rows` is
 /// exactly `rows·n` long. Full `MR`-row blocks and leftover single rows run
@@ -111,16 +78,13 @@ fn kernel_into(
     n: usize,
 ) {
     debug_assert_eq!(c_rows.len(), rows * n);
-    let mut scratch = (rows >= PACK_MIN_ROWS).then(|| panel_scratch(k, n));
     for jb in (0..n).step_by(NC) {
         let je = (jb + NC).min(n);
         let width = je - jb;
         for pb in (0..k).step_by(KC) {
             let pe = (pb + KC).min(k);
-            let (bp, b_base, b_stride): (&[f32], usize, usize) = match scratch.as_mut() {
-                Some(s) => (pack_panel(b, n, jb, pb, pe, width, s), 0, width),
-                None => (b, pb * n + jb, n),
-            };
+            // B(p, j) = b[(pb+p)·n + jb + j]: `b` is read in place.
+            let b_base = pb * n + jb;
             let mut i = 0;
             while i + MR <= rows {
                 // A(r, p) = a[(row0+i+r)·k + pb + p]: row stride k, p
@@ -132,9 +96,9 @@ fn kernel_into(
                     1,
                     MR,
                     pe - pb,
-                    bp,
+                    b,
                     b_base,
-                    b_stride,
+                    n,
                     width,
                     c_rows,
                     i * n + jb,
@@ -150,9 +114,9 @@ fn kernel_into(
                     1,
                     1,
                     pe - pb,
-                    bp,
+                    b,
                     b_base,
-                    b_stride,
+                    n,
                     width,
                     c_rows,
                     i * n + jb,
@@ -180,16 +144,13 @@ fn kernel_transpose_a(
     n: usize,
 ) {
     debug_assert_eq!(c_rows.len(), rows * n);
-    let mut scratch = (rows >= PACK_MIN_ROWS).then(|| panel_scratch(k, n));
     for jb in (0..n).step_by(NC) {
         let je = (jb + NC).min(n);
         let width = je - jb;
         for pb in (0..k).step_by(KC) {
             let pe = (pb + KC).min(k);
-            let (bp, b_base, b_stride): (&[f32], usize, usize) = match scratch.as_mut() {
-                Some(s) => (pack_panel(b, n, jb, pb, pe, width, s), 0, width),
-                None => (b, pb * n + jb, n),
-            };
+            // B(p, j) = b[(pb+p)·n + jb + j]: `b` is read in place.
+            let b_base = pb * n + jb;
             let mut i = 0;
             while i + MR <= rows {
                 // A(r, p) = a[(pb+p)·m + row0 + i + r]: row stride 1, p
@@ -201,9 +162,9 @@ fn kernel_transpose_a(
                     m,
                     MR,
                     pe - pb,
-                    bp,
+                    b,
                     b_base,
-                    b_stride,
+                    n,
                     width,
                     c_rows,
                     i * n + jb,
@@ -219,9 +180,9 @@ fn kernel_transpose_a(
                     m,
                     1,
                     pe - pb,
-                    bp,
+                    b,
                     b_base,
-                    b_stride,
+                    n,
                     width,
                     c_rows,
                     i * n + jb,

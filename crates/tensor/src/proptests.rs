@@ -283,51 +283,147 @@ mod lowering_reference {
             .collect()
     }
 
+    /// [`mixed`] with IEEE edge values planted: `−0.0`, NaN and `±∞`. As
+    /// the image `col2im` accumulates into, an element the reference
+    /// leaves alone must keep these bits, and a stray `+0.0` add turns
+    /// `−0.0` into `+0.0`.
+    fn with_edges(seed: u64, len: usize) -> Vec<f32> {
+        let mut v = mixed(seed, len);
+        for (i, x) in v.iter_mut().enumerate() {
+            match i % 6 {
+                1 => *x = -0.0,
+                3 => *x = f32::NAN,
+                4 if i % 12 == 4 => *x = f32::INFINITY,
+                4 => *x = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// [`mixed`] with every third value `+0.0`, so a column added where
+    /// the reference adds nothing can be a `+0.0` add.
+    fn with_zeros(seed: u64, len: usize) -> Vec<f32> {
+        let mut v = mixed(seed, len);
+        v.iter_mut().step_by(3).for_each(|x| *x = 0.0);
+        v
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Image sides 1–33 (the models' 8/14/16/28/32 and odd widths that
+    /// end a SIMD body early), with 1–5 weighted so single-pixel images
+    /// and images smaller than the kernel come up often.
+    fn side() -> impl Strategy<Value = usize> {
+        prop_oneof![1usize..6, 1usize..34]
+    }
+
+    /// `im2col` writes every cell of a NaN-prefilled output, each with
+    /// the reference's bits.
+    #[allow(clippy::too_many_arguments)]
+    fn check_im2col(
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
+        let oh = conv_out_dim(h, kh, stride, pad).unwrap();
+        let ow = conv_out_dim(w, kw, stride, pad).unwrap();
+        let img = mixed(seed, c * h * w);
+        let n_col = c * kh * kw * oh * ow;
+        let mut want = vec![0.0f32; n_col];
+        ref_im2col(&img, &mut want, c, h, w, kh, kw, stride, pad);
+        let mut got = vec![f32::NAN; n_col];
+        im2col(&img, &mut got, c, h, w, kh, kw, stride, pad);
+        prop_assert_eq!(bits(&got), bits(&want));
+        Ok(())
+    }
+
+    /// `col2im` accumulates into an edge-valued image with the
+    /// reference's bits: each element's additions keep their order, and
+    /// an element the reference never adds to keeps its bits.
+    #[allow(clippy::too_many_arguments)]
+    fn check_col2im(
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
+        let oh = conv_out_dim(h, kh, stride, pad).unwrap();
+        let ow = conv_out_dim(w, kw, stride, pad).unwrap();
+        let col = with_zeros(seed, c * kh * kw * oh * ow);
+        let base = with_edges(seed ^ 0x5EED, c * h * w);
+        let mut want = base.clone();
+        ref_col2im(&col, &mut want, c, h, w, kh, kw, stride, pad);
+        let mut got = base;
+        col2im(&col, &mut got, c, h, w, kh, kw, stride, pad);
+        prop_assert_eq!(bits(&got), bits(&want));
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The per-tap `im2col` writes every cell of a NaN-prefilled
-        /// output, each with the reference's bits.
+        /// Any geometry: the per-row paths (stride > 1 or `ow ≠ w`) and
+        /// the whole-tap path where it happens to apply.
         #[test]
         fn im2col_matches_per_element_reference_bitwise(
-            c in 1usize..4, h in 1usize..10, w in 1usize..10,
+            c in 1usize..4, h in side(), w in side(),
             kh in 1usize..6, kw in 1usize..6, stride in 1usize..4,
             pad in 0usize..3, seed in 0u64..1000
         ) {
-            let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
-            let oh = conv_out_dim(h, kh, stride, pad).unwrap();
-            let ow = conv_out_dim(w, kw, stride, pad).unwrap();
-            let img = mixed(seed, c * h * w);
-            let n_col = c * kh * kw * oh * ow;
-            let mut want = vec![0.0f32; n_col];
-            ref_im2col(&img, &mut want, c, h, w, kh, kw, stride, pad);
-            let mut got = vec![f32::NAN; n_col];
-            im2col(&img, &mut got, c, h, w, kh, kw, stride, pad);
-            prop_assert_eq!(bits(&got), bits(&want));
+            check_im2col(c, h, w, kh, kw, stride, pad, seed)?;
         }
 
-        /// The per-tap `col2im` accumulates into a non-zero image with the
-        /// reference's bits: each element's additions keep their order.
         #[test]
         fn col2im_matches_per_element_reference_bitwise(
-            c in 1usize..4, h in 1usize..10, w in 1usize..10,
+            c in 1usize..4, h in side(), w in side(),
             kh in 1usize..6, kw in 1usize..6, stride in 1usize..4,
             pad in 0usize..3, seed in 0u64..1000
         ) {
-            let (kh, kw) = (kh.min(h + 2 * pad), kw.min(w + 2 * pad));
-            let oh = conv_out_dim(h, kh, stride, pad).unwrap();
-            let ow = conv_out_dim(w, kw, stride, pad).unwrap();
-            let col = mixed(seed, c * kh * kw * oh * ow);
-            let base = mixed(seed ^ 0x5EED, c * h * w);
-            let mut want = base.clone();
-            ref_col2im(&col, &mut want, c, h, w, kh, kw, stride, pad);
-            let mut got = base;
-            col2im(&col, &mut got, c, h, w, kh, kw, stride, pad);
-            prop_assert_eq!(bits(&got), bits(&want));
+            check_col2im(c, h, w, kh, kw, stride, pad, seed)?;
+        }
+
+        /// "Same" geometry (stride 1, `kw = 2·pad + 1`, so `ow == w`): the
+        /// whole-tap block, with `|kx − pad|` up to 2 wrapped columns per
+        /// row end.
+        #[test]
+        fn im2col_whole_tap_matches_per_element_reference_bitwise(
+            c in 1usize..4, h in side(), w in side(), kh in 1usize..6,
+            pad in 0usize..3, seed in 0u64..1000
+        ) {
+            check_im2col(c, h, w, kh, 2 * pad + 1, 1, pad, seed)?;
+        }
+
+        #[test]
+        fn col2im_whole_tap_matches_per_element_reference_bitwise(
+            c in 1usize..4, h in side(), w in side(), kh in 1usize..6,
+            pad in 0usize..3, seed in 0u64..1000
+        ) {
+            check_col2im(c, h, w, kh, 2 * pad + 1, 1, pad, seed)?;
+        }
+    }
+
+    /// A "same" tap that wraps more than `col2im`'s stack save (5×5/pad 2
+    /// on 40 rows wraps 2 × 39 > 64) falls back to the per-row add loop.
+    #[test]
+    fn col2im_whole_tap_past_the_wrap_save_matches_reference_bitwise() {
+        for (h, w) in [(40, 7), (70, 3), (33, 33)] {
+            check_col2im(2, h, w, 5, 5, 1, 2, 3).unwrap();
+            check_col2im(1, h, w, 3, 3, 1, 1, 4).unwrap();
+            check_im2col(2, h, w, 5, 5, 1, 2, 5).unwrap();
         }
     }
 }
@@ -566,8 +662,8 @@ mod parallel_equivalence {
         fn backend_gemm_tile_is_bitwise_identical_across_backends(
             rows in 1usize..5, k in 1usize..40, n in 1usize..90, seed in 0u64..1_000_000
         ) {
-            // The "packed" panel is B itself (b_base = 0, b_stride = n):
-            // layout-identical to a pack_panel copy of the full width.
+            // The panel is B itself (b_base = 0, b_stride = n), read in
+            // place as `matmul`'s kernels read it.
             use crate::backend::{self, Kind, ALL_KINDS};
             let a = fill(seed, rows * k);
             let b = fill(seed ^ 0x5EED, k * n);

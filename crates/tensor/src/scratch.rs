@@ -1,8 +1,8 @@
 //! Thread-local, grow-only scratch arenas for the hot compute path.
 //!
 //! Every kernel that used to allocate a temporary `Vec<f32>` per call
-//! (packed GEMM panels, im2col column matrices, conv gradient lowering
-//! buffers) instead borrows a purpose-keyed buffer from the current
+//! (im2col column matrices, conv gradient lowering buffers, aggregation
+//! columns) instead borrows a purpose-keyed buffer from the current
 //! thread's arena and returns it on drop. Buffers only ever grow, so a
 //! steady-state training round performs zero hot-loop allocations after
 //! the first round warms each worker's arena.
@@ -22,7 +22,7 @@
 //!   Kernels therefore keep purposes disjoint along any call chain.
 //! - [`scratch_f32`] hands back **unspecified contents** (stale data from
 //!   earlier uses on this thread). Callers must fully overwrite every
-//!   element they later read — `im2col` and GEMM panel packing qualify.
+//!   element they later read — `im2col` qualifies.
 //!   Accumulation targets (`+=` kernels) must use [`scratch_zeroed`].
 //! - Determinism: buffer *contents* a kernel reads are always either
 //!   freshly written or freshly zeroed, so results cannot depend on what
@@ -35,33 +35,31 @@ use std::ops::{Deref, DerefMut};
 /// What a scratch buffer is for. One arena slot per variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Purpose {
-    /// Packed GEMM `b`-panel (`matmul` cache blocking).
-    PackedPanel = 0,
     /// im2col column matrix whose every element is overwritten
     /// (conv-transpose backward lowering).
-    Im2col = 1,
+    Im2col = 0,
     /// conv backward `grad_col` accumulator (zeroed: col2im accumulates).
-    GradCol = 2,
+    GradCol = 1,
     /// conv-transpose forward column accumulator (zeroed: col2im
     /// accumulates the result into the output image).
-    ConvCol = 3,
+    ConvCol = 2,
     /// Per-coordinate sort column for `vecops::median_into` /
     /// `vecops::trimmed_mean_into` (one client value per slot).
-    SortColumn = 4,
+    SortColumn = 3,
     /// Coordinate-wise mean staging for `vecops::std_dev_into`.
-    CoordMean = 5,
+    CoordMean = 4,
     /// Per-client squared-distance row for `aggregation` Krum scoring.
-    KrumRow = 6,
+    KrumRow = 5,
     /// Bulyan stage-2 column workspace (gather + sort + closeness).
-    BulyanCols = 7,
+    BulyanCols = 6,
     /// Pairwise distance/similarity tile for the blocked O(n²) kernels
     /// (`vecops::sq_distance_tile_into` and `vecops::pairwise_tile_into`
     /// callers).
-    DistTile = 8,
+    DistTile = 7,
 }
 
 /// Number of [`Purpose`] variants — the arena array length.
-const PURPOSES: usize = 9;
+const PURPOSES: usize = 8;
 
 std::thread_local! {
     static ARENA: RefCell<[Vec<f32>; PURPOSES]> = RefCell::new(Default::default());
@@ -160,11 +158,11 @@ mod tests {
     #[test]
     fn allocation_is_reused_across_checkouts() {
         let p1 = {
-            let s = scratch_f32(Purpose::PackedPanel, 256);
+            let s = scratch_f32(Purpose::Im2col, 256);
             s.as_ptr() as usize
         };
         let p2 = {
-            let s = scratch_f32(Purpose::PackedPanel, 100);
+            let s = scratch_f32(Purpose::Im2col, 100);
             s.as_ptr() as usize
         };
         assert_eq!(p1, p2, "smaller request must reuse the same allocation");

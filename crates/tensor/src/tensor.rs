@@ -353,6 +353,38 @@ impl Tensor {
         Ok(Tensor { shape, data })
     }
 
+    /// Gathers samples `indices` (in order, repeats allowed) of a batched
+    /// tensor into one batch, each sample copied once straight into the
+    /// result: the bits of [`Tensor::concat_batch`] over one
+    /// [`Tensor::slice_batch`] per index, without the per-sample tensors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for rank-0 tensors and
+    /// [`TensorError::InvalidGeometry`] if an index is out of range.
+    pub fn gather_batch(&self, indices: &[usize]) -> Result<Tensor, TensorError> {
+        let Some((&n, sample_shape)) = self.shape.split_first() else {
+            return Err(TensorError::RankMismatch {
+                op: "gather_batch",
+                expected: 1,
+                actual: 0,
+            });
+        };
+        let stride: usize = sample_shape.iter().product();
+        let mut data = Vec::with_capacity(indices.len() * stride);
+        for &i in indices {
+            if i >= n {
+                return Err(TensorError::InvalidGeometry(format!(
+                    "batch index {i} out of range for batch size {n}"
+                )));
+            }
+            data.extend_from_slice(&self.data[i * stride..(i + 1) * stride]);
+        }
+        let mut shape = self.shape.clone();
+        shape[0] = indices.len();
+        Ok(Tensor { shape, data })
+    }
+
     /// Stacks tensors of identical per-sample shape along a new batch axis.
     ///
     /// Inputs may themselves be batches (first axis is concatenated).
@@ -504,6 +536,24 @@ mod tests {
         let back = Tensor::concat_batch(&[s0, s1]).unwrap();
         assert_eq!(back, t);
         assert!(Tensor::concat_batch(&[]).is_err());
+    }
+
+    /// One gather pass yields the bits of one `slice_batch` per index
+    /// followed by `concat_batch`, repeats and all.
+    #[test]
+    fn gather_batch_equals_concatenated_slices() {
+        let data = (0..54).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
+        let t = Tensor::from_vec(vec![6, 1, 3, 3], data).unwrap();
+        for indices in [&[4usize, 0, 2, 2][..], &[5], &[1, 3, 5, 0, 2, 4]] {
+            let parts: Vec<Tensor> = indices.iter().map(|&i| t.slice_batch(i).unwrap()).collect();
+            let want = Tensor::concat_batch(&parts).unwrap();
+            let got = t.gather_batch(indices).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+        }
+        assert!(t.gather_batch(&[6]).is_err());
+        assert!(Tensor::zeros(vec![]).gather_batch(&[0]).is_err());
     }
 
     #[test]

@@ -115,15 +115,18 @@ fn hot_kernels_are_allocation_free_once_warm() {
     });
     assert!(tile_sink.is_finite());
 
-    // Stride 1 (the copy path) and stride 2 (the strided gather), each
-    // with padding so the zero-filled columns run too.
-    let (ch, h, w, kk, pad) = (3usize, 9usize, 9usize, 3usize, 1usize);
+    // Stride 1 (the whole-tap block), stride 2 (the strided gather) and
+    // 5×5/pad 2 on 40 rows (taps wrapping two columns per row, past
+    // `col2im`'s stack save, take its per-row loop), each with padding so
+    // the zero-filled columns run too.
+    let (ch, h, w) = (3usize, 40usize, 9usize);
     let img: Vec<f32> = (0..ch * h * w).map(|i| i as f32 * 0.01).collect();
-    let mut col = vec![0.0f32; ch * kk * kk * h * w];
+    let mut col = vec![0.0f32; ch * 5 * 5 * h * w];
     let mut back = vec![0.0f32; ch * h * w];
-    for stride in [1usize, 2] {
+    for (kk, stride, pad) in [(3usize, 1usize, 1usize), (3, 2, 1), (5, 1, 2)] {
         let oh = (h + 2 * pad - kk) / stride + 1;
-        let col = &mut col[..ch * kk * kk * oh * oh];
+        let ow = (w + 2 * pad - kk) / stride + 1;
+        let col = &mut col[..ch * kk * kk * oh * ow];
         assert_steady_state_alloc_free("im2col", || {
             im2col(&img, col, ch, h, w, kk, kk, stride, pad);
         });

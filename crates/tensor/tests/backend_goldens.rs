@@ -396,9 +396,9 @@ fn assign_kernels_bitwise_identical_across_backends() {
 
 /// The GEMM register tile itself is bitwise identical across backends,
 /// exercised directly through `gemm_tile` so the 64/16/8-column
-/// sub-tile and masked-remainder paths are all covered. The "packed"
-/// panel is the B matrix itself (`b_base = 0`, `b_stride = n`), which
-/// is layout-identical to a `pack_panel` copy of the full width.
+/// sub-tile and masked-remainder paths are all covered. The panel is
+/// the B matrix itself (`b_base = 0`, `b_stride = n`), read in place as
+/// `matmul`'s kernels read it.
 #[test]
 fn gemm_tile_bitwise_identical_across_backends() {
     let scalar = backend::instance(Kind::Scalar);
