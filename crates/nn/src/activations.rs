@@ -75,7 +75,9 @@ impl Layer for Relu {
 /// generator to produce images in `[0, 1]`.
 #[derive(Debug, Clone, Default)]
 pub struct Sigmoid {
-    out: Option<Tensor>,
+    /// The last forward's output, copied into a grow-only layer-owned
+    /// buffer. `None` before the first forward.
+    out: Option<Vec<f32>>,
 }
 
 impl Sigmoid {
@@ -88,7 +90,10 @@ impl Sigmoid {
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.out = Some(out.clone());
+        let cached = self.out.get_or_insert_default();
+        cached.clear();
+        // fabcheck::allow(alloc_on_hot_path): grow-only layer-owned buffer.
+        cached.extend_from_slice(out.data());
         Ok(out)
     }
 
@@ -104,7 +109,7 @@ impl Layer for Sigmoid {
             });
         }
         let mut g = grad_out.clone();
-        for (v, &y) in g.data_mut().iter_mut().zip(out.data()) {
+        for (v, &y) in g.data_mut().iter_mut().zip(out) {
             *v *= y * (1.0 - y);
         }
         Ok(g)
@@ -227,6 +232,22 @@ mod tests {
         let gx = s.backward(&g).unwrap();
         // Max derivative at 0 is 0.25.
         assert!((gx.data()[1] - 0.25).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sigmoid_cache_is_rebuilt_when_the_input_shrinks_and_grows() {
+        let mut reused = Sigmoid::new();
+        for len in [5usize, 2, 7] {
+            let x: Vec<f32> = (0..len).map(|i| i as f32 - 2.5).collect();
+            let g: Vec<f32> = (0..len).map(|i| 0.5 - i as f32).collect();
+            let x = Tensor::from_vec(vec![len], x).unwrap();
+            let g = Tensor::from_vec(vec![len], g).unwrap();
+            let mut fresh = Sigmoid::new();
+            assert_eq!(reused.forward(&x).unwrap(), fresh.forward(&x).unwrap());
+            assert_eq!(reused.backward(&g).unwrap(), fresh.backward(&g).unwrap());
+            // A gradient of another length is rejected.
+            assert!(reused.backward(&Tensor::zeros(vec![len + 1])).is_err());
+        }
     }
 
     #[test]

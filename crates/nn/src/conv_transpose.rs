@@ -29,15 +29,19 @@ pub struct ConvTranspose2d {
     kernel: usize,
     stride: usize,
     pad: usize,
+    /// Input geometry from the last forward.
     cache: Option<Cache>,
+    /// The last forward's input, copied into a grow-only layer-owned
+    /// buffer (backward's weight gradient reads it).
+    input: Vec<f32>,
     /// Per-sample weight+bias gradient stripes `[N, IC·OKK + OC]`, zeroed
     /// and reused each backward, merged in ascending sample order.
     gwb: Vec<f32>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Cache {
-    input: Tensor,
+    in_shape: [usize; 4],
     out_h: usize,
     out_w: usize,
 }
@@ -70,6 +74,7 @@ impl ConvTranspose2d {
             stride,
             pad,
             cache: None,
+            input: Vec::new(),
             gwb: Vec::new(),
         }
     }
@@ -158,10 +163,11 @@ impl Layer for ConvTranspose2d {
         } else {
             par::for_each_chunk_mut(out.data_mut(), out_sample, per_sample);
         }
+        self.input.clear();
+        // fabcheck::allow(alloc_on_hot_path): grow-only layer-owned buffer.
+        self.input.extend_from_slice(input_data);
         self.cache = Some(Cache {
-            // fabcheck::allow(alloc_on_hot_path): backward's weight gradient
-            // needs the forward input — one cached clone per forward call.
-            input: input.clone(),
+            in_shape: [n, self.in_channels, h, w],
             out_h: oh,
             out_w: ow,
         });
@@ -171,15 +177,8 @@ impl Layer for ConvTranspose2d {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
         let cache = self
             .cache
-            .as_ref()
             .ok_or(NnError::BackwardBeforeForward("ConvTranspose2d"))?;
-        let input = &cache.input;
-        let (n, _c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
+        let [n, _c, h, w] = cache.in_shape;
         let (oh, ow) = (cache.out_h, cache.out_w);
         let expected = [n, self.out_channels, oh, ow];
         if grad_out.shape() != expected {
@@ -195,12 +194,12 @@ impl Layer for ConvTranspose2d {
         let out_sample = self.out_channels * oh * ow;
         // fabcheck::allow(alloc_on_hot_path): fresh gradient tensor — the
         // Layer API hands ownership to the caller.
-        let mut grad_in = Tensor::zeros(input.shape().to_vec());
+        let mut grad_in = Tensor::zeros(cache.in_shape.to_vec());
         let weight = self.weight.data();
         let (in_channels, out_channels) = (self.in_channels, self.out_channels);
         let (kernel, stride, pad) = (self.kernel, self.stride, self.pad);
         let grad_out_data = grad_out.data();
-        let input_data = input.data();
+        let input_data = self.input.as_slice();
         // Batch-parallel with per-sample weight/bias contributions written
         // into per-sample stripes of one flat reusable buffer and merged in
         // ascending sample order (bitwise-identical to the serial
@@ -367,5 +366,26 @@ mod tests {
             (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
             "{lhs} vs {rhs}"
         );
+    }
+
+    #[test]
+    fn cached_input_is_rebuilt_when_the_batch_shrinks_and_grows() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut reused = ConvTranspose2d::new(3, 2, 4, 2, 1, &mut rng);
+        for n in [3usize, 1, 4] {
+            let x = Tensor::uniform(vec![n, 3, 5, 5], -1.0, 1.0, &mut rng);
+            let g = Tensor::uniform(vec![n, 2, 10, 10], -1.0, 1.0, &mut rng);
+            let mut fresh = reused.clone();
+            fresh.input = Vec::new();
+            fresh.cache = None;
+            assert_eq!(reused.forward(&x).unwrap(), fresh.forward(&x).unwrap());
+            assert_eq!(reused.backward(&g).unwrap(), fresh.backward(&g).unwrap());
+            assert_eq!(reused.grad_weight, fresh.grad_weight);
+            assert_eq!(reused.grad_bias, fresh.grad_bias);
+            // A gradient of the previous batch size is rejected.
+            assert!(reused
+                .backward(&Tensor::zeros(vec![n + 1, 2, 10, 10]))
+                .is_err());
+        }
     }
 }

@@ -8,8 +8,8 @@
 //! Determinism: every kernel reproduces the scalar backend's operation
 //! chains exactly (see the module docs in `backend/mod.rs`). The GEMM tile
 //! keeps each element's FMA chain, `dot_lanes` and `dot`/`dot_delta` hold
-//! each 16-lane accumulator as two 8-lane halves, and the element-wise
-//! primitives use separate mul/add (no fused contraction).
+//! each 16-lane accumulator as two 8-lane halves, and `sq_distance_rows`
+//! uses separate sub/mul/add (no fused contraction).
 //!
 //! Every SIMD loop over several slices is sized from the shortest one it
 //! loads, so a length mismatch (which the trait's callers rule out, and
@@ -18,8 +18,8 @@
 use std::arch::x86_64::{
     __m256, _mm256_add_ps, _mm256_castps128_ps256, _mm256_castps256_ps128, _mm256_extractf128_ps,
     _mm256_fmadd_ps, _mm256_insertf128_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_set_m128, _mm256_setzero_ps, _mm256_sqrt_ps, _mm256_storeu_ps, _mm256_sub_ps,
-    _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps,
+    _mm256_set_m128, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss,
+    _mm_cvtss_f32, _mm_loadu_ps, _mm_movehl_ps, _mm_shuffle_ps,
 };
 
 use super::{CpuBackend, DIST_ROWS, DOT_BLOCK, MR};
@@ -419,135 +419,6 @@ fn fold_striped(acc: [[__m256; 2]; 4]) -> f32 {
     hsum8(_mm256_add_ps(lo, hi))
 }
 
-/// `out[i] += src[i]`, 8 lanes at a time — independent per-coordinate
-/// adds, bitwise equal to scalar.
-#[target_feature(enable = "avx2")]
-fn add_assign(out: &mut [f32], src: &[f32]) {
-    let blocks = out.len().min(src.len()) / 8;
-    let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= min(out.len(), src.len())): q < min/8,
-        // so the 8-lane load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
-            _mm256_storeu_ps(
-                op.wrapping_add(q * 8),
-                _mm256_add_ps(o, _mm256_loadu_ps(sp.wrapping_add(q * 8))),
-            );
-        }
-    }
-    for (o, x) in out
-        .iter_mut()
-        .skip(blocks * 8)
-        .zip(src.iter().skip(blocks * 8))
-    {
-        *o += x;
-    }
-}
-
-/// `out[i] *= alpha` — bitwise equal to scalar.
-#[target_feature(enable = "avx2")]
-fn scale_assign(out: &mut [f32], alpha: f32) {
-    let blocks = out.len() / 8;
-    let av = _mm256_set1_ps(alpha);
-    let op = out.as_mut_ptr();
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= out.len()): q < len/8, so the 8-lane
-        // load/store pair stays in-bounds.
-        unsafe {
-            _mm256_storeu_ps(
-                op.wrapping_add(q * 8),
-                _mm256_mul_ps(_mm256_loadu_ps(op.wrapping_add(q * 8)), av),
-            );
-        }
-    }
-    for o in out.iter_mut().skip(blocks * 8) {
-        *o *= alpha;
-    }
-}
-
-/// `out[i] += (v[i] − m[i])²` via separate sub/mul/add — the scalar
-/// variance-accumulate rounding, bitwise equal to scalar.
-#[target_feature(enable = "avx2")]
-fn sq_dev_assign(out: &mut [f32], v: &[f32], m: &[f32]) {
-    let blocks = out.len().min(v.len()).min(m.len()) / 8;
-    let (op, vp, mp) = (out.as_mut_ptr(), v.as_ptr(), m.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= min(out.len(), v.len(), m.len())): q <
-        // min/8, so every 8-lane access stays in-bounds.
-        unsafe {
-            let d = _mm256_sub_ps(
-                _mm256_loadu_ps(vp.wrapping_add(q * 8)),
-                _mm256_loadu_ps(mp.wrapping_add(q * 8)),
-            );
-            let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
-            _mm256_storeu_ps(
-                op.wrapping_add(q * 8),
-                _mm256_add_ps(o, _mm256_mul_ps(d, d)),
-            );
-        }
-    }
-    let tail = blocks * 8;
-    for (o, (x, mv)) in out
-        .iter_mut()
-        .skip(tail)
-        .zip(v.iter().skip(tail).zip(m.iter().skip(tail)))
-    {
-        let diff = x - mv;
-        *o += diff * diff;
-    }
-}
-
-/// `out[i] = sqrt(out[i] * alpha)` — `sqrt` is correctly rounded, bitwise
-/// equal to scalar.
-#[target_feature(enable = "avx2")]
-fn scale_sqrt_assign(out: &mut [f32], alpha: f32) {
-    let blocks = out.len() / 8;
-    let av = _mm256_set1_ps(alpha);
-    let op = out.as_mut_ptr();
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= out.len()): q < len/8, so the 8-lane
-        // load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
-            _mm256_storeu_ps(op.wrapping_add(q * 8), _mm256_sqrt_ps(_mm256_mul_ps(o, av)));
-        }
-    }
-    for o in out.iter_mut().skip(blocks * 8) {
-        *o = (*o * alpha).sqrt();
-    }
-}
-
-/// `out[i] += alpha * src[i]` via separate mul/add — bitwise equal to
-/// scalar `axpy_in_place`.
-#[target_feature(enable = "avx2")]
-fn axpy_assign(out: &mut [f32], alpha: f32, src: &[f32]) {
-    let blocks = out.len().min(src.len()) / 8;
-    let av = _mm256_set1_ps(alpha);
-    let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*8 + 8 <= min(out.len(), src.len())): q < min/8,
-        // so the 8-lane load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm256_loadu_ps(op.wrapping_add(q * 8));
-            _mm256_storeu_ps(
-                op.wrapping_add(q * 8),
-                _mm256_add_ps(
-                    o,
-                    _mm256_mul_ps(av, _mm256_loadu_ps(sp.wrapping_add(q * 8))),
-                ),
-            );
-        }
-    }
-    for (o, y) in out
-        .iter_mut()
-        .skip(blocks * 8)
-        .zip(src.iter().skip(blocks * 8))
-    {
-        *o += alpha * y;
-    }
-}
-
 impl CpuBackend for Avx2 {
     fn name(&self) -> &'static str {
         "avx2"
@@ -687,39 +558,5 @@ impl CpuBackend for Avx2 {
         // SAFETY(feature: avx2,fma): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_delta(a, b, r) }
-    }
-
-    fn add_assign(&self, out: &mut [f32], src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        // SAFETY(feature: avx2): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { add_assign(out, src) }
-    }
-
-    fn scale_assign(&self, out: &mut [f32], alpha: f32) {
-        // SAFETY(feature: avx2): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { scale_assign(out, alpha) }
-    }
-
-    fn sq_dev_assign(&self, out: &mut [f32], v: &[f32], m: &[f32]) {
-        debug_assert_eq!(out.len(), v.len());
-        debug_assert_eq!(out.len(), m.len());
-        // SAFETY(feature: avx2): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_dev_assign(out, v, m) }
-    }
-
-    fn scale_sqrt_assign(&self, out: &mut [f32], alpha: f32) {
-        // SAFETY(feature: avx2): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { scale_sqrt_assign(out, alpha) }
-    }
-
-    fn axpy_assign(&self, out: &mut [f32], alpha: f32, src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        // SAFETY(feature: avx2): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { axpy_assign(out, alpha, src) }
     }
 }

@@ -11,8 +11,8 @@ use std::arch::x86_64::{
     __m512, __mmask16, _mm256_add_ps, _mm256_castpd_ps, _mm512_add_ps, _mm512_broadcast_f32x4,
     _mm512_castps128_ps512, _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps,
     _mm512_insertf32x4, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
-    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_sqrt_ps, _mm512_storeu_ps,
-    _mm512_sub_ps, _mm_loadu_ps,
+    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps,
+    _mm_loadu_ps,
 };
 
 use super::{CpuBackend, DIST_ROWS, DOT_BLOCK, MR};
@@ -400,136 +400,6 @@ fn dot_delta(a: &[f32], b: &[f32], r: &[f32]) -> f32 {
     s
 }
 
-/// `out[i] += src[i]`, 16 lanes at a time — bitwise equal to scalar.
-#[target_feature(enable = "avx512f")]
-fn add_assign(out: &mut [f32], src: &[f32]) {
-    let blocks = out.len().min(src.len()) / 16;
-    let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= min(out.len(), src.len())): q <
-        // min/16, so the 16-lane load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
-            _mm512_storeu_ps(
-                op.wrapping_add(q * 16),
-                _mm512_add_ps(o, _mm512_loadu_ps(sp.wrapping_add(q * 16))),
-            );
-        }
-    }
-    for (o, x) in out
-        .iter_mut()
-        .skip(blocks * 16)
-        .zip(src.iter().skip(blocks * 16))
-    {
-        *o += x;
-    }
-}
-
-/// `out[i] *= alpha` — bitwise equal to scalar.
-#[target_feature(enable = "avx512f")]
-fn scale_assign(out: &mut [f32], alpha: f32) {
-    let blocks = out.len() / 16;
-    let av = _mm512_set1_ps(alpha);
-    let op = out.as_mut_ptr();
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= out.len()): q < len/16, so the 16-lane
-        // load/store pair stays in-bounds.
-        unsafe {
-            _mm512_storeu_ps(
-                op.wrapping_add(q * 16),
-                _mm512_mul_ps(_mm512_loadu_ps(op.wrapping_add(q * 16)), av),
-            );
-        }
-    }
-    for o in out.iter_mut().skip(blocks * 16) {
-        *o *= alpha;
-    }
-}
-
-/// `out[i] += (v[i] − m[i])²` via separate sub/mul/add — bitwise equal to
-/// scalar.
-#[target_feature(enable = "avx512f")]
-fn sq_dev_assign(out: &mut [f32], v: &[f32], m: &[f32]) {
-    let blocks = out.len().min(v.len()).min(m.len()) / 16;
-    let (op, vp, mp) = (out.as_mut_ptr(), v.as_ptr(), m.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= min(out.len(), v.len(), m.len())): q <
-        // min/16, so every 16-lane access stays in-bounds.
-        unsafe {
-            let d = _mm512_sub_ps(
-                _mm512_loadu_ps(vp.wrapping_add(q * 16)),
-                _mm512_loadu_ps(mp.wrapping_add(q * 16)),
-            );
-            let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
-            _mm512_storeu_ps(
-                op.wrapping_add(q * 16),
-                _mm512_add_ps(o, _mm512_mul_ps(d, d)),
-            );
-        }
-    }
-    let tail = blocks * 16;
-    for (o, (x, mv)) in out
-        .iter_mut()
-        .skip(tail)
-        .zip(v.iter().skip(tail).zip(m.iter().skip(tail)))
-    {
-        let diff = x - mv;
-        *o += diff * diff;
-    }
-}
-
-/// `out[i] = sqrt(out[i] * alpha)` — bitwise equal to scalar.
-#[target_feature(enable = "avx512f")]
-fn scale_sqrt_assign(out: &mut [f32], alpha: f32) {
-    let blocks = out.len() / 16;
-    let av = _mm512_set1_ps(alpha);
-    let op = out.as_mut_ptr();
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= out.len()): q < len/16, so the 16-lane
-        // load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
-            _mm512_storeu_ps(
-                op.wrapping_add(q * 16),
-                _mm512_sqrt_ps(_mm512_mul_ps(o, av)),
-            );
-        }
-    }
-    for o in out.iter_mut().skip(blocks * 16) {
-        *o = (*o * alpha).sqrt();
-    }
-}
-
-/// `out[i] += alpha * src[i]` via separate mul/add — bitwise equal to
-/// scalar.
-#[target_feature(enable = "avx512f")]
-fn axpy_assign(out: &mut [f32], alpha: f32, src: &[f32]) {
-    let blocks = out.len().min(src.len()) / 16;
-    let av = _mm512_set1_ps(alpha);
-    let (op, sp) = (out.as_mut_ptr(), src.as_ptr());
-    for q in 0..blocks {
-        // SAFETY(bound: q*16 + 16 <= min(out.len(), src.len())): q <
-        // min/16, so the 16-lane load/store pair stays in-bounds.
-        unsafe {
-            let o = _mm512_loadu_ps(op.wrapping_add(q * 16));
-            _mm512_storeu_ps(
-                op.wrapping_add(q * 16),
-                _mm512_add_ps(
-                    o,
-                    _mm512_mul_ps(av, _mm512_loadu_ps(sp.wrapping_add(q * 16))),
-                ),
-            );
-        }
-    }
-    for (o, y) in out
-        .iter_mut()
-        .skip(blocks * 16)
-        .zip(src.iter().skip(blocks * 16))
-    {
-        *o += alpha * y;
-    }
-}
-
 impl CpuBackend for Avx512 {
     fn name(&self) -> &'static str {
         "avx512"
@@ -658,39 +528,5 @@ impl CpuBackend for Avx512 {
         // SAFETY(feature: avx512f): detected by the dispatcher before this
         // backend was handed out.
         unsafe { dot_delta(a, b, r) }
-    }
-
-    fn add_assign(&self, out: &mut [f32], src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { add_assign(out, src) }
-    }
-
-    fn scale_assign(&self, out: &mut [f32], alpha: f32) {
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { scale_assign(out, alpha) }
-    }
-
-    fn sq_dev_assign(&self, out: &mut [f32], v: &[f32], m: &[f32]) {
-        debug_assert_eq!(out.len(), v.len());
-        debug_assert_eq!(out.len(), m.len());
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { sq_dev_assign(out, v, m) }
-    }
-
-    fn scale_sqrt_assign(&self, out: &mut [f32], alpha: f32) {
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { scale_sqrt_assign(out, alpha) }
-    }
-
-    fn axpy_assign(&self, out: &mut [f32], alpha: f32, src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        // SAFETY(feature: avx512f): detected by the dispatcher before this
-        // backend was handed out.
-        unsafe { axpy_assign(out, alpha, src) }
     }
 }

@@ -1,15 +1,19 @@
 //! Runtime-dispatched CPU microkernel backends (DESIGN.md §4f).
 //!
-//! The hot inner loops of [`crate::matmul`] and [`crate::vecops`] — the
-//! GEMM register tile, the 16-lane dot kernel and its 4×4 block, the
-//! Krum/Bulyan squared-distance rows, the striped `dot`/`dot_delta`
-//! reductions and the element-wise chunk primitives — live behind
-//! the [`CpuBackend`] trait with three implementations:
+//! The hot inner loops of [`crate::matmul`] and [`crate::vecops`] whose
+//! operation order or register tiling must be pinned — the GEMM register
+//! tile, the 16-lane dot kernel and its 4×4 block, the Krum/Bulyan
+//! squared-distance rows and the striped `dot`/`dot_delta` reductions —
+//! live behind the [`CpuBackend`] trait with three implementations:
 //!
 //! * **scalar** — portable kernels on every host, the reference every
 //!   other backend is pinned to.
 //! * **avx2** — AVX2 + FMA `std::arch` intrinsics (256-bit lanes).
 //! * **avx512** — AVX-512F intrinsics (512-bit lanes).
+//!
+//! Element-wise maps (mean/variance accumulation, `axpy`) are not backend
+//! kernels but plain loops in [`crate::vecops`]: they have no order or
+//! tile to pin (DESIGN.md §4f).
 //!
 //! The active backend is chosen once, on first use, by
 //! `is_x86_feature_detected!` and cached in a [`OnceLock`]. The
@@ -49,10 +53,6 @@
 //!   `vecops::sq_distance`'s four lane chains of separate sub/mul/add and
 //!   its fixed fold; the wide backends hold one pair's four lanes per
 //!   128-bit quarter of a register.
-//! * every element-wise primitive (`add_assign`, `scale_assign`,
-//!   `sq_dev_assign`, `scale_sqrt_assign`, `axpy_assign`) — independent
-//!   per-coordinate op chains; the SIMD impls use separate mul/add, never
-//!   a fused contraction, and `sqrt` is correctly rounded.
 //!
 //! The SIMD impls size every loop over several slices from the shortest
 //! slice it loads, so even a length mismatch the callers should have
@@ -194,26 +194,6 @@ pub trait CpuBackend: Send + Sync {
     /// `Σ (aᵢ−rᵢ)·(bᵢ−rᵢ)` without materializing the deltas; bitwise
     /// equal to `self.dot(a−r, b−r)`, and across backends.
     fn dot_delta(&self, a: &[f32], b: &[f32], r: &[f32]) -> f32;
-
-    /// `out[i] += src[i]` (mean-accumulate chunk primitive). Bitwise
-    /// across backends.
-    fn add_assign(&self, out: &mut [f32], src: &[f32]);
-
-    /// `out[i] *= alpha`. Bitwise across backends.
-    fn scale_assign(&self, out: &mut [f32], alpha: f32);
-
-    /// `out[i] += (v[i] − m[i])²` via separate sub/mul/add (the variance
-    /// accumulate; no fused contraction so rounding matches scalar).
-    /// Bitwise across backends.
-    fn sq_dev_assign(&self, out: &mut [f32], v: &[f32], m: &[f32]);
-
-    /// `out[i] = sqrt(out[i] * alpha)` (variance → std-dev finish; `sqrt`
-    /// is correctly rounded). Bitwise across backends.
-    fn scale_sqrt_assign(&self, out: &mut [f32], alpha: f32);
-
-    /// `out[i] += alpha * src[i]` via separate mul/add (matches the
-    /// historical `axpy_in_place` rounding). Bitwise across backends.
-    fn axpy_assign(&self, out: &mut [f32], alpha: f32, src: &[f32]);
 }
 
 /// Identifies one backend implementation.

@@ -1,6 +1,6 @@
 //! Portable scalar backend: the reference every other backend is pinned
-//! to. The GEMM tile, `dot_lanes` and the element-wise kernels are the
-//! pre-backend `matmul.rs`/`vecops.rs` inner loops, extracted without
+//! to. The GEMM tile and `dot_lanes` are the pre-backend
+//! `matmul.rs`/`vecops.rs` inner loops, extracted without
 //! changing a floating-point operation; `dot`/`dot_delta` run the striped
 //! order of [`striped`], which the SIMD backends hold in registers. The
 //! committed goldens in `crates/tensor/tests/backend_goldens.rs` pin these
@@ -345,40 +345,5 @@ impl CpuBackend for Scalar {
         debug_assert_eq!(a.len(), b.len());
         debug_assert_eq!(a.len(), r.len());
         striped(a.iter().zip(b).zip(r).map(|((x, y), c)| (x - c, y - c)))
-    }
-
-    fn add_assign(&self, out: &mut [f32], src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        for (o, x) in out.iter_mut().zip(src) {
-            *o += x;
-        }
-    }
-
-    fn scale_assign(&self, out: &mut [f32], alpha: f32) {
-        for o in out {
-            *o *= alpha;
-        }
-    }
-
-    fn sq_dev_assign(&self, out: &mut [f32], v: &[f32], m: &[f32]) {
-        debug_assert_eq!(out.len(), v.len());
-        debug_assert_eq!(out.len(), m.len());
-        for (o, (x, mv)) in out.iter_mut().zip(v.iter().zip(m)) {
-            let diff = x - mv;
-            *o += diff * diff;
-        }
-    }
-
-    fn scale_sqrt_assign(&self, out: &mut [f32], alpha: f32) {
-        for o in out {
-            *o = (*o * alpha).sqrt();
-        }
-    }
-
-    fn axpy_assign(&self, out: &mut [f32], alpha: f32, src: &[f32]) {
-        debug_assert_eq!(out.len(), src.len());
-        for (o, y) in out.iter_mut().zip(src) {
-            *o += alpha * y;
-        }
     }
 }

@@ -730,42 +730,6 @@ mod parallel_equivalence {
             }
         }
 
-        #[test]
-        fn backend_elementwise_primitives_are_bitwise_identical(
-            d in 1usize..70, seed in 0u64..1_000_000, alpha in -2.0f32..2.0
-        ) {
-            use crate::backend::{self, CpuBackend, Kind, ALL_KINDS};
-            let x = fill(seed, d);
-            let y = fill(seed ^ 0xF00D, d);
-            let mvs = fill(seed ^ 0x1DEA, d);
-            let scalar = backend::instance(Kind::Scalar);
-            // (add, scale, sq_dev, scale_sqrt, axpy) under the scalar
-            // reference, then every supported backend must match bitwise.
-            let run = |be: &dyn CpuBackend| {
-                let mut add = x.clone();
-                be.add_assign(&mut add, &y);
-                let mut scale = x.clone();
-                be.scale_assign(&mut scale, alpha);
-                let mut sq = x.clone();
-                be.sq_dev_assign(&mut sq, &y, &mvs);
-                let mut ss: Vec<f32> = x.iter().map(|v| v.abs() + 0.25).collect();
-                be.scale_sqrt_assign(&mut ss, alpha.abs() + 0.5);
-                let mut ax = x.clone();
-                be.axpy_assign(&mut ax, alpha, &y);
-                [add, scale, sq, ss, ax]
-            };
-            let want = run(scalar);
-            for kind in ALL_KINDS {
-                if !kind.supported() {
-                    continue;
-                }
-                let got = run(backend::instance(kind));
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(bits(g), bits(w), "backend {}", kind.name());
-                }
-            }
-        }
-
         /// The fused delta reduction is bitwise identical to materializing
         /// the difference first, and `dot`, `dot_delta`, the norms built on
         /// them and `dot_lanes` return the same bits on every backend.

@@ -18,12 +18,14 @@
 //! output once and delegate. The `*_into` family is the fabcheck hot-path
 //! entry set — everything reachable from it must stay allocation-free.
 //!
-//! The hot primitives — [`dot`], [`l2_norm`], the `*_delta` forms, and the
-//! mean/variance chunk kernels — execute on the active [`crate::backend`]
-//! (DESIGN.md §4f), and every one of them returns the same bits on every
-//! backend. The norms are square roots of [`dot`] and [`dot_delta`], and
-//! `dot_delta`/`l2_norm_delta` stay bitwise equal to their materialized
-//! `dot`/`l2_norm` counterparts.
+//! The reductions — [`dot`], [`l2_norm`], the `*_delta` forms and the
+//! Krum/Bulyan distance tiles — execute on the active [`crate::backend`]
+//! (DESIGN.md §4f), which pins their operation order so every one of them
+//! returns the same bits on every backend. The norms are square roots of
+//! [`dot`] and [`dot_delta`], and `dot_delta`/`l2_norm_delta` stay bitwise
+//! equal to their materialized `dot`/`l2_norm` counterparts. Element-wise
+//! maps ([`axpy_in_place`] and the mean/variance chunk kernels) are plain
+//! loops here, with no order to pin (DESIGN.md §4f).
 
 use crate::backend::{self, CpuBackend};
 use crate::par;
@@ -144,15 +146,16 @@ pub fn scale(a: &[f32], alpha: f32) -> Vec<f32> {
     a.iter().map(|x| x * alpha).collect()
 }
 
-/// In-place `a += alpha * b` (element-wise on the active backend; bitwise
-/// identical across backends — separate mul/add per coordinate).
+/// In-place `a += alpha * b` (separate mul/add per coordinate).
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn axpy_in_place(a: &mut [f32], alpha: f32, b: &[f32]) {
     assert_eq!(a.len(), b.len(), "axpy: length mismatch");
-    backend::active().axpy_assign(a, alpha, b);
+    for (o, y) in a.iter_mut().zip(b) {
+        *o += alpha * y;
+    }
 }
 
 /// Returns the unit vector `a / ‖a‖₂`, or a zero vector when `‖a‖₂ == 0`.
@@ -189,9 +192,8 @@ fn check_lengths(vs: &[&[f32]], d: usize, op: &str) {
 
 /// Accumulation kernel shared by [`mean`] and [`mean_serial`]: fills
 /// `out[..]` (the coordinates starting at `lo`) with the vector-order sum
-/// scaled by `inv`. Element-wise on the active backend — per-coordinate
-/// op chains, bitwise identical across backends.
-fn mean_chunk(be: &dyn CpuBackend, vs: &[&[f32]], lo: usize, out: &mut [f32], inv: f32) {
+/// scaled by `inv`.
+fn mean_chunk(vs: &[&[f32]], lo: usize, out: &mut [f32], inv: f32) {
     out.fill(0.0);
     for v in vs {
         // Entry validation (`check_lengths`) makes the miss arm
@@ -199,15 +201,18 @@ fn mean_chunk(be: &dyn CpuBackend, vs: &[&[f32]], lo: usize, out: &mut [f32], in
         let Some(src) = v.get(lo..lo + out.len()) else {
             continue;
         };
-        be.add_assign(out, src);
+        for (o, x) in out.iter_mut().zip(src) {
+            *o += x;
+        }
     }
-    be.scale_assign(out, inv);
+    for o in out {
+        *o *= inv;
+    }
 }
 
 /// Variance kernel shared by [`std_dev`] and [`std_dev_serial`];
-/// `m` is the already computed coordinate-wise mean. Element-wise on the
-/// active backend — bitwise identical across backends.
-fn std_chunk(be: &dyn CpuBackend, vs: &[&[f32]], lo: usize, out: &mut [f32], m: &[f32], inv: f32) {
+/// `m` is the already computed coordinate-wise mean.
+fn std_chunk(vs: &[&[f32]], lo: usize, out: &mut [f32], m: &[f32], inv: f32) {
     out.fill(0.0);
     let Some(ms) = m.get(lo..lo + out.len()) else {
         return;
@@ -218,9 +223,14 @@ fn std_chunk(be: &dyn CpuBackend, vs: &[&[f32]], lo: usize, out: &mut [f32], m: 
         let Some(src) = v.get(lo..lo + out.len()) else {
             continue;
         };
-        be.sq_dev_assign(out, src, ms);
+        for (o, (x, mv)) in out.iter_mut().zip(src.iter().zip(ms)) {
+            let diff = x - mv;
+            *o += diff * diff;
+        }
     }
-    be.scale_sqrt_assign(out, inv);
+    for o in out {
+        *o = (*o * inv).sqrt();
+    }
 }
 
 /// Sorted-column kernel shared by [`median_into`]/[`trimmed_mean_into`]
@@ -285,9 +295,8 @@ pub fn mean_into(vs: &[&[f32]], out: &mut [f32]) {
     let d = out.len();
     check_lengths(vs, d, "mean");
     let inv = 1.0 / vs.len() as f32;
-    let be = backend::active();
     run_chunked(out, d * vs.len(), |lo, chunk| {
-        mean_chunk(be, vs, lo, chunk, inv)
+        mean_chunk(vs, lo, chunk, inv)
     });
 }
 
@@ -311,10 +320,9 @@ pub fn mean_serial(vs: &[&[f32]]) -> Vec<f32> {
     let d = vs[0].len();
     check_lengths(vs, d, "mean");
     let inv = 1.0 / vs.len() as f32;
-    let be = backend::active();
     let mut out = vec![0.0f32; d];
     for (idx, chunk) in out.chunks_mut(par::CHUNK).enumerate() {
-        mean_chunk(be, vs, idx * par::CHUNK, chunk, inv);
+        mean_chunk(vs, idx * par::CHUNK, chunk, inv);
     }
     out
 }
@@ -333,14 +341,13 @@ pub fn std_dev_into(vs: &[&[f32]], out: &mut [f32]) {
     let d = out.len();
     check_lengths(vs, d, "std_dev");
     let inv = 1.0 / vs.len() as f32;
-    let be = backend::active();
     let mut m = scratch_f32(Purpose::CoordMean, d);
     run_chunked(&mut m, d * vs.len(), |lo, chunk| {
-        mean_chunk(be, vs, lo, chunk, inv)
+        mean_chunk(vs, lo, chunk, inv)
     });
     let m = &*m;
     run_chunked(out, d * vs.len(), |lo, chunk| {
-        std_chunk(be, vs, lo, chunk, m, inv)
+        std_chunk(vs, lo, chunk, m, inv)
     });
 }
 
@@ -363,10 +370,9 @@ pub fn std_dev_serial(vs: &[&[f32]]) -> Vec<f32> {
     let m = mean_serial(vs);
     let d = m.len();
     let inv = 1.0 / vs.len() as f32;
-    let be = backend::active();
     let mut out = vec![0.0f32; d];
     for (idx, chunk) in out.chunks_mut(par::CHUNK).enumerate() {
-        std_chunk(be, vs, idx * par::CHUNK, chunk, &m, inv);
+        std_chunk(vs, idx * par::CHUNK, chunk, &m, inv);
     }
     out
 }
@@ -743,6 +749,26 @@ mod tests {
     #[should_panic(expected = "l2_norm_delta: length mismatch")]
     fn l2_norm_delta_rejects_a_mis_sized_r() {
         let _ = l2_norm_delta(&[1.0; 4096], &[0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy: length mismatch")]
+    fn axpy_in_place_rejects_a_mis_sized_b() {
+        axpy_in_place(&mut [1.0; 4096], 0.5, &[1.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean: length mismatch")]
+    fn mean_into_rejects_a_mis_sized_vector() {
+        let long = [1.0f32; 4096];
+        mean_into(&[&long, &long[..16]], &mut [0.0; 4096]);
+    }
+
+    #[test]
+    #[should_panic(expected = "std_dev: length mismatch")]
+    fn std_dev_into_rejects_a_mis_sized_vector() {
+        let long = [1.0f32; 4096];
+        std_dev_into(&[&long, &long[..16]], &mut [0.0; 4096]);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! `avx2` and auto-detection):
 //!
 //! * **GEMM and elementwise ops** were captured from the pre-backend
-//!   (autovectorized scalar) kernels on the unmodified tree. Each output
-//!   element's FLOP chain is independent and identically ordered in the
-//!   scalar, AVX2 and AVX-512 microkernels.
+//!   (autovectorized scalar) kernels on the unmodified tree. Each GEMM
+//!   output element's FLOP chain is independent and identically ordered
+//!   in the scalar, AVX2 and AVX-512 microkernels; the element-wise ops
+//!   (mean, std, axpy) are one plain loop in `vecops` on every backend.
 //! * **Reductions** (`dot`, `l2_norm` and their delta forms) are the bits
 //!   of the striped four-accumulator order of `CpuBackend::dot`, captured
 //!   from the AVX-512 backend.
@@ -97,7 +98,7 @@ fn gemm_goldens_bitwise_under_active_backend() {
 }
 
 /// mean/std/axpy are elementwise over independent coordinates (separate
-/// mul/add, no fused reassociation), so their goldens are also
+/// mul/add, which Rust never fuses), so their goldens are also
 /// backend-invariant.
 #[test]
 fn elementwise_goldens_bitwise_under_active_backend() {
@@ -174,15 +175,6 @@ fn short_operands_are_never_read_past_their_end() {
         ] {
             assert!(!v.is_nan(), "{op} read past its short operand on {name}");
         }
-        let mut out = long.clone();
-        be.add_assign(&mut out, short);
-        be.sq_dev_assign(&mut out, short, &long);
-        be.sq_dev_assign(&mut out, &long, short);
-        be.axpy_assign(&mut out, 0.5, short);
-        assert!(
-            !out.iter().any(|v| v.is_nan()),
-            "an element-wise kernel read past its short operand on {name}"
-        );
     }
 }
 
@@ -339,59 +331,6 @@ fn sq_distance_rows_is_bitwise_per_pair_sq_distance_across_backends() {
         saw_inf && saw_subnormal && saw_zero,
         "distances must reach +inf, subnormal and zero: {saw_inf} {saw_subnormal} {saw_zero}"
     );
-}
-
-/// The elementwise `*_assign` kernels are bitwise identical across
-/// backends: each output coordinate is an independent mul/add/sqrt chain
-/// with no reassociation, so SIMD lanes compute exactly the scalar FLOPs.
-/// Lengths straddle the 8- and 16-lane boundaries so every backend's
-/// vector body and scalar tail both execute.
-#[test]
-fn assign_kernels_bitwise_identical_across_backends() {
-    let scalar = backend::instance(Kind::Scalar);
-    for d in [1usize, 7, 8, 15, 16, 17, 33, 2069] {
-        let src = fill(80 + d as u64, d);
-        let v = fill(81 + d as u64, d);
-        let m = fill(82 + d as u64, d);
-        // `scale_sqrt_assign` takes the root of `out * alpha`: start from
-        // squared deviations so the product is non-negative.
-        let mut sq = vec![0.0f32; d];
-        scalar.sq_dev_assign(&mut sq, &v, &m);
-
-        let run = |be: &dyn backend::CpuBackend| {
-            let mut add = fill(90 + d as u64, d);
-            be.add_assign(&mut add, &src);
-            let mut scale = fill(91 + d as u64, d);
-            be.scale_assign(&mut scale, 0.37);
-            let mut dev = vec![0.0f32; d];
-            be.sq_dev_assign(&mut dev, &v, &m);
-            let mut root = sq.clone();
-            be.scale_sqrt_assign(&mut root, 0.25);
-            let mut axpy = fill(92 + d as u64, d);
-            be.axpy_assign(&mut axpy, -1.75, &src);
-            [
-                fold(&add),
-                fold(&scale),
-                fold(&dev),
-                fold(&root),
-                fold(&axpy),
-            ]
-        };
-        let want = run(scalar);
-        for kind in ALL_KINDS {
-            if !kind.supported() {
-                continue;
-            }
-            let got = run(backend::instance(kind));
-            assert_eq!(
-                got,
-                want,
-                "assign kernels d={d} backend {} diverge from scalar \
-                 (add/scale/sq_dev/scale_sqrt/axpy folds)",
-                backend::instance(kind).name()
-            );
-        }
-    }
 }
 
 /// The GEMM register tile itself is bitwise identical across backends,
